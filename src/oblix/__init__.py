@@ -4,7 +4,6 @@ from .accel import (
     AccelConfig,
     AccelState,
     never,
-    reuse_attention_batch,
     should_recompute_attention,
     should_skip_blocks,
 )
@@ -19,7 +18,6 @@ from .denoiser import (
     ModelConfig,
     ModelWeights,
     TextEmbedding,
-    attention,
     decode_latent,
     embed_prompt,
     unet_forward,

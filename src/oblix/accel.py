@@ -8,9 +8,9 @@ and the config:
   cached output written by the last recompute.
 * block skip: from iteration skip_point onward the down and mid blocks are
   not executed and the cached mid-block features feed the up block.
-* batch reuse: at iterations up to the cache point, the attention map is
-  computed once for the pivot batch row and broadcast; per-row value
-  projections stay individual.
+* batch reuse: at iterations up to the cache point, and for batches of at
+  least two rows, the attention map is computed once for the pivot batch
+  row and broadcast; per-row value projections stay individual.
 
 Composition order when several gates apply at one step: skip removes the
 down/mid sites entirely, then the cache gate runs per surviving site, then
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, SessionError
-from .tensor import Tensor, flops_tag, matmul, scale, softmax_rows, stack_rows
+from .tensor import Tensor, flops_tag, matmul, scale, softmax_rows
 
 log = logging.getLogger("oblix.accel")
 
@@ -87,9 +87,10 @@ def should_skip_blocks(t: int, cfg: AccelConfig) -> bool:
     return t >= cfg.skip_point
 
 
-def reuse_active(t: int, cfg: AccelConfig) -> bool:
-    """Batch reuse applies only before the cache gate takes over."""
-    return cfg.reuse and t <= cfg.cache_point
+def reuse_active(t: int, cfg: AccelConfig, batch: int) -> bool:
+    """Batch reuse applies only before the cache gate takes over, and only
+    to a batch of at least two rows: a single row has no map to share."""
+    return cfg.reuse and t <= cfg.cache_point and batch > 1
 
 
 @dataclass
@@ -104,10 +105,8 @@ class AccelState:
     """
 
     cfg: AccelConfig
-    session_id: str = "local"
     cached_attention: dict[str, list[Tensor]] = field(default_factory=dict)
     mid_features: list[Tensor] | None = None
-    last_refresh: dict[str, int] = field(default_factory=dict)
     cache_writes: list[tuple[int, str]] = field(default_factory=list)
     _bound: tuple[int, int] | None = None
 
@@ -122,7 +121,6 @@ class AccelState:
 
     def store_attention(self, site: str, t: int, rows: list[Tensor]) -> None:
         self.cached_attention[site] = rows
-        self.last_refresh[site] = t
         self.cache_writes.append((t, site))
 
     def load_attention(self, site: str) -> list[Tensor]:
@@ -131,48 +129,33 @@ class AccelState:
         return self.cached_attention[site]
 
 
-def reuse_attention_batch(q_inputs: Tensor, kv_inputs: Tensor, w, cfg: AccelConfig,
-                          site: str) -> Tensor:
-    """Pivot-map attention over a batch.
+def attend(q_rows: list[Tensor], kv_rows: list[Tensor], params, site: str,
+           pivot: int | None = None) -> list[Tensor]:
+    """Map-times-value attention of one site for each batch row.
 
-    ``q_inputs`` is (N, S, d_q) and ``kv_inputs`` is (N, S_kv, d_kv); ``w``
-    exposes ``attn(site)`` with ``wq``/``wk``/``wv`` projections.  The
-    query, key and softmax run once on the pivot row; value projections
-    and the map-times-value product run per row.
+    ``params`` exposes ``wq``/``wk``/``wv`` projections.  The map work
+    (query and key projections, scaled scores, softmax) runs per row, or
+    once on row ``pivot`` whose map every row then shares.  The value
+    projection and the map-times-value product always run per row.  The
+    output projection is applied by the caller, so the returned rows are
+    exactly what the attention cache stores.
     """
-    n = q_inputs.shape[0]
-    if kv_inputs.shape[0] != n:
-        raise ConfigError(
-            f"batch sizes differ: {q_inputs.shape[0]} queries, "
-            f"{kv_inputs.shape[0]} key/value rows"
-        )
-    rows = reuse_attention_rows(
-        [q_inputs.row(i) for i in range(n)],
-        [kv_inputs.row(i) for i in range(n)],
-        w, cfg, site,
-    )
-    return stack_rows(rows)
-
-
-def reuse_attention_rows(q_rows: list[Tensor], kv_rows: list[Tensor], w,
-                         cfg: AccelConfig, site: str) -> list[Tensor]:
     n = len(q_rows)
-    if cfg.pivot_index >= n:
-        raise ConfigError(
-            f"pivot_index {cfg.pivot_index} outside batch of {n}"
-        )
-    params = w.attn(site)
+    if pivot is not None and not 0 <= pivot < n:
+        raise ConfigError(f"pivot_index {pivot} outside batch of {n}")
     width = params.wq.shape[1]
-    pivot = cfg.pivot_index
-    with flops_tag(f"{site}/map"):
-        q_pivot = matmul(q_rows[pivot], params.wq)
-        k_pivot = matmul(kv_rows[pivot], params.wk)
-        scores = scale(matmul(q_pivot, k_pivot.transpose2d()),
-                       1.0 / math.sqrt(width))
-        pivot_map = softmax_rows(scores)
+
+    def attention_map(q_in: Tensor, kv_in: Tensor) -> Tensor:
+        with flops_tag(f"{site}/map"):
+            q = matmul(q_in, params.wq)
+            k = matmul(kv_in, params.wk)
+            scores = scale(matmul(q, k.transpose2d()), 1.0 / math.sqrt(width))
+            return softmax_rows(scores)
+
+    shared = None if pivot is None else attention_map(q_rows[pivot], kv_rows[pivot])
     out: list[Tensor] = []
-    with flops_tag(f"{site}/value"):
-        for kv in kv_rows:
-            values = matmul(kv, params.wv)
-            out.append(matmul(pivot_map, values))
+    for q_in, kv_in in zip(q_rows, kv_rows, strict=True):
+        attn_map = shared if shared is not None else attention_map(q_in, kv_in)
+        with flops_tag(f"{site}/value"):
+            out.append(matmul(attn_map, matmul(kv_in, params.wv)))
     return out

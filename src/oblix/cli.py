@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,13 +281,10 @@ def cmd_bench(args) -> int:
             for r in rs:
                 for s in ss:
                     for reuse in reuses:
-                        accel = AccelConfig(k, min(r, never), min(s, never),
-                                            reuse, rc.session.accel.refresh_period,
-                                            rc.session.accel.pivot_index)
-                        session = SessionConfig(
-                            rc.session.model_id, rc.session.seed, accel,
-                            rc.session.cloud_schedule, rc.session.device_steps,
-                            rc.session.dt_shift, rc.session.channel)
+                        accel = replace(rc.session.accel, switch_point=k,
+                                        cache_point=min(r, never),
+                                        skip_point=min(s, never), reuse=reuse)
+                        session = replace(rc.session, accel=accel)
                         transport = SimulatedTransport(
                             Server({rc.model_id: rc.cloud_weights}))
                         result = client_run_session(

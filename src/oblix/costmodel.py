@@ -146,7 +146,7 @@ def expected_run_flops(cfg: ModelConfig, batch: int, accel, first_iter: int,
             total += step_flops(
                 cfg, batch,
                 recompute=accel_mod.should_recompute_attention(t, accel),
-                reuse=accel_mod.reuse_active(t, accel) and batch > 1,
+                reuse=accel_mod.reuse_active(t, accel, batch),
                 skip=accel_mod.should_skip_blocks(t, accel),
             )
     return total

@@ -39,8 +39,6 @@ from .tensor import (
     flops_tag,
     fnv1a64,
     matmul,
-    scale,
-    softmax_rows,
     stack_rows,
     tanh_map,
 )
@@ -275,47 +273,22 @@ def time_vector(t: int, cfg: ModelConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def attention(q_in: Tensor, kv_in: Tensor, w: ModelWeights, site: str,
-              accel: AccelState | None = None, step: int = 1) -> Tensor:
-    """Single-row attention for one site, honouring the cache gate.
-
-    Returns the map-times-value product; the output projection is applied
-    by the caller so the cached object is exactly the attention output.
-    """
-    out = _attention_rows([q_in], [kv_in], w, site, accel, step)
-    return out[0]
-
-
 def _attention_rows(q_rows: list[Tensor], kv_rows: list[Tensor], w: ModelWeights,
                     site: str, accel: AccelState | None, step: int,
                     trace: dict | None = None) -> list[Tensor]:
     params = w.attn(site)
     if accel is None:
-        rows = [_site_plain(q, kv, params, site) for q, kv in zip(q_rows, kv_rows)]
+        rows = accel_mod.attend(q_rows, kv_rows, params, site)
     elif not accel_mod.should_recompute_attention(step, accel.cfg):
         rows = accel.load_attention(site)
     else:
-        if accel_mod.reuse_active(step, accel.cfg) and len(q_rows) > 1:
-            rows = accel_mod.reuse_attention_rows(q_rows, kv_rows, w,
-                                                  accel.cfg, site)
-        else:
-            rows = [_site_plain(q, kv, params, site) for q, kv in zip(q_rows, kv_rows)]
+        reuse = accel_mod.reuse_active(step, accel.cfg, len(q_rows))
+        rows = accel_mod.attend(q_rows, kv_rows, params, site,
+                                accel.cfg.pivot_index if reuse else None)
         accel.store_attention(site, step, rows)
     if trace is not None:
         trace[(step, site)] = stack_rows(rows)
     return rows
-
-
-def _site_plain(q_in: Tensor, kv_in: Tensor, params: AttnSite, site: str) -> Tensor:
-    width = params.wq.shape[1]
-    with flops_tag(f"{site}/map"):
-        q = matmul(q_in, params.wq)
-        k = matmul(kv_in, params.wk)
-        scores = scale(matmul(q, k.transpose2d()), 1.0 / math.sqrt(width))
-        attn_map = softmax_rows(scores)
-    with flops_tag(f"{site}/value"):
-        v = matmul(kv_in, params.wv)
-        return matmul(attn_map, v)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +408,8 @@ def run_denoise_steps(latents: Tensor, texts: list[TextEmbedding],
             "recompute": accel is None
             or accel_mod.should_recompute_attention(i, accel.cfg),
             "skip": accel is not None and accel_mod.should_skip_blocks(i, accel.cfg),
-            "reuse": accel is not None and accel_mod.reuse_active(i, accel.cfg)
-            and latents.shape[0] > 1,
+            "reuse": accel is not None
+            and accel_mod.reuse_active(i, accel.cfg, latents.shape[0]),
         }
         t_sched = total - i + 1
         if counter is not None:

@@ -35,9 +35,6 @@ class AttributeClass:
     values: tuple[str, ...]                 # canonical surfaces, ordered
     synonyms: dict[str, str]                # lowercase surface -> canonical
 
-    def value_index(self, canonical: str) -> int:
-        return self.values.index(canonical)
-
 
 class AttributeLexicon:
     """Ordered attribute classes with per-value synonym sets."""

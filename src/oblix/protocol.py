@@ -316,8 +316,7 @@ class Server:
 
         counter = FlopsCounter()
         if req.cloud_steps > 0:
-            state = AccelState(req.accel_config(), session_id=f"req-{req.seed}") \
-                if self.accel_paths else None
+            state = AccelState(req.accel_config()) if self.accel_paths else None
             with use_flops_counter(counter):
                 latents = run_denoise_steps(
                     latents, texts, sched, w, 1, req.cloud_steps, state)

@@ -6,8 +6,8 @@ import pytest
 from oblix.accel import (
     AccelConfig,
     AccelState,
+    attend,
     never,
-    reuse_attention_batch,
     reuse_active,
     should_recompute_attention,
     should_skip_blocks,
@@ -73,7 +73,8 @@ def test_gate_totality():
     for t in range(1, 26):
         assert should_recompute_attention(t, cfg) in (True, False)
         assert should_skip_blocks(t, cfg) in (True, False)
-        assert reuse_active(t, cfg) in (True, False)
+        assert reuse_active(t, cfg, 2) in (True, False)
+        assert reuse_active(t, cfg, 1) is False   # one row has no map to share
 
 
 def test_config_validation():
@@ -102,50 +103,49 @@ def _plain_site(q_in, kv_in, site):
 
 
 def test_reuse_single_row_equals_plain_attention():
-    q = stack_rows([Rng(1).gaussian((CFG.tokens, CFG.width))])
-    out = reuse_attention_batch(q, q, W, AccelConfig(reuse=True), "down.self")
-    want = _plain_site(q.row(0), q.row(0), "down.self")
-    assert np.allclose(out.row(0).to_numpy(), want, atol=1e-6)
+    row = Rng(1).gaussian((CFG.tokens, CFG.width))
+    p = W.attn("down.self")
+    for n in (1, 3):
+        rows = [row] * n
+        shared = attend(rows, rows, p, "down.self", pivot=0)
+        plain = attend(rows, rows, p, "down.self")
+        assert all(a.same_bits(b) for a, b in zip(shared, plain, strict=True))
+    want = _plain_site(row, row, "down.self")
+    assert np.allclose(shared[0].to_numpy(), want, atol=1e-6)
 
 
 def test_reuse_pivot_row_is_bitwise_invariant():
     n = 4
-    qs = stack_rows([Rng(10 + i).gaussian((CFG.tokens, CFG.width))
-                     for i in range(n)])
+    qs = [Rng(10 + i).gaussian((CFG.tokens, CFG.width)) for i in range(n)]
+    p = W.attn("mid.self")
     for pivot in (0, 2):
-        cfg = AccelConfig(reuse=True, pivot_index=pivot)
-        out = reuse_attention_batch(qs, qs, W, cfg, "mid.self")
-        solo = reuse_attention_batch(
-            stack_rows([qs.row(pivot)]),
-            stack_rows([qs.row(pivot)]), W,
-            AccelConfig(reuse=True, pivot_index=0), "mid.self")
-        assert out.row(pivot).same_bits(solo.row(0))
+        out = attend(qs, qs, p, "mid.self", pivot=pivot)
+        solo = attend([qs[pivot]], [qs[pivot]], p, "mid.self", pivot=0)
+        assert out[pivot].same_bits(solo[0])
 
 
 def test_reuse_against_direct_pivot_map_oracle():
     n = 3
-    qs = stack_rows([Rng(20 + i).gaussian((CFG.tokens, CFG.width))
-                     for i in range(n)])
-    kvs = stack_rows([Rng(30 + i).gaussian((CFG.token_capacity, CFG.d_text))
-                      for i in range(n)])
+    qs = [Rng(20 + i).gaussian((CFG.tokens, CFG.width)) for i in range(n)]
+    kvs = [Rng(30 + i).gaussian((CFG.token_capacity, CFG.d_text))
+           for i in range(n)]
     p = W.attn("down.cross")
-    q_star = qs.row(0).to_numpy() @ p.wq.to_numpy()
-    k_star = kvs.row(0).to_numpy() @ p.wk.to_numpy()
+    q_star = qs[0].to_numpy() @ p.wq.to_numpy()
+    k_star = kvs[0].to_numpy() @ p.wk.to_numpy()
     scores = (q_star @ k_star.T) * np.float32(1.0 / math.sqrt(CFG.width))
     scores = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(scores, dtype=np.float32)
     m_star = e / e.sum(axis=1, keepdims=True, dtype=np.float32)
-    out = reuse_attention_batch(qs, kvs, W, AccelConfig(reuse=True), "down.cross")
+    out = attend(qs, kvs, p, "down.cross", pivot=0)
     for i in range(n):
-        want = m_star @ (kvs.row(i).to_numpy() @ p.wv.to_numpy())
-        assert np.allclose(out.row(i).to_numpy(), want, atol=1e-6)
+        want = m_star @ (kvs[i].to_numpy() @ p.wv.to_numpy())
+        assert np.allclose(out[i].to_numpy(), want, atol=1e-6)
 
 
 def test_reuse_pivot_out_of_range():
-    q = stack_rows([Rng(1).gaussian((CFG.tokens, CFG.width))])
+    q = [Rng(1).gaussian((CFG.tokens, CFG.width))]
     with pytest.raises(ConfigError):
-        reuse_attention_batch(q, q, W, AccelConfig(reuse=True, pivot_index=3),
-                              "up.self")
+        attend(q, q, W.attn("up.self"), "up.self", pivot=3)
 
 
 # --- state and refresh ------------------------------------------------------------

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oblix.accel import AccelConfig, AccelState, never
+from oblix.accel import AccelConfig, AccelState, attend, never
 from oblix.denoiser import (
     ModelConfig,
     ModelWeights,
-    attention,
     decode_latent,
     embed_prompt,
     run_denoise_steps,
@@ -64,7 +63,7 @@ def test_embed_rejects_empty_prompt():
 def test_attention_single_token_softmax_collapses():
     q = Rng(1).gaussian((1, CFG.width))
     kv = Rng(2).gaussian((1, CFG.width))
-    out = attention(q, kv, W, "down.self")
+    [out] = attend([q], [kv], W.attn("down.self"), "down.self")
     want = kv.to_numpy() @ W.attn("down.self").wv.to_numpy()
     assert np.allclose(out.to_numpy(), want, atol=1e-6)
 
@@ -74,7 +73,7 @@ def test_attention_zero_projections_give_uniform_map():
     w2 = W.replace(**{"mid.self.wq": zero, "mid.self.wk": zero})
     q = Rng(3).gaussian((4, CFG.width))
     kv = Rng(4).gaussian((5, CFG.width))
-    out = attention(q, kv, w2, "mid.self")
+    [out] = attend([q], [kv], w2.attn("mid.self"), "mid.self")
     v = kv.to_numpy() @ w2.attn("mid.self").wv.to_numpy()
     want = np.tile(v.mean(axis=0), (4, 1))
     assert np.allclose(out.to_numpy(), want, atol=1e-6)
@@ -90,7 +89,7 @@ def test_attention_matches_direct_equation_oracle():
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     m = e / e.sum(axis=1, keepdims=True)
     want = m @ (kv_in.to_numpy() @ p.wv.to_numpy())
-    got = attention(q_in, kv_in, W, "up.cross")
+    [got] = attend([q_in], [kv_in], p, "up.cross")
     assert np.allclose(got.to_numpy(), want, atol=1e-5)
 
 

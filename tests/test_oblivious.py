@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from oblix.oblivious import (
 from oblix.tensor import Rng, stack_rows
 
 LEX = default_lexicon()
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _detected(prompt):
@@ -217,6 +219,12 @@ def test_lexicon_file_roundtrip(tmp_path):
     assert lex.class_named("age").values == ("young", "middle-aged", "old")
     assert lex.class_named("ethnicity").values == (
         "caucasian", "african", "asian", "indian", "european")
+
+
+def test_data_files_match_builtin_defaults():
+    """The on-disk samples in data/ stay in step with the built-in defaults."""
+    assert AttributeLexicon.load(str(DATA / "lexicon.txt")).classes == LEX.classes
+    assert load_templates(str(DATA / "templates.txt")) == DEFAULT_TEMPLATES
 
 
 # --- templates and corpus -------------------------------------------------------------
