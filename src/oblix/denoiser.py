@@ -129,7 +129,8 @@ class ModelWeights:
     def __init__(self, cfg: ModelConfig, seed: int, params: dict[str, Tensor]):
         self.cfg = cfg
         self.seed = seed
-        self._params = params
+        self._params = dict(params)
+        self._fingerprint: int | None = None
         self._sites = {
             site: AttnSite(
                 params[f"{site}.wq"], params[f"{site}.wk"],
@@ -155,9 +156,7 @@ class ModelWeights:
 
     def replace(self, **overrides: Tensor) -> "ModelWeights":
         """Copy with some parameters swapped; used by constructed-weight tests."""
-        params = dict(self._params)
-        params.update(overrides)
-        return ModelWeights(self.cfg, self.seed, params)
+        return ModelWeights(self.cfg, self.seed, {**self._params, **overrides})
 
     # -- flat binary serialization ---------------------------------------
 
@@ -223,8 +222,17 @@ class ModelWeights:
         return cls(cfg, seed, params)
 
     def fingerprint(self) -> int:
-        return fnv1a64(b"".join(self._params[n].tobytes()
-                                for n, _ in _param_specs(self.cfg)))
+        """FNV-1a 64 of every parameter's bytes in serialization order.
+
+        Computed once per instance, on first call, and kept: parameters are
+        read-only and ``build``/``load``/``replace`` return new instances,
+        so the value cannot go stale.  Hashing stays lazy because weights
+        that never meet a gated step never need it.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = fnv1a64(b"".join(
+                self._params[n].tobytes() for n, _ in _param_specs(self.cfg)))
+        return self._fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import AccelConfig, AccelState
+from .accel import AccelConfig, AccelState, reuse_active
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
-from .errors import FrameError, InternalError, ProtocolError, SessionError
+from .errors import (
+    ConfigError,
+    FrameError,
+    InputError,
+    InternalError,
+    ProtocolError,
+    SessionError,
+)
 from .oblivious import (
     AttributeLexicon,
     CandidateSet,
@@ -299,24 +306,40 @@ class Server:
         self.accel_paths = accel_paths
 
     def handle_request(self, req: GenerateRequest) -> GenerateResponse:
+        """Denoise the first ``cloud_steps`` iterations of every candidate.
+
+        A request that decodes but cannot run (bad schedule or gate
+        parameters, an empty candidate, a pivot outside the batch) is
+        refused with ProtocolError before any compute starts.
+        """
         if req.model_id not in self.weights:
             raise ProtocolError(f"unknown model id {req.model_id!r}")
         w = self.weights[req.model_id]
-        sched = req.schedule.build()
+        cfg = w.cfg
+        n = len(req.candidates)
+        gated = self.accel_paths and req.cloud_steps > 0
+        try:
+            sched = req.schedule.build()
+            accel_cfg = req.accel_config() if gated else None
+            texts = [embed_prompt(p, cfg) for p in req.candidates]
+        except (ConfigError, InputError) as exc:
+            raise ProtocolError(f"invalid request: {exc}") from None
         if req.cloud_steps > sched.steps:
             raise ProtocolError(
                 f"switch point {req.cloud_steps} exceeds schedule of "
                 f"{sched.steps} steps")
-        cfg = w.cfg
-        n = len(req.candidates)
+        # every gated run starts at iteration 1, where reuse fires if it ever does
+        if accel_cfg is not None and reuse_active(1, accel_cfg, n) \
+                and req.pivot_index >= n:
+            raise ProtocolError(
+                f"pivot_index {req.pivot_index} outside {n} candidates")
 
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         latents = stack_rows([base] * n)
-        texts = [embed_prompt(p, cfg) for p in req.candidates]
 
         counter = FlopsCounter()
         if req.cloud_steps > 0:
-            state = AccelState(req.accel_config()) if self.accel_paths else None
+            state = AccelState(accel_cfg) if gated else None
             with use_flops_counter(counter):
                 latents = run_denoise_steps(
                     latents, texts, sched, w, 1, req.cloud_steps, state)
@@ -387,13 +410,14 @@ def read_frame(sock: socket.socket, prefix: bytes = b"") -> bytes:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
+    # grows with what arrives: ``n`` comes from the peer and is not capped
+    buf = bytearray()
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
             raise ProtocolError(f"connection closed after {len(buf)} of {n} bytes")
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 class _DaemonHandler(socketserver.BaseRequestHandler):

@@ -135,7 +135,7 @@ class Tensor:
 
     def __init__(self, array: np.ndarray):
         a = np.ascontiguousarray(array, dtype=np.float32)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InternalError("tensor holds non-finite values")
         a.flags.writeable = False
         object.__setattr__(self, "_a", a)

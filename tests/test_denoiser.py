@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oblix.denoiser
 from oblix.accel import AccelConfig, AccelState, attend, never
 from oblix.denoiser import (
     ModelConfig,
@@ -13,9 +14,9 @@ from oblix.denoiser import (
     run_denoise_steps,
     unet_forward,
 )
-from oblix.errors import ConfigError, InputError, ProtocolError
+from oblix.errors import ConfigError, InputError, ProtocolError, SessionError
 from oblix.schedule import build_schedule
-from oblix.tensor import Rng, Tensor, stack_rows
+from oblix.tensor import Rng, Tensor, fnv1a64, stack_rows
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -197,6 +198,59 @@ def test_weights_save_load_roundtrip(tmp_path):
     texts = _texts(["roundtrip"])
     assert unet_forward(batch, texts, 1, loaded).same_bits(
         unet_forward(batch, texts, 1, W))
+
+
+def _param_bytes(w):
+    return b"".join(w[name].tobytes()
+                    for name, _ in oblix.denoiser._param_specs(w.cfg))
+
+
+def test_fingerprint_is_hashed_once_per_instance(tmp_path, monkeypatch):
+    weight_bytes = len(_param_bytes(W))
+    hashed = []
+
+    def counting(data):
+        if len(data) == weight_bytes:
+            hashed.append(len(data))
+        return fnv1a64(data)
+
+    monkeypatch.setattr(oblix.denoiser, "fnv1a64", counting)
+    w = ModelWeights.build(CFG, 7)
+    path = tmp_path / "model.oblw"
+    w.save(str(path))
+    loaded = ModelWeights.load(str(path))
+    assert hashed == []  # building and loading never hash
+
+    cfg = AccelConfig(switch_point=6, cache_point=2, skip_point=4, reuse=True,
+                      refresh_period=3)
+    batch = stack_rows([Rng(12).gaussian((CFG.channels, CFG.res, CFG.res))] * 2)
+    run_denoise_steps(batch, _texts(["first", "second"]), build_schedule(6),
+                      loaded, 1, 6, AccelState(cfg))
+    assert len(hashed) == 1  # six gated steps bind, one hash
+
+
+def test_fingerprint_equals_direct_hash_of_parameter_bytes():
+    w = ModelWeights.build(CFG, 7)
+    want = fnv1a64(_param_bytes(w))
+    assert w.fingerprint() == want
+    assert w.fingerprint() == want  # the kept value, not a second hash
+
+
+def test_replaced_weights_get_new_fingerprint_and_foreign_state_fails():
+    w = ModelWeights.build(CFG, 7)
+    before = w.fingerprint()
+    bumped = w["w_in"].to_numpy().copy()
+    bumped[0, 0] += np.float32(0.25)
+    w2 = w.replace(w_in=Tensor(bumped))
+    assert w2.fingerprint() != before
+    assert w.fingerprint() == before
+
+    state = AccelState(AccelConfig(switch_point=2))
+    x = stack_rows([Rng(13).gaussian((CFG.channels, CFG.res, CFG.res))])
+    texts = _texts(["bound session"])
+    unet_forward(x, texts, 1, w, state)
+    with pytest.raises(SessionError):
+        unet_forward(x, texts, 2, w2, state)
 
 
 def test_weights_file_starts_with_magic(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oblix.protocol
 from oblix.accel import AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
 from oblix.errors import FrameError, ProtocolError
@@ -267,6 +268,40 @@ def test_server_rejects_unknown_model():
         _server().handle_request(_request(model_id="giant"))
 
 
+INVALID_REQUESTS = {
+    "pivot outside batch": dict(reuse=True, pivot_index=5),
+    "zero refresh period": dict(refresh_period=0),
+    "whitespace candidate": dict(candidates=("a prompt", "   ")),
+    "zero schedule steps": dict(cloud_steps=0, schedule=ScheduleParams(0)),
+}
+
+
+@pytest.mark.parametrize("fields", INVALID_REQUESTS.values(),
+                         ids=INVALID_REQUESTS.keys())
+def test_server_refuses_invalid_request_before_compute(fields, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("denoiser ran for an invalid request")
+
+    monkeypatch.setattr(oblix.protocol, "run_denoise_steps", no_compute)
+    with pytest.raises(ProtocolError):
+        _server().handle_frame(encode_frame(_request(**fields)))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(reuse=True, pivot_index=5, cloud_steps=0),   # no step runs
+    dict(reuse=False, pivot_index=5),                 # pivot never read
+    dict(reuse=True, pivot_index=5, candidates=("solo prompt",)),
+    dict(refresh_period=0, cloud_steps=0),            # no gate runs
+])
+def test_server_accepts_gate_fields_that_never_take_effect(fields):
+    _server().handle_request(_request(**fields))
+
+
+def test_reference_mode_ignores_gate_fields():
+    req = _request(reuse=True, pivot_index=5, refresh_period=0)
+    Server({"toy": W}, accel_paths=False).handle_request(req)
+
+
 def test_server_rejects_response_frames():
     latents = fp16_roundtrip(Rng(1).gaussian((1, 4, 8, 8)))
     resp = GenerateResponse(0, latents, 0, ())
@@ -393,6 +428,34 @@ def test_daemon_survives_malformed_magic():
 
     result = _with_daemon(run)
     assert result.image.shape == (3, 32, 32)
+
+
+def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
+    handler_errors = []
+    monkeypatch.setattr(Daemon, "handle_error",
+                        lambda self, request, address: handler_errors.append(address))
+    cfg = _session(k=3, seed=5, cache_point=2, reuse=True)
+
+    def run(addr):
+        for fields in INVALID_REQUESTS.values():
+            conn = socket.create_connection(addr, timeout=30)
+            try:
+                conn.sendall(encode_frame(_request(**fields)))
+                assert conn.recv(1) == b""  # refused: closed without a reply
+            finally:
+                conn.close()
+        transport = SocketTransport(addr[0], addr[1])
+        try:
+            return client_run_session("portrait of a man", cfg, transport, W, LEX)
+        finally:
+            transport.close()
+
+    over_socket = _with_daemon(run)
+    in_process = client_run_session("portrait of a man", cfg,
+                                    SimulatedTransport(_server()), W, LEX)
+    assert handler_errors == []
+    assert over_socket.image.same_bits(in_process.image)
+    assert over_socket.transcript == in_process.transcript
 
 
 def test_two_concurrent_clients_complete_independently():
