@@ -10,7 +10,7 @@ and the config:
   not executed and the cached mid-block features feed the up block.
 * batch reuse: at iterations up to the cache point, and for batches of at
   least two rows, the attention map is computed once for the pivot batch
-  row and broadcast; per-row value projections stay individual.
+  row and broadcast; every row still multiplies it by its own values.
 
 Composition order when several gates apply at one step: skip removes the
 down/mid sites entirely, then the cache gate runs per surviving site, then
@@ -23,8 +23,10 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, SessionError
-from .tensor import Tensor, flops_tag, matmul, scale, softmax_rows
+from .tensor import Tensor, flops_tag, matmul, row_blocks, scale, softmax_rows
 
 log = logging.getLogger("oblix.accel")
 
@@ -93,20 +95,37 @@ def reuse_active(t: int, cfg: AccelConfig, batch: int) -> bool:
     return cfg.reuse and t <= cfg.cache_point and batch > 1
 
 
+def gates_fire(cfg: AccelConfig, steps: int, batch: int) -> bool:
+    """True when some gate changes how iterations 1..steps run for a batch.
+
+    False means every step recomputes every site, none skips and reuse
+    never applies, so a run with no AccelState at all gives the same bits
+    and step flags and keeps no caches that nothing would read.  Reuse can
+    only fire from iteration 1 and a skip, once it fires, fires to the
+    end, so one iteration decides each of them.
+    """
+    return (reuse_active(1, cfg, batch)
+            or should_skip_blocks(steps, cfg)
+            or not all(should_recompute_attention(t, cfg)
+                       for t in range(1, steps + 1)))
+
+
 @dataclass
 class AccelState:
     """Per-session caches written by the denoiser as gates fire.
 
-    ``cached_attention`` maps a site id to the per-row outputs written by
-    the last recomputation; ``mid_features`` holds the per-row mid-block
-    outputs of the last unskipped step.  ``cache_writes`` records
+    ``cached_attention`` maps a site id to the row-stacked (N*S, width)
+    attention output of its last recomputation; ``mid_features`` holds the
+    row-stacked mid-block output of the last unskipped step.  Both are
+    single tensors whose row block r belongs to batch row r, in the layout
+    `oblix.denoiser.unet_forward` uses.  ``cache_writes`` records
     (iteration, site) for every overwrite so refresh behaviour is
     observable in tests.
     """
 
     cfg: AccelConfig
-    cached_attention: dict[str, list[Tensor]] = field(default_factory=dict)
-    mid_features: list[Tensor] | None = None
+    cached_attention: dict[str, Tensor] = field(default_factory=dict)
+    mid_features: Tensor | None = None
     cache_writes: list[tuple[int, str]] = field(default_factory=list)
     _bound: tuple[int, int] | None = None
 
@@ -119,43 +138,52 @@ class AccelState:
                 f"(bound {self._bound}, got {(weights_key, batch)})"
             )
 
-    def store_attention(self, site: str, t: int, rows: list[Tensor]) -> None:
-        self.cached_attention[site] = rows
+    def store_attention(self, site: str, t: int, out: Tensor) -> None:
+        self.cached_attention[site] = out
         self.cache_writes.append((t, site))
 
-    def load_attention(self, site: str) -> list[Tensor]:
+    def load_attention(self, site: str) -> Tensor:
         if site not in self.cached_attention:
             raise SessionError(f"no cached attention output for site {site!r}")
         return self.cached_attention[site]
 
 
-def attend(q_rows: list[Tensor], kv_rows: list[Tensor], params, site: str,
-           pivot: int | None = None) -> list[Tensor]:
-    """Map-times-value attention of one site for each batch row.
+def attend(q: Tensor, kv: Tensor, params, site: str, n: int,
+           pivot: int | None = None) -> Tensor:
+    """Map-times-value attention of one site over a row-stacked batch.
 
-    ``params`` exposes ``wq``/``wk``/``wv`` projections.  The map work
-    (query and key projections, scaled scores, softmax) runs per row, or
-    once on row ``pivot`` whose map every row then shares.  The value
-    projection and the map-times-value product always run per row.  The
-    output projection is applied by the caller, so the returned rows are
-    exactly what the attention cache stores.
+    ``q`` is (n*S, width) and ``kv`` is (n*T, kv width); row block r of
+    each belongs to batch row r.  ``params`` exposes ``wq``/``wk``/``wv``
+    projections.  The value projection runs once on all of ``kv``.  The
+    map work (query and key projections, scaled scores, softmax) runs per
+    row block, or once on block ``pivot`` whose map every row then shares.
+    The map-times-value product runs per row block, since an (S, T) map
+    stays in cache where a batch of them does not, and writes into one
+    (n*S, width) output.  The output projection is applied by the caller,
+    so the result is exactly what the attention cache stores.
     """
-    n = len(q_rows)
     if pivot is not None and not 0 <= pivot < n:
         raise ConfigError(f"pivot_index {pivot} outside batch of {n}")
+    q_blocks, kv_blocks = row_blocks(q, n), row_blocks(kv, n)
     width = params.wq.shape[1]
 
     def attention_map(q_in: Tensor, kv_in: Tensor) -> Tensor:
         with flops_tag(f"{site}/map"):
-            q = matmul(q_in, params.wq)
-            k = matmul(kv_in, params.wk)
-            scores = scale(matmul(q, k.transpose2d()), 1.0 / math.sqrt(width))
+            q_proj = matmul(q_in, params.wq)
+            k_proj = matmul(kv_in, params.wk)
+            scores = scale(matmul(q_proj, k_proj.transpose2d()),
+                           1.0 / math.sqrt(width))
             return softmax_rows(scores)
 
-    shared = None if pivot is None else attention_map(q_rows[pivot], kv_rows[pivot])
-    out: list[Tensor] = []
-    for q_in, kv_in in zip(q_rows, kv_rows, strict=True):
-        attn_map = shared if shared is not None else attention_map(q_in, kv_in)
+    with flops_tag(f"{site}/value"):
+        values = row_blocks(matmul(kv, params.wv), n)
+    shared = None if pivot is None else attention_map(q_blocks[pivot],
+                                                      kv_blocks[pivot])
+    s = q.shape[0] // n
+    out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
+    for r in range(n):
+        attn_map = shared if shared is not None else attention_map(
+            q_blocks[r], kv_blocks[r])
         with flops_tag(f"{site}/value"):
-            out.append(matmul(attn_map, matmul(kv_in, params.wv)))
-    return out
+            out[r * s:(r + 1) * s] = matmul(attn_map, values[r]).to_numpy()
+    return Tensor(out)

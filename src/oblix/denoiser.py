@@ -3,8 +3,9 @@
 The network is deliberately small and fully dense: spatial mixing uses an
 explicit (tokens x tokens) matrix per block instead of a convolution, which
 keeps the FLOPs inventory exact and the whole model a deterministic
-function of (config, seed).  Structure per step, operating on latent
-tokens h of shape (res*res, width):
+function of (config, seed).  Structure per step, operating on the latent
+tokens h of shape (res*res, width) of each batch row (the batch runs as
+one row-stacked (N*res*res, width) matrix):
 
     h0   = tokens @ w_in + b_in + time_vector(t)
     down = mix, channel projection + tanh, self-attention, cross-attention
@@ -39,7 +40,6 @@ from .tensor import (
     flops_tag,
     fnv1a64,
     matmul,
-    stack_rows,
     tanh_map,
 )
 
@@ -281,22 +281,22 @@ def time_vector(t: int, cfg: ModelConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _attention_rows(q_rows: list[Tensor], kv_rows: list[Tensor], w: ModelWeights,
-                    site: str, accel: AccelState | None, step: int,
-                    trace: dict | None = None) -> list[Tensor]:
+def _attention(q: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
+               accel: AccelState | None, step: int,
+               trace: dict | None = None) -> Tensor:
     params = w.attn(site)
     if accel is None:
-        rows = accel_mod.attend(q_rows, kv_rows, params, site)
+        out = accel_mod.attend(q, kv, params, site, n)
     elif not accel_mod.should_recompute_attention(step, accel.cfg):
-        rows = accel.load_attention(site)
+        out = accel.load_attention(site)
     else:
-        reuse = accel_mod.reuse_active(step, accel.cfg, len(q_rows))
-        rows = accel_mod.attend(q_rows, kv_rows, params, site,
-                                accel.cfg.pivot_index if reuse else None)
-        accel.store_attention(site, step, rows)
+        reuse = accel_mod.reuse_active(step, accel.cfg, n)
+        out = accel_mod.attend(q, kv, params, site, n,
+                               accel.cfg.pivot_index if reuse else None)
+        accel.store_attention(site, step, out)
     if trace is not None:
-        trace[(step, site)] = stack_rows(rows)
-    return rows
+        trace[(step, site)] = out.reshape((n, -1, out.shape[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +304,25 @@ def _attention_rows(q_rows: list[Tensor], kv_rows: list[Tensor], w: ModelWeights
 # ---------------------------------------------------------------------------
 
 
-def _tokens_from_latent(latent: Tensor) -> Tensor:
-    c = latent.shape[0]
-    arr = latent.to_numpy().reshape(c, -1).T  # (tokens, channels)
-    return Tensor(arr)
+def _mix(mix: Tensor, h: Tensor, n: int) -> Tensor:
+    """``mix @ block`` for each of the n row blocks of h, as one product.
+
+    The blocks are laid side by side as an (S, n*width) matrix, so the
+    left-mixing of the whole batch is a single (S, S) matmul.
+    """
+    s, d = mix.shape[0], h.shape[1]
+    side_by_side = h.to_numpy().reshape(n, s, d).transpose(1, 0, 2)
+    out = matmul(mix, Tensor(side_by_side.reshape(s, n * d))).to_numpy()
+    return Tensor(out.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d))
 
 
-def _latent_from_tokens(tokens: Tensor, cfg: ModelConfig) -> Tensor:
-    arr = tokens.to_numpy().T.reshape(cfg.channels, cfg.res, cfg.res)
-    return Tensor(arr)
-
-
-def _attn_block(rows: list[Tensor], kv_rows: list[Tensor], w: ModelWeights,
-                site: str, accel, step, trace) -> list[Tensor]:
-    outs = _attention_rows(rows, kv_rows, w, site, accel, step, trace)
+def _attn_block(h: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
+                accel, step, trace) -> Tensor:
+    out = _attention(h, kv, w, site, n, accel, step, trace)
     params = w.attn(site)
-    merged = []
-    for h, o in zip(rows, outs):
-        with flops_tag(f"{site}/proj"):
-            projected = add_rowvec(matmul(o, params.wo), params.bo)
-        merged.append(add(h, projected))
-    return merged
+    with flops_tag(f"{site}/proj"):
+        projected = add_rowvec(matmul(out, params.wo), params.bo)
+    return add(h, projected)
 
 
 def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
@@ -333,9 +331,19 @@ def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
     """Predict per-row noise for a batch of latents at iteration t.
 
     ``latents`` is (N, channels, res, res) with one text embedding per row.
+    The hidden state is one row-stacked (N*S, width) matrix whose row
+    block r holds the S = res*res tokens of batch row r, so every
+    projection, bias, tanh and residual runs once per step for the whole
+    batch; only the attention maps run per row (`oblix.accel.attend`).
     When the skip gate fires, down and mid blocks are not executed and the
-    cached mid features feed the up block.  All per-row math runs on 2-d
-    matrices row by row, so batch composition never changes any row's bits.
+    cached mid features feed the up block.
+
+    Batch composition never changes a row's bits: each output row equals
+    a one-row run of that row, bit for bit.  That holds because every op
+    here treats rows independently and BLAS gives each row of a stacked
+    product the bits of that block's own product; the golden SHA, the
+    duplicated-row and permutation tests in ``tests/test_denoiser.py`` and
+    the solo-row oracle at N up to 30 in ``tests/test_protocol.py`` pin it.
     """
     cfg = w.cfg
     n = latents.shape[0]
@@ -349,13 +357,12 @@ def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
     if accel is not None:
         accel.bind(w.fingerprint(), n)
 
-    text_rows = [te.matrix for te in texts]
-    tvec = time_vector(t, cfg)
-    base: list[Tensor] = []
-    for i in range(n):
-        tok = _tokens_from_latent(latents.row(i))
-        h0 = add_rowvec(matmul(tok, w["w_in"]), w["b_in"])
-        base.append(add_rowvec(h0, tvec))
+    s, c = cfg.tokens, cfg.channels
+    text = Tensor(np.concatenate([te.matrix.to_numpy() for te in texts]))
+    tokens = Tensor(latents.to_numpy().reshape(n, c, s).transpose(0, 2, 1)
+                    .reshape(n * s, c))
+    base = add_rowvec(add_rowvec(matmul(tokens, w["w_in"]), w["b_in"]),
+                      time_vector(t, cfg))
 
     skip = accel is not None and accel_mod.should_skip_blocks(t, accel.cfg)
     if skip:
@@ -363,34 +370,25 @@ def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
             raise InternalError("skip gate fired with no cached mid features")
         mid = accel.mid_features
     else:
-        down = [
-            add_rowvec(matmul(matmul(w["mix_down"], h), w["w_down"]), w["b_down"])
-            for h in base
-        ]
-        down = [tanh_map(h) for h in down]
-        down = _attn_block(down, down, w, "down.self", accel, t, trace)
-        down = _attn_block(down, text_rows, w, "down.cross", accel, t, trace)
+        down = tanh_map(add_rowvec(
+            matmul(_mix(w["mix_down"], base, n), w["w_down"]), w["b_down"]))
+        down = _attn_block(down, down, w, "down.self", n, accel, t, trace)
+        down = _attn_block(down, text, w, "down.cross", n, accel, t, trace)
 
-        mid = [add_rowvec(matmul(h, w["w_mid"]), w["b_mid"]) for h in down]
-        mid = [tanh_map(h) for h in mid]
-        mid = _attn_block(mid, mid, w, "mid.self", accel, t, trace)
-        mid = _attn_block(mid, text_rows, w, "mid.cross", accel, t, trace)
+        mid = tanh_map(add_rowvec(matmul(down, w["w_mid"]), w["b_mid"]))
+        mid = _attn_block(mid, mid, w, "mid.self", n, accel, t, trace)
+        mid = _attn_block(mid, text, w, "mid.cross", n, accel, t, trace)
         if accel is not None:
             accel.mid_features = mid
 
-    up = [add(h0, fm) for h0, fm in zip(base, mid)]
-    up = [
-        tanh_map(add_rowvec(matmul(matmul(w["mix_up"], h), w["w_up"]), w["b_up"]))
-        for h in up
-    ]
-    up = _attn_block(up, up, w, "up.self", accel, t, trace)
-    up = _attn_block(up, text_rows, w, "up.cross", accel, t, trace)
+    up = tanh_map(add_rowvec(
+        matmul(_mix(w["mix_up"], add(base, mid), n), w["w_up"]), w["b_up"]))
+    up = _attn_block(up, up, w, "up.self", n, accel, t, trace)
+    up = _attn_block(up, text, w, "up.cross", n, accel, t, trace)
 
-    eps_rows = [
-        _latent_from_tokens(add_rowvec(matmul(h, w["w_out"]), w["b_out"]), cfg)
-        for h in up
-    ]
-    return stack_rows(eps_rows)
+    eps = add_rowvec(matmul(up, w["w_out"]), w["b_out"]).to_numpy()
+    return Tensor(eps.reshape(n, s, c).transpose(0, 2, 1)
+                  .reshape(latents.shape))
 
 
 def run_denoise_steps(latents: Tensor, texts: list[TextEmbedding],
@@ -431,11 +429,7 @@ def run_denoise_steps(latents: Tensor, texts: list[TextEmbedding],
 def _one_step(x: Tensor, texts, i: int, t_sched: int, sched: NoiseSchedule,
               w: ModelWeights, accel, trace) -> Tensor:
     eps = unet_forward(x, texts, i, w, accel, trace)
-    rows = [
-        ddim_step(x.row(r), eps.row(r), t_sched, t_sched - 1, sched)
-        for r in range(x.shape[0])
-    ]
-    return stack_rows(rows)
+    return ddim_step(x, eps, t_sched, t_sched - 1, sched)
 
 
 # ---------------------------------------------------------------------------

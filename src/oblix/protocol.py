@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import AccelConfig, AccelState, reuse_active
+from .accel import AccelConfig, AccelState, gates_fire, reuse_active
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import (
     ConfigError,
@@ -73,6 +73,10 @@ PROTOCOL_VERSION = 1
 TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 _HEADER = struct.Struct("<4sBBI")
+# payload bytes a frame may carry; far above any real frame (an N=30
+# response of the default toy model is about 61 KB), far below the 4 GiB
+# a u32 length field could make a reader allocate
+MAX_FRAME_BYTES = 16 * 2**20
 _SPACINGS = ("linear", "scaled-linear")
 
 
@@ -184,8 +188,9 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
         frame_type = TYPE_RESPONSE
     else:
         raise FrameError(f"cannot frame object of type {type(msg).__name__}")
-    if len(body) > 0xFFFFFFFF:
-        raise FrameError(f"payload of {len(body)} bytes exceeds the frame limit")
+    if len(body) > MAX_FRAME_BYTES:
+        raise FrameError(f"payload of {len(body)} bytes exceeds the "
+                         f"{MAX_FRAME_BYTES}-byte cap")
     return _HEADER.pack(MAGIC, frame_type, msg.version, len(body)) + bytes(body)
 
 
@@ -339,7 +344,9 @@ class Server:
 
         counter = FlopsCounter()
         if req.cloud_steps > 0:
-            state = AccelState(accel_cfg) if gated else None
+            # a run that no gate can change keeps no caches
+            fires = gated and gates_fire(accel_cfg, req.cloud_steps, n)
+            state = AccelState(accel_cfg) if fires else None
             with use_flops_counter(counter):
                 latents = run_denoise_steps(
                     latents, texts, sched, w, 1, req.cloud_steps, state)
@@ -406,17 +413,22 @@ def read_frame(sock: socket.socket, prefix: bytes = b"") -> bytes:
     magic, _, _, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}", offset=0)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame announces {length} payload bytes, above the "
+            f"{MAX_FRAME_BYTES}-byte cap", offset=6)
     return header + _recv_exact(sock, length)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    # grows with what arrives: ``n`` comes from the peer and is not capped
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ProtocolError(f"connection closed after {len(buf)} of {n} bytes")
-        buf += chunk
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
+            raise ProtocolError(f"connection closed after {got} of {n} bytes")
+        got += k
     return bytes(buf)
 
 

@@ -202,6 +202,18 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return Tensor(np.stack([r.to_numpy() for r in rows], axis=0))
 
 
+def row_blocks(a: Tensor, n: int) -> list[Tensor]:
+    """Split a row-stacked (n*m, d) matrix into its n (m, d) blocks.
+
+    Block r is rows [r*m, (r+1)*m) and shares memory with ``a``.
+    """
+    arr = a.to_numpy()
+    if arr.ndim != 2 or n < 1 or arr.shape[0] % n:
+        raise ShapeError(f"cannot split {a.shape} into {n} row blocks")
+    m = arr.shape[0] // n
+    return [Tensor(arr[r * m:(r + 1) * m]) for r in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Counted primitives
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,15 @@ from oblix.accel import (
     AccelConfig,
     AccelState,
     attend,
+    gates_fire,
     never,
     reuse_active,
     should_recompute_attention,
     should_skip_blocks,
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
-from oblix.errors import ConfigError, SessionError
-from oblix.tensor import Rng, Tensor, stack_rows
+from oblix.errors import ConfigError, SessionError, ShapeError
+from oblix.tensor import Rng, Tensor, row_blocks, stack_rows
 
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -23,6 +25,11 @@ W = ModelWeights.build(CFG, 7)
 
 def _texts(n):
     return [embed_prompt(f"prompt number {i}", CFG) for i in range(n)]
+
+
+def _stacked(blocks):
+    """Row-stack (m, d) blocks into the (n*m, d) layout `attend` takes."""
+    return Tensor(np.concatenate([b.to_numpy() for b in blocks]))
 
 
 def _latents(n, seed=5):
@@ -77,6 +84,19 @@ def test_gate_totality():
         assert reuse_active(t, cfg, 1) is False   # one row has no map to share
 
 
+def test_gates_fire_matches_the_per_step_gates():
+    for cache, skip, refresh, reuse, steps, batch in itertools.product(
+            (1, 2, 4, 8), (1, 2, 4, 8, 9), (1, 3, 5), (False, True),
+            (1, 4, 8), (1, 2)):
+        cfg = AccelConfig(cache_point=cache, skip_point=skip,
+                          refresh_period=refresh, reuse=reuse)
+        fires = any(not should_recompute_attention(t, cfg)
+                    or should_skip_blocks(t, cfg)
+                    or reuse_active(t, cfg, batch)
+                    for t in range(1, steps + 1))
+        assert gates_fire(cfg, steps, batch) == fires, (cfg, steps, batch)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         AccelConfig(switch_point=-1)
@@ -106,12 +126,12 @@ def test_reuse_single_row_equals_plain_attention():
     row = Rng(1).gaussian((CFG.tokens, CFG.width))
     p = W.attn("down.self")
     for n in (1, 3):
-        rows = [row] * n
-        shared = attend(rows, rows, p, "down.self", pivot=0)
-        plain = attend(rows, rows, p, "down.self")
-        assert all(a.same_bits(b) for a, b in zip(shared, plain, strict=True))
+        rows = _stacked([row] * n)
+        shared = attend(rows, rows, p, "down.self", n, pivot=0)
+        plain = attend(rows, rows, p, "down.self", n)
+        assert shared.same_bits(plain)
     want = _plain_site(row, row, "down.self")
-    assert np.allclose(shared[0].to_numpy(), want, atol=1e-6)
+    assert np.allclose(row_blocks(shared, n)[0].to_numpy(), want, atol=1e-6)
 
 
 def test_reuse_pivot_row_is_bitwise_invariant():
@@ -119,9 +139,9 @@ def test_reuse_pivot_row_is_bitwise_invariant():
     qs = [Rng(10 + i).gaussian((CFG.tokens, CFG.width)) for i in range(n)]
     p = W.attn("mid.self")
     for pivot in (0, 2):
-        out = attend(qs, qs, p, "mid.self", pivot=pivot)
-        solo = attend([qs[pivot]], [qs[pivot]], p, "mid.self", pivot=0)
-        assert out[pivot].same_bits(solo[0])
+        out = attend(_stacked(qs), _stacked(qs), p, "mid.self", n, pivot=pivot)
+        solo = attend(qs[pivot], qs[pivot], p, "mid.self", 1, pivot=0)
+        assert row_blocks(out, n)[pivot].same_bits(solo)
 
 
 def test_reuse_against_direct_pivot_map_oracle():
@@ -136,16 +156,21 @@ def test_reuse_against_direct_pivot_map_oracle():
     scores = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(scores, dtype=np.float32)
     m_star = e / e.sum(axis=1, keepdims=True, dtype=np.float32)
-    out = attend(qs, kvs, p, "down.cross", pivot=0)
+    out = row_blocks(attend(_stacked(qs), _stacked(kvs), p, "down.cross", n,
+                            pivot=0), n)
     for i in range(n):
         want = m_star @ (kvs[i].to_numpy() @ p.wv.to_numpy())
         assert np.allclose(out[i].to_numpy(), want, atol=1e-6)
 
 
 def test_reuse_pivot_out_of_range():
-    q = [Rng(1).gaussian((CFG.tokens, CFG.width))]
+    q = Rng(1).gaussian((CFG.tokens, CFG.width))
     with pytest.raises(ConfigError):
-        attend(q, q, W.attn("up.self"), "up.self", pivot=3)
+        attend(q, q, W.attn("up.self"), "up.self", 1, pivot=3)
+    # a key/value batch that does not split into the query's row count
+    kv = Rng(2).gaussian((CFG.tokens + 1, CFG.width))
+    with pytest.raises(ShapeError):
+        attend(_stacked([q, q]), kv, W.attn("up.self"), "up.self", 2)
 
 
 # --- state and refresh ------------------------------------------------------------
@@ -182,11 +207,11 @@ def test_cached_output_is_served_between_refreshes():
     x = _latents(2)
     for t in (1, 2):
         x = unet_forward(x, _texts(2), t, W, state)
-    cached = {site: [r.tobytes() for r in rows]
-              for site, rows in state.cached_attention.items()}
+    cached = {site: out.tobytes()
+              for site, out in state.cached_attention.items()}
     unet_forward(x, _texts(2), 3, W, state)  # t=3 > r, not a refresh step
-    after = {site: [r.tobytes() for r in rows]
-             for site, rows in state.cached_attention.items()}
+    after = {site: out.tobytes()
+             for site, out in state.cached_attention.items()}
     assert cached == after
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 
 import pytest
@@ -219,24 +220,38 @@ def test_concurrent_clients_over_one_daemon(tmp_path):
     daemon = Daemon(("127.0.0.1", 0), Server({"toy": rc.cloud_weights}))
     daemon.serve_in_background()
     host, port = daemon.server_address
+    # three clients on two cores, N >= 6 each, short switch interval
+    prompts = {5: BENCH_PROMPTS[6], 6: BENCH_PROMPTS[30], 7: BENCH_PROMPTS[6]}
     codes = {}
     try:
         def one(seed):
             codes[seed] = main([
-                "client", "--config", path, "--prompt", "a red bicycle",
+                "client", "--config", path, "--prompt", prompts[seed],
                 "--seed", str(seed), "--host", host, "--port", str(port),
                 "--out", str(tmp_path / f"c{seed}.ppm")])
 
-        threads = [threading.Thread(target=one, args=(s,)) for s in (5, 6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=one, args=(s,), daemon=True)
+                   for s in prompts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
     finally:
         daemon.shutdown()
         daemon.server_close()
-    assert codes == {5: 0, 6: 0}
-    assert (tmp_path / "c5.ppm").read_bytes() != (tmp_path / "c6.ppm").read_bytes()
+    assert codes == {5: 0, 6: 0, 7: 0}
+    for seed, prompt in prompts.items():
+        solo = tmp_path / f"solo{seed}.ppm"
+        assert main(["generate", "--config", path, "--prompt", prompt,
+                     "--seed", str(seed), "--out", str(solo)]) == 0
+        assert (tmp_path / f"c{seed}.ppm").read_bytes() == solo.read_bytes()
+    assert (tmp_path / "c5.ppm").read_bytes() != (tmp_path / "c7.ppm").read_bytes()
 
 
 # --- attest ------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_embed_rejects_empty_prompt():
 def test_attention_single_token_softmax_collapses():
     q = Rng(1).gaussian((1, CFG.width))
     kv = Rng(2).gaussian((1, CFG.width))
-    [out] = attend([q], [kv], W.attn("down.self"), "down.self")
+    out = attend(q, kv, W.attn("down.self"), "down.self", 1)
     want = kv.to_numpy() @ W.attn("down.self").wv.to_numpy()
     assert np.allclose(out.to_numpy(), want, atol=1e-6)
 
@@ -74,7 +74,7 @@ def test_attention_zero_projections_give_uniform_map():
     w2 = W.replace(**{"mid.self.wq": zero, "mid.self.wk": zero})
     q = Rng(3).gaussian((4, CFG.width))
     kv = Rng(4).gaussian((5, CFG.width))
-    [out] = attend([q], [kv], w2.attn("mid.self"), "mid.self")
+    out = attend(q, kv, w2.attn("mid.self"), "mid.self", 1)
     v = kv.to_numpy() @ w2.attn("mid.self").wv.to_numpy()
     want = np.tile(v.mean(axis=0), (4, 1))
     assert np.allclose(out.to_numpy(), want, atol=1e-6)
@@ -90,7 +90,7 @@ def test_attention_matches_direct_equation_oracle():
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     m = e / e.sum(axis=1, keepdims=True)
     want = m @ (kv_in.to_numpy() @ p.wv.to_numpy())
-    [got] = attend([q_in], [kv_in], p, "up.cross")
+    got = attend(q_in, kv_in, p, "up.cross", 1)
     assert np.allclose(got.to_numpy(), want, atol=1e-5)
 
 
@@ -139,11 +139,11 @@ def test_skip_feeds_cached_mid_features_bitwise():
     texts = _texts(["skip test"])
     x1 = unet_forward(x, texts, 1, W, state)
     x2 = unet_forward(x1, texts, 2, W, state)
-    frozen = [r.tobytes() for r in state.mid_features]
+    frozen = state.mid_features.tobytes()
     skipped = unet_forward(x2, texts, 3, W, state)
     # skip must not touch the cache, and the output must differ from a
     # full recomputation at the same step
-    assert [r.tobytes() for r in state.mid_features] == frozen
+    assert state.mid_features.tobytes() == frozen
     full = unet_forward(x2, texts, 3, W, None)
     assert not skipped.same_bits(full)
 

@@ -1,6 +1,7 @@
 import math
 import socket
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oblix.protocol
-from oblix.accel import AccelConfig, never
+from oblix.accel import AccelConfig, AccelState, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
 from oblix.errors import FrameError, ProtocolError
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
@@ -19,6 +20,7 @@ from oblix.protocol import (
     GenerateRequest,
     GenerateResponse,
     MAGIC,
+    MAX_FRAME_BYTES,
     ScheduleParams,
     Server,
     SessionConfig,
@@ -28,12 +30,23 @@ from oblix.protocol import (
     client_run_session,
     decode_frame,
     encode_frame,
+    read_frame,
     simulate_transfer,
 )
-from oblix.tensor import Rng, StepCost, Tensor, fp16_roundtrip, stack_rows
+from oblix.tensor import (
+    FlopsCounter,
+    Rng,
+    StepCost,
+    Tensor,
+    fp16_roundtrip,
+    stack_rows,
+    use_flops_counter,
+)
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
+# the default model, whose shapes the bulk benchmark runs at N=30
+TOY_W = ModelWeights.build(ModelConfig(), 1001)
 LEX = default_lexicon()
 
 
@@ -246,16 +259,27 @@ def test_server_is_stateless_and_deterministic():
 
 
 def test_server_row_order_follows_candidate_order():
-    # oracle: each row must equal the single-candidate run of that prompt
-    candidates = ("a calm forest", "a busy street")
-    req = _request(cloud_steps=4, candidates=candidates)
-    resp = _server().handle_request(req)
-    sched = req.schedule.build()
-    base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
-    for i, prompt in enumerate(candidates):
-        solo = run_denoise_steps(stack_rows([base]),
-                                 [embed_prompt(prompt, CFG)], sched, W, 1, 4)
-        assert resp.latents.row(i).same_bits(fp16_roundtrip(solo).row(0))
+    # oracle: each row must equal the single-candidate run of that prompt.
+    # The batch runs as one row-stacked matrix, so N=30 at the default
+    # model's shapes checks that BLAS gives every row of a tall product
+    # the bits of that row's own product.
+    gated = dict(cache_point=2, skip_point=3, refresh_period=4, reuse=False)
+    cases = [(W, 2, {}), (W, 6, {}), (W, 30, {}), (TOY_W, 30, {}),
+             (TOY_W, 30, gated)]
+    for w, n, gates in cases:
+        cfg = w.cfg
+        candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
+        req = _request(cloud_steps=4, candidates=candidates, **gates)
+        resp = Server({"toy": w}).handle_request(req)
+        sched = req.schedule.build()
+        base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
+        for i, prompt in enumerate(candidates):
+            state = AccelState(req.accel_config()) if gates else None
+            solo = run_denoise_steps(stack_rows([base]),
+                                     [embed_prompt(prompt, cfg)], sched, w,
+                                     1, 4, state)
+            assert resp.latents.row(i).same_bits(fp16_roundtrip(solo).row(0)), \
+                (n, gates, i)
 
 
 def test_server_rejects_k_beyond_schedule():
@@ -295,6 +319,66 @@ def test_server_refuses_invalid_request_before_compute(fields, monkeypatch):
 ])
 def test_server_accepts_gate_fields_that_never_take_effect(fields):
     _server().handle_request(_request(**fields))
+
+
+def _spy_on_accel_state(monkeypatch):
+    seen = []
+    real = oblix.protocol.run_denoise_steps
+
+    def spy(latents, texts, sched, w, first, last, accel=None, trace=None):
+        seen.append(accel)
+        return real(latents, texts, sched, w, first, last, accel, trace)
+
+    monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
+    return seen
+
+
+# k=6 of 8 steps; each leaves every gate idle in iterations 1..6
+GATE_NEUTRAL = {
+    "defaults": dict(),
+    "cache point at k": dict(cache_point=6),
+    "refresh every step": dict(cache_point=1, refresh_period=1),
+    "skip point after k": dict(skip_point=7),
+    "reuse on one row": dict(reuse=True, candidates=("solo prompt",)),
+}
+
+
+@pytest.mark.parametrize("fields", GATE_NEUTRAL.values(),
+                         ids=GATE_NEUTRAL.keys())
+def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
+    req = _request(**{"cloud_steps": 6,
+                      "candidates": ("one prompt", "two prompt", "three"),
+                      **fields})
+    seen = _spy_on_accel_state(monkeypatch)
+    got = encode_frame(_server().handle_request(req))
+    assert seen == [None]
+
+    # the same bytes and step flags as a direct run carrying the state
+    sched = req.schedule.build()
+    base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
+    counter = FlopsCounter()
+    with use_flops_counter(counter):
+        latents = run_denoise_steps(
+            stack_rows([base] * len(req.candidates)),
+            [embed_prompt(p, CFG) for p in req.candidates], sched, W, 1, 6,
+            AccelState(req.accel_config()))
+    want = GenerateResponse(sched.steps - 6, fp16_roundtrip(latents),
+                            counter.total, tuple(counter.steps))
+    assert got == encode_frame(want)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(cache_point=5),          # iteration 6 serves the cache
+    dict(skip_point=6),           # iteration 6 skips
+    dict(reuse=True),             # three rows share a map
+])
+def test_request_whose_gates_fire_gets_accel_state(fields, monkeypatch):
+    req = _request(cloud_steps=6, candidates=("one prompt", "two", "three"),
+                   **fields)
+    seen = _spy_on_accel_state(monkeypatch)
+    _server().handle_request(req)
+    assert len(seen) == 1 and isinstance(seen[0], AccelState)
+    assert seen[0].cfg == req.accel_config()
 
 
 def test_reference_mode_ignores_gate_fields():
@@ -459,41 +543,85 @@ def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
 
 
 def test_two_concurrent_clients_complete_independently():
+    # three clients on two cores with wide candidate sets and a short
+    # switch interval, so the handler threads interleave inside the denoiser
+    jobs = {
+        1: ("portrait of a young man", _session(k=3, seed=1)),
+        2: ("portrait of a young african man",
+            _session(k=3, seed=2, cache_point=2, skip_point=3)),
+        3: ("portrait of an old woman",
+            _session(k=3, seed=3, cache_point=2, reuse=True)),
+    }
+
     def run(addr):
         results = {}
 
         def one(seed):
+            prompt, cfg = jobs[seed]
             transport = SocketTransport(addr[0], addr[1])
             try:
-                results[seed] = client_run_session(
-                    "portrait of a man", _session(k=3, seed=seed),
-                    transport, W, LEX)
+                results[seed] = client_run_session(prompt, cfg, transport,
+                                                   W, LEX)
             finally:
                 transport.close()
 
-        threads = [threading.Thread(target=one, args=(s,)) for s in (1, 2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=one, args=(s,), daemon=True)
+                   for s in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         return results
 
     results = _with_daemon(run)
-    assert set(results) == {1, 2}
-    assert not results[1].image.same_bits(results[2].image)
+    assert set(results) == set(jobs)
     # independence: each matches its own single-client run
-    solo = client_run_session("portrait of a man", _session(k=3, seed=1),
-                              SimulatedTransport(_server()), W, LEX)
-    assert results[1].image.same_bits(solo.image)
+    for seed, (prompt, cfg) in jobs.items():
+        assert results[seed].candidates.size >= 6
+        solo = client_run_session(prompt, cfg, SimulatedTransport(_server()),
+                                  W, LEX)
+        assert results[seed].image.same_bits(solo.image)
+        assert results[seed].transcript == solo.transcript
 
 
 def test_read_frame_rejects_bad_magic_from_raw_socket():
     server_sock, client_sock = socket.socketpair()
     try:
         server_sock.sendall(b"XXXX" + bytes(6))
-        from oblix.protocol import read_frame
         with pytest.raises(ProtocolError):
             read_frame(client_sock)
     finally:
         server_sock.close()
         client_sock.close()
+
+
+def test_read_frame_refuses_length_above_cap_before_reading_payload():
+    server_sock, client_sock = socket.socketpair()
+    # a reader that waited for the payload would time out instead
+    client_sock.settimeout(5)
+    try:
+        server_sock.sendall(struct.pack("<4sBBI", MAGIC, 1, 1,
+                                        MAX_FRAME_BYTES + 1))
+        with pytest.raises(ProtocolError) as err:
+            read_frame(client_sock)
+        assert "cap" in str(err.value)
+        # a length at the cap is read: here the peer closes after the header
+        server_sock.sendall(struct.pack("<4sBBI", MAGIC, 1, 1, MAX_FRAME_BYTES))
+        server_sock.close()
+        with pytest.raises(ProtocolError) as err:
+            read_frame(client_sock)
+        assert f"after 0 of {MAX_FRAME_BYTES} bytes" in str(err.value)
+    finally:
+        server_sock.close()
+        client_sock.close()
+
+
+def test_encode_refuses_payload_above_cap():
+    with pytest.raises(FrameError):
+        encode_frame(_request(candidates=("x" * MAX_FRAME_BYTES,)))
