@@ -60,6 +60,6 @@ from .security import (
     distinguisher_experiment,
     server_view,
 )
-from .tensor import FlopsCounter, Rng, Tensor, fp16_roundtrip, matmul, softmax_rows
+from .tensor import FlopsCounter, Rng, fp16_roundtrip, matmul, softmax_rows
 
 __version__ = "0.1.0"

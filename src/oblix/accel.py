@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SessionError
-from .tensor import Tensor, flops_tag, matmul, row_blocks, scale, softmax_rows
+from .tensor import flops_tag, matmul, readonly, row_blocks, scale, softmax_rows
 
 log = logging.getLogger("oblix.accel")
 
@@ -117,15 +117,15 @@ class AccelState:
     ``cached_attention`` maps a site id to the row-stacked (N*S, width)
     attention output of its last recomputation; ``mid_features`` holds the
     row-stacked mid-block output of the last unskipped step.  Both are
-    single tensors whose row block r belongs to batch row r, in the layout
-    `oblix.denoiser.unet_forward` uses.  ``cache_writes`` records
+    single read-only arrays whose row block r belongs to batch row r, in
+    the layout `oblix.denoiser.unet_forward` uses.  ``cache_writes`` records
     (iteration, site) for every overwrite so refresh behaviour is
     observable in tests.
     """
 
     cfg: AccelConfig
-    cached_attention: dict[str, Tensor] = field(default_factory=dict)
-    mid_features: Tensor | None = None
+    cached_attention: dict[str, np.ndarray] = field(default_factory=dict)
+    mid_features: np.ndarray | None = None
     cache_writes: list[tuple[int, str]] = field(default_factory=list)
     _bound: tuple[int, int] | None = None
 
@@ -138,18 +138,18 @@ class AccelState:
                 f"(bound {self._bound}, got {(weights_key, batch)})"
             )
 
-    def store_attention(self, site: str, t: int, out: Tensor) -> None:
+    def store_attention(self, site: str, t: int, out: np.ndarray) -> None:
         self.cached_attention[site] = out
         self.cache_writes.append((t, site))
 
-    def load_attention(self, site: str) -> Tensor:
+    def load_attention(self, site: str) -> np.ndarray:
         if site not in self.cached_attention:
             raise SessionError(f"no cached attention output for site {site!r}")
         return self.cached_attention[site]
 
 
-def attend(q: Tensor, kv: Tensor, params, site: str, n: int,
-           pivot: int | None = None) -> Tensor:
+def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
+           pivot: int | None = None) -> np.ndarray:
     """Map-times-value attention of one site over a row-stacked batch.
 
     ``q`` is (n*S, width) and ``kv`` is (n*T, kv width); row block r of
@@ -167,12 +167,11 @@ def attend(q: Tensor, kv: Tensor, params, site: str, n: int,
     q_blocks, kv_blocks = row_blocks(q, n), row_blocks(kv, n)
     width = params.wq.shape[1]
 
-    def attention_map(q_in: Tensor, kv_in: Tensor) -> Tensor:
+    def attention_map(q_in: np.ndarray, kv_in: np.ndarray) -> np.ndarray:
         with flops_tag(f"{site}/map"):
             q_proj = matmul(q_in, params.wq)
             k_proj = matmul(kv_in, params.wk)
-            scores = scale(matmul(q_proj, k_proj.transpose2d()),
-                           1.0 / math.sqrt(width))
+            scores = scale(matmul(q_proj, k_proj.T), 1.0 / math.sqrt(width))
             return softmax_rows(scores)
 
     with flops_tag(f"{site}/value"):
@@ -185,5 +184,5 @@ def attend(q: Tensor, kv: Tensor, params, site: str, n: int,
         attn_map = shared if shared is not None else attention_map(
             q_blocks[r], kv_blocks[r])
         with flops_tag(f"{site}/value"):
-            out[r * s:(r + 1) * s] = matmul(attn_map, values[r]).to_numpy()
-    return Tensor(out)
+            out[r * s:(r + 1) * s] = matmul(attn_map, values[r])
+    return readonly(out)

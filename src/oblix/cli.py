@@ -44,7 +44,6 @@ from .security import (
     check_indistinguishability,
     distinguisher_experiment,
 )
-from .tensor import Tensor
 
 log = logging.getLogger("oblix.cli")
 
@@ -174,13 +173,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     )
 
 
-def write_ppm(image: Tensor, path: str) -> None:
+def write_ppm(image: np.ndarray, path: str) -> None:
     """Binary portable pixmap from a (3, H, W) image in [0, 1]."""
-    arr = image.to_numpy()
-    if arr.ndim != 3 or arr.shape[0] != 3:
+    if image.ndim != 3 or image.shape[0] != 3:
         raise ConfigError(f"image must be (3, H, W), got {image.shape}")
-    _, h, w = arr.shape
-    pixels = np.clip(arr * 255.0 + 0.5, 0, 255).astype(np.uint8)
+    _, h, w = image.shape
+    pixels = np.clip(image * 255.0 + 0.5, 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(pixels.transpose(1, 2, 0).tobytes())

@@ -33,13 +33,14 @@ from .errors import ConfigError, InputError, InternalError, ProtocolError
 from .schedule import NoiseSchedule, ddim_step
 from .tensor import (
     Rng,
-    Tensor,
+    _checked,
     active_counter,
     add,
     add_rowvec,
     flops_tag,
     fnv1a64,
     matmul,
+    readonly,
     tanh_map,
 )
 
@@ -76,17 +77,17 @@ class ModelConfig:
 class TextEmbedding:
     """Token vectors padded to the model's token capacity."""
 
-    matrix: Tensor
+    matrix: np.ndarray
     count: int
 
 
 @dataclass(frozen=True)
 class AttnSite:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    bo: Tensor
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    bo: np.ndarray
 
 
 # parameter inventory: name -> (rows, cols) factory, in serialization order
@@ -112,31 +113,40 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
-def _init_param(name: str, shape: tuple[int, ...], seed: int) -> Tensor:
+def _init_param(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
     rng = Rng(fnv1a64(f"{seed}:{name}".encode()))
     if len(shape) == 1:
-        return Tensor.zeros(shape)
+        return np.zeros(shape, dtype=np.float32)
     fan_in = shape[0]
     std = 1.0 / math.sqrt(fan_in)
     if name == "decoder":
         std *= 0.3  # keeps decoded pixels mostly inside [0, 1] before clamping
-    return Tensor(rng.gaussian(shape).to_numpy() * np.float32(std))
+    return rng.gaussian(shape) * np.float32(std)
 
 
 class ModelWeights:
-    """All projections of the toy model; a pure function of (config, seed)."""
+    """All projections of the toy model; a pure function of (config, seed).
 
-    def __init__(self, cfg: ModelConfig, seed: int, params: dict[str, Tensor]):
+    Parameters enter here from a caller or a file: each is copied to a
+    C-order float32 array, checked for finiteness and made read-only, so
+    no caller can change an instance after its fingerprint is taken.
+    """
+
+    def __init__(self, cfg: ModelConfig, seed: int,
+                 params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.seed = seed
-        self._params = dict(params)
+        self._params = {}
+        for name, values in params.items():
+            a = np.array(values, dtype=np.float32, order="C")
+            if not np.isfinite(a).all():
+                raise ConfigError(f"parameter {name} holds non-finite values")
+            self._params[name] = readonly(a)
         self._fingerprint: int | None = None
+        p = self._params
         self._sites = {
-            site: AttnSite(
-                params[f"{site}.wq"], params[f"{site}.wk"],
-                params[f"{site}.wv"], params[f"{site}.wo"],
-                params[f"{site}.bo"],
-            )
+            site: AttnSite(p[f"{site}.wq"], p[f"{site}.wk"], p[f"{site}.wv"],
+                           p[f"{site}.wo"], p[f"{site}.bo"])
             for site in SITES
         }
 
@@ -146,7 +156,7 @@ class ModelWeights:
                   for name, shape in _param_specs(cfg)}
         return cls(cfg, seed, params)
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
     def attn(self, site: str) -> AttnSite:
@@ -154,7 +164,7 @@ class ModelWeights:
             raise InternalError(f"unknown attention site {site!r}")
         return self._sites[site]
 
-    def replace(self, **overrides: Tensor) -> "ModelWeights":
+    def replace(self, **overrides: np.ndarray) -> "ModelWeights":
         """Copy with some parameters swapped; used by constructed-weight tests."""
         return ModelWeights(self.cfg, self.seed, {**self._params, **overrides})
 
@@ -171,15 +181,15 @@ class ModelWeights:
         specs = _param_specs(cfg)
         out.write(struct.pack("<I", len(specs)))
         for name, shape in specs:
-            tensor = self._params[name]
-            if tensor.shape != shape:
-                raise InternalError(f"parameter {name} has shape {tensor.shape}")
+            param = self._params[name]
+            if param.shape != shape:
+                raise InternalError(f"parameter {name} has shape {param.shape}")
             raw = name.encode()
             out.write(struct.pack("<H", len(raw)))
             out.write(raw)
             out.write(struct.pack("<B", len(shape)))
             out.write(struct.pack(f"<{len(shape)}I", *shape))
-            out.write(tensor.to_numpy().astype("<f4").tobytes())
+            out.write(param.astype("<f4").tobytes())
         with open(path, "wb") as f:
             f.write(out.getvalue())
 
@@ -199,7 +209,7 @@ class ModelWeights:
             cfg = ModelConfig(channels, res, d_text, width, cap, heads)
             (count,) = struct.unpack_from("<I", raw, off)
             off += 4
-            params: dict[str, Tensor] = {}
+            params: dict[str, np.ndarray] = {}
             for _ in range(count):
                 (name_len,) = struct.unpack_from("<H", raw, off)
                 off += 2
@@ -211,8 +221,14 @@ class ModelWeights:
                 off += 4 * ndim
                 n = int(np.prod(shape, dtype=np.int64))
                 data = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
+                bad = np.flatnonzero(~np.isfinite(data))
+                if bad.size:
+                    off += 4 * int(bad[0])
+                    raise ProtocolError(
+                        f"parameter {name} holds a non-finite value at "
+                        f"offset {off}", offset=off)
                 off += 4 * n
-                params[name] = Tensor(data.reshape(shape))
+                params[name] = data.reshape(shape)
         except (struct.error, ValueError, UnicodeDecodeError) as exc:
             raise ProtocolError(f"corrupt weights file near offset {off}: {exc}",
                                 offset=off) from None
@@ -253,17 +269,15 @@ def embed_prompt(prompt: str, cfg: ModelConfig) -> TextEmbedding:
     if not tokens:
         raise InputError("prompt is empty after whitespace normalization")
     tokens = tokens[:cfg.token_capacity]
-    rows = [
-        Rng(fnv1a64(tok.encode("utf-8"))).gaussian((cfg.d_text,)).to_numpy()
-        for tok in tokens
-    ]
-    pad = Rng(fnv1a64(_PAD_SEED_TAG)).gaussian((cfg.d_text,)).to_numpy()
+    rows = [Rng(fnv1a64(tok.encode("utf-8"))).gaussian((cfg.d_text,))
+            for tok in tokens]
+    pad = Rng(fnv1a64(_PAD_SEED_TAG)).gaussian((cfg.d_text,))
     while len(rows) < cfg.token_capacity:
         rows.append(pad)
-    return TextEmbedding(Tensor(np.stack(rows)), len(tokens))
+    return TextEmbedding(readonly(np.stack(rows)), len(tokens))
 
 
-def time_vector(t: int, cfg: ModelConfig) -> Tensor:
+def time_vector(t: int, cfg: ModelConfig) -> np.ndarray:
     """Sinusoidal step conditioning, one vector per iteration index."""
     half = cfg.width // 2
     vec = np.empty(cfg.width, dtype=np.float64)
@@ -273,7 +287,7 @@ def time_vector(t: int, cfg: ModelConfig) -> Tensor:
         vec[2 * i + 1] = math.cos(t * freq)
     if cfg.width % 2:
         vec[-1] = math.sin(t)
-    return Tensor(vec.astype(np.float32))
+    return readonly(vec.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +295,9 @@ def time_vector(t: int, cfg: ModelConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _attention(q: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
-               accel: AccelState | None, step: int,
-               trace: dict | None = None) -> Tensor:
+def _attention(q: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
+               n: int, accel: AccelState | None, step: int,
+               trace: dict | None = None) -> np.ndarray:
     params = w.attn(site)
     if accel is None:
         out = accel_mod.attend(q, kv, params, site, n)
@@ -304,20 +318,19 @@ def _attention(q: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _mix(mix: Tensor, h: Tensor, n: int) -> Tensor:
+def _mix(mix: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """``mix @ block`` for each of the n row blocks of h, as one product.
 
     The blocks are laid side by side as an (S, n*width) matrix, so the
     left-mixing of the whole batch is a single (S, S) matmul.
     """
     s, d = mix.shape[0], h.shape[1]
-    side_by_side = h.to_numpy().reshape(n, s, d).transpose(1, 0, 2)
-    out = matmul(mix, Tensor(side_by_side.reshape(s, n * d))).to_numpy()
-    return Tensor(out.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d))
+    out = matmul(mix, h.reshape(n, s, d).transpose(1, 0, 2).reshape(s, n * d))
+    return readonly(out.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d))
 
 
-def _attn_block(h: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
-                accel, step, trace) -> Tensor:
+def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
+                n: int, accel, step, trace) -> np.ndarray:
     out = _attention(h, kv, w, site, n, accel, step, trace)
     params = w.attn(site)
     with flops_tag(f"{site}/proj"):
@@ -325,9 +338,9 @@ def _attn_block(h: Tensor, kv: Tensor, w: ModelWeights, site: str, n: int,
     return add(h, projected)
 
 
-def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
+def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
                  w: ModelWeights, accel: AccelState | None = None,
-                 trace: dict | None = None) -> Tensor:
+                 trace: dict | None = None) -> np.ndarray:
     """Predict per-row noise for a batch of latents at iteration t.
 
     ``latents`` is (N, channels, res, res) with one text embedding per row.
@@ -358,9 +371,8 @@ def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
         accel.bind(w.fingerprint(), n)
 
     s, c = cfg.tokens, cfg.channels
-    text = Tensor(np.concatenate([te.matrix.to_numpy() for te in texts]))
-    tokens = Tensor(latents.to_numpy().reshape(n, c, s).transpose(0, 2, 1)
-                    .reshape(n * s, c))
+    text = np.concatenate([te.matrix for te in texts])
+    tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
     base = add_rowvec(add_rowvec(matmul(tokens, w["w_in"]), w["b_in"]),
                       time_vector(t, cfg))
 
@@ -386,16 +398,16 @@ def unet_forward(latents: Tensor, texts: list[TextEmbedding], t: int,
     up = _attn_block(up, up, w, "up.self", n, accel, t, trace)
     up = _attn_block(up, text, w, "up.cross", n, accel, t, trace)
 
-    eps = add_rowvec(matmul(up, w["w_out"]), w["b_out"]).to_numpy()
-    return Tensor(eps.reshape(n, s, c).transpose(0, 2, 1)
-                  .reshape(latents.shape))
+    eps = add_rowvec(matmul(up, w["w_out"]), w["b_out"])
+    return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
+                    .reshape(latents.shape))
 
 
-def run_denoise_steps(latents: Tensor, texts: list[TextEmbedding],
+def run_denoise_steps(latents: np.ndarray, texts: list[TextEmbedding],
                       sched: NoiseSchedule, w: ModelWeights,
                       first_iter: int, last_iter: int,
                       accel: AccelState | None = None,
-                      trace: dict | None = None) -> Tensor:
+                      trace: dict | None = None) -> np.ndarray:
     """Run iterations [first_iter, last_iter] of the deterministic sampler.
 
     Iteration i moves the batch from schedule index T-i+1 to T-i.  The
@@ -426,8 +438,9 @@ def run_denoise_steps(latents: Tensor, texts: list[TextEmbedding],
     return x
 
 
-def _one_step(x: Tensor, texts, i: int, t_sched: int, sched: NoiseSchedule,
-              w: ModelWeights, accel, trace) -> Tensor:
+def _one_step(x: np.ndarray, texts, i: int, t_sched: int,
+              sched: NoiseSchedule, w: ModelWeights, accel,
+              trace) -> np.ndarray:
     eps = unet_forward(x, texts, i, w, accel, trace)
     return ddim_step(x, eps, t_sched, t_sched - 1, sched)
 
@@ -439,7 +452,7 @@ def _one_step(x: Tensor, texts, i: int, t_sched: int, sched: NoiseSchedule,
 DECODE_UPSAMPLE = 4
 
 
-def decode_latent(latent: Tensor, w: ModelWeights) -> Tensor:
+def decode_latent(latent: np.ndarray, w: ModelWeights) -> np.ndarray:
     """Project each latent cell to a 4x4 RGB patch and clamp to [0, 1].
 
     Output shape is (3, 4*res, 4*res); a zero latent maps to mid-gray.
@@ -450,8 +463,8 @@ def decode_latent(latent: Tensor, w: ModelWeights) -> Tensor:
     if latent.shape != (cfg.channels, cfg.res, cfg.res):
         raise ConfigError(f"latent shape {latent.shape} does not match config")
     # plain numpy on purpose: decode cost stays out of the per-step series
-    cells = latent.to_numpy().reshape(cfg.channels, -1).T
-    patches = cells @ w["decoder"].to_numpy()         # (res*res, 48)
+    cells = latent.reshape(cfg.channels, -1).T
+    patches = cells @ w["decoder"]                    # (res*res, 48)
     up = DECODE_UPSAMPLE
     img = np.empty((3, cfg.res * up, cfg.res * up), dtype=np.float32)
     patches = patches.reshape(cfg.res, cfg.res, 3, up, up)
@@ -459,4 +472,4 @@ def decode_latent(latent: Tensor, w: ModelWeights) -> Tensor:
         img[ci] = patches[:, :, ci].transpose(0, 2, 1, 3).reshape(
             cfg.res * up, cfg.res * up)
     img = np.clip(img + np.float32(0.5), 0.0, 1.0)
-    return Tensor(img)
+    return _checked(img)

@@ -21,8 +21,9 @@ import logging
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, InputError, InternalError, ProtocolError, TemplateError
-from .tensor import Tensor
 
 log = logging.getLogger("oblix.oblivious")
 
@@ -265,13 +266,13 @@ def expand_candidates(prompt: str, detections: list[Detection],
     return CandidateSet(tuple(prompts), real_index)
 
 
-def extract_latent(batch: Tensor, cset: CandidateSet) -> Tensor:
-    """Copy out the batch row belonging to the real prompt (client-local)."""
+def extract_latent(batch: np.ndarray, cset: CandidateSet) -> np.ndarray:
+    """The batch row belonging to the real prompt (client-local), as a view."""
     if batch.shape[0] != cset.size:
         raise ProtocolError(
             f"batch holds {batch.shape[0]} rows, candidate set has {cset.size}"
         )
-    return batch.row(cset.real_index)
+    return batch[cset.real_index]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ Frame layout (all integers little-endian):
 
 Request payload, fields in declared order:
 
-    u32 candidate count, then per candidate u32 byte length + UTF-8
+    u32 candidate count (at most MAX_CANDIDATES), then per candidate
+        u32 byte length + UTF-8
     u64 shared seed for the initial latent
     u32 cloud step count (switch point)
     u32 cache point | u32 skip point | u8 reuse | u32 refresh | u32 pivot
-    u32 schedule steps | f32 beta start | f32 beta end | u8 spacing
+    u32 schedule steps (at most MAX_SCHEDULE_STEPS) | f32 beta start |
+        f32 beta end | u8 spacing
     u32 model id length + UTF-8
 
 Response payload:
@@ -42,8 +44,8 @@ from .errors import (
     ConfigError,
     FrameError,
     InputError,
-    InternalError,
     ProtocolError,
+    RangeError,
     SessionError,
 )
 from .oblivious import (
@@ -58,11 +60,9 @@ from .tensor import (
     FlopsCounter,
     Rng,
     StepCost,
-    Tensor,
     decode_f16,
     encode_f16,
     fp16_roundtrip,
-    stack_rows,
     use_flops_counter,
 )
 
@@ -77,6 +77,15 @@ _HEADER = struct.Struct("<4sBBI")
 # response of the default toy model is about 61 KB), far below the 4 GiB
 # a u32 length field could make a reader allocate
 MAX_FRAME_BYTES = 16 * 2**20
+# the peer chooses both u32 fields and the server allocates per candidate
+# and per schedule step, so both are refused above these at decode:
+# 8.5x the largest candidate class of 30 (an N=256 response of the default
+# model is 0.5 MB), and DDPM's T
+MAX_CANDIDATES = 256
+MAX_SCHEDULE_STEPS = 1000
+# ddim_step divides by sqrt(alpha_bar_T); below float32's smallest normal
+# the server's first step overflows or divides by zero
+_ALPHA_BAR_FLOOR = float(np.finfo(np.float32).tiny)
 _SPACINGS = ("linear", "scaled-linear")
 
 
@@ -122,7 +131,7 @@ class GenerateRequest:
 @dataclass(frozen=True)
 class GenerateResponse:
     step_reached: int
-    latents: Tensor            # already binary16-quantized values
+    latents: np.ndarray        # already binary16-quantized values
     flops_total: int
     step_costs: tuple[StepCost, ...]
     version: int = PROTOCOL_VERSION
@@ -159,6 +168,12 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
     if isinstance(msg, GenerateRequest):
         if not msg.candidates:
             raise FrameError("request needs at least one candidate prompt")
+        if len(msg.candidates) > MAX_CANDIDATES:
+            raise FrameError(f"{len(msg.candidates)} candidates exceed the "
+                             f"cap of {MAX_CANDIDATES}")
+        if msg.schedule.steps > MAX_SCHEDULE_STEPS:
+            raise FrameError(f"{msg.schedule.steps} schedule steps exceed the "
+                             f"cap of {MAX_SCHEDULE_STEPS}")
         body = bytearray()
         body += struct.pack("<I", len(msg.candidates))
         for prompt in msg.candidates:
@@ -244,10 +259,16 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         (count,) = r.take("<I")
         if count < 1:
             raise ProtocolError("request carries no candidates", offset=r.off - 4)
+        if count > MAX_CANDIDATES:
+            raise ProtocolError(f"{count} candidates exceed the cap of "
+                                f"{MAX_CANDIDATES}", offset=r.off - 4)
         candidates = tuple(r.take_str() for _ in range(count))
         seed, cloud_steps = r.take("<QI")
         cache_point, skip_point, reuse, refresh, pivot = r.take("<IIBII")
         steps, beta_start, beta_end, spacing_idx = r.take("<IffB")
+        if steps > MAX_SCHEDULE_STEPS:
+            raise ProtocolError(f"{steps} schedule steps exceed the cap of "
+                                f"{MAX_SCHEDULE_STEPS}", offset=r.off - 13)
         if spacing_idx >= len(_SPACINGS):
             raise ProtocolError(f"unknown spacing code {spacing_idx}",
                                 offset=r.off - 1)
@@ -269,7 +290,7 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         try:
             latents = decode_f16(raw[r.off:r.off + 2 * n_vals],
                                  (batch, channels, res, res))
-        except InternalError:
+        except RangeError:
             raise ProtocolError("latent payload holds non-finite values",
                                 offset=r.off) from None
         r.off += 2 * n_vals
@@ -298,37 +319,35 @@ def _expect_end(r: _Reader) -> None:
 
 
 class Server:
-    """Stateless request handler; all per-request state lives on the stack.
+    """Stateless request handler; all per-request state lives on the stack."""
 
-    ``accel_paths=False`` is a reference mode that runs every step without
-    the gate machinery (as if the acceleration module did not exist); the
-    equivalence tests compare the default mode against it.
-    """
-
-    def __init__(self, weights: dict[str, ModelWeights],
-                 accel_paths: bool = True):
+    def __init__(self, weights: dict[str, ModelWeights]):
         self.weights = dict(weights)
-        self.accel_paths = accel_paths
 
     def handle_request(self, req: GenerateRequest) -> GenerateResponse:
         """Denoise the first ``cloud_steps`` iterations of every candidate.
 
         A request that decodes but cannot run (bad schedule or gate
         parameters, an empty candidate, a pivot outside the batch) is
-        refused with ProtocolError before any compute starts.
+        refused with ProtocolError before any compute starts; one whose
+        latents leave binary16's range is refused at the hand-off.
         """
         if req.model_id not in self.weights:
             raise ProtocolError(f"unknown model id {req.model_id!r}")
         w = self.weights[req.model_id]
         cfg = w.cfg
         n = len(req.candidates)
-        gated = self.accel_paths and req.cloud_steps > 0
+        gated = req.cloud_steps > 0
         try:
             sched = req.schedule.build()
             accel_cfg = req.accel_config() if gated else None
             texts = [embed_prompt(p, cfg) for p in req.candidates]
         except (ConfigError, InputError) as exc:
             raise ProtocolError(f"invalid request: {exc}") from None
+        if sched.alpha_bar[-1] < _ALPHA_BAR_FLOOR:
+            raise ProtocolError(
+                f"schedule ends at alpha_bar {sched.alpha_bar[-1]}, below "
+                f"float32's smallest normal {_ALPHA_BAR_FLOOR}")
         if req.cloud_steps > sched.steps:
             raise ProtocolError(
                 f"switch point {req.cloud_steps} exceeds schedule of "
@@ -340,7 +359,7 @@ class Server:
                 f"pivot_index {req.pivot_index} outside {n} candidates")
 
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
-        latents = stack_rows([base] * n)
+        latents = np.stack([base] * n)
 
         counter = FlopsCounter()
         if req.cloud_steps > 0:
@@ -350,9 +369,13 @@ class Server:
             with use_flops_counter(counter):
                 latents = run_denoise_steps(
                     latents, texts, sched, w, 1, req.cloud_steps, state)
+        try:
+            latents = fp16_roundtrip(latents)
+        except RangeError as exc:
+            raise ProtocolError(f"latents cannot be handed off: {exc}") from None
         return GenerateResponse(
             step_reached=sched.steps - req.cloud_steps,
-            latents=fp16_roundtrip(latents),
+            latents=latents,
             flops_total=counter.total,
             step_costs=tuple(counter.steps),
         )
@@ -493,10 +516,10 @@ class SessionConfig:
 
 @dataclass
 class SessionResult:
-    image: Tensor
+    image: np.ndarray
     candidates: CandidateSet
-    final_latent: Tensor
-    boundary_latent: Tensor | None
+    final_latent: np.ndarray
+    boundary_latent: np.ndarray | None
     request: GenerateRequest | None
     response: GenerateResponse | None
     device_counter: FlopsCounter
@@ -550,9 +573,9 @@ def build_request(prompt: str, cfg: SessionConfig, lex: AttributeLexicon,
     return req, cset
 
 
-def run_device_steps(latent: Tensor, prompt: str, sched: NoiseSchedule,
+def run_device_steps(latent: np.ndarray, prompt: str, sched: NoiseSchedule,
                      w: ModelWeights, first_iter: int,
-                     counter: FlopsCounter) -> Tensor:
+                     counter: FlopsCounter) -> np.ndarray:
     """Finish denoising one latent on the device, no accelerations."""
     if first_iter > sched.steps:
         return latent
@@ -561,7 +584,7 @@ def run_device_steps(latent: Tensor, prompt: str, sched: NoiseSchedule,
     with use_flops_counter(counter):
         out = run_denoise_steps(batch, [text], sched, w, first_iter,
                                 sched.steps, accel=None)
-    return out.row(0)
+    return out[0]
 
 
 def client_run_session(prompt: str, cfg: SessionConfig, transport,

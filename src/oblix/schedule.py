@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, StepError
-from .tensor import Tensor, add, scale, sub
+from .tensor import add, scale, sub
 
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
@@ -93,7 +95,8 @@ def build_schedule(steps: int = DEFAULT_STEPS,
     return NoiseSchedule(steps, tuple(betas), tuple(alphas), tuple(bars))
 
 
-def forward_diffuse(x0: Tensor, t: int, eps: Tensor, s: NoiseSchedule) -> Tensor:
+def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
+                    s: NoiseSchedule) -> np.ndarray:
     """Noise x0 to schedule index t in closed form:
 
     x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps
@@ -106,14 +109,14 @@ def forward_diffuse(x0: Tensor, t: int, eps: Tensor, s: NoiseSchedule) -> Tensor
     return add(scale(x0, math.sqrt(bar)), scale(eps, math.sqrt(1.0 - bar)))
 
 
-def reverse_step_eq1(x_t: Tensor, eps_pred: Tensor, t: int, s: NoiseSchedule,
-                     z: Tensor) -> Tensor:
+def reverse_step_eq1(x_t: np.ndarray, eps_pred: np.ndarray, t: int,
+                     s: NoiseSchedule, z: np.ndarray) -> np.ndarray:
     """One stochastic reverse step:
 
     x_{t-1} = (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_pred)
               / sqrt(alpha_t) + sqrt(beta_t) * z
 
-    ``z`` is caller-provided noise; pass a zero tensor for the
+    ``z`` is caller-provided noise; pass a zero array for the
     deterministic mean.
     """
     if x_t.shape != eps_pred.shape or x_t.shape != z.shape:
@@ -129,8 +132,8 @@ def reverse_step_eq1(x_t: Tensor, eps_pred: Tensor, t: int, s: NoiseSchedule,
     return add(mean, scale(z, math.sqrt(beta)))
 
 
-def ddim_step(x_t: Tensor, eps_pred: Tensor, t: int, t_prev: int,
-              s: NoiseSchedule) -> Tensor:
+def ddim_step(x_t: np.ndarray, eps_pred: np.ndarray, t: int, t_prev: int,
+              s: NoiseSchedule) -> np.ndarray:
     """Deterministic step from schedule index t to t_prev (t_prev may be 0).
 
     Predicts x0 from the noise estimate, then renoises to t_prev:

@@ -1,4 +1,5 @@
-"""Dense float32 tensors, counted arithmetic, and a reproducible RNG.
+"""Counted arithmetic on float32 arrays, the binary16 hand-off, and a
+reproducible RNG.
 
 Every arithmetic primitive here feeds the session FLOPs counter when one
 is active.  The counting conventions are fixed package-wide:
@@ -9,8 +10,11 @@ is active.  The counting conventions are fixed package-wide:
     scalar multiply      1
     tanh per element     1
 
-Tensors are immutable after construction and hold row-major float32 data,
-so their byte images are well defined for hashing and wire encoding.
+The package's one array type is a read-only, C-order float32
+``np.ndarray``, so byte images are well defined for hashing and wire
+encoding.  A value is checked for finiteness once: where a primitive
+computes it, or where it enters from outside (`decode_f16` for wire
+latents, ``ModelWeights`` for parameters).
 """
 
 from __future__ import annotations
@@ -124,155 +128,91 @@ def flops_tag(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Tensor
+# Arrays and counted primitives
 # ---------------------------------------------------------------------------
 
 
-class Tensor:
-    """Immutable n-dimensional float32 array with explicit shape."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, array: np.ndarray):
-        a = np.ascontiguousarray(array, dtype=np.float32)
-        if not np.isfinite(a).all():
-            raise InternalError("tensor holds non-finite values")
-        a.flags.writeable = False
-        object.__setattr__(self, "_a", a)
-
-    # construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_list(cls, values, shape: tuple[int, ...] | None = None) -> "Tensor":
-        a = np.asarray(values, dtype=np.float32)
-        if shape is not None:
-            if int(np.prod(shape, dtype=np.int64)) != a.size:
-                raise ShapeError(
-                    f"shape {tuple(shape)} does not hold {a.size} values"
-                )
-            a = a.reshape(shape)
-        return cls(a)
-
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...]) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float32))
-
-    @classmethod
-    def full(cls, shape: tuple[int, ...], value: float) -> "Tensor":
-        return cls(np.full(shape, value, dtype=np.float32))
-
-    # views / accessors ----------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._a.shape
-
-    @property
-    def size(self) -> int:
-        return int(self._a.size)
-
-    def to_numpy(self) -> np.ndarray:
-        return self._a
-
-    def tolist(self):
-        return self._a.tolist()
-
-    def tobytes(self) -> bytes:
-        return self._a.tobytes()
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return Tensor(self._a.reshape(shape))
-
-    def row(self, i: int) -> "Tensor":
-        return Tensor(self._a[i])
-
-    def transpose2d(self) -> "Tensor":
-        if self._a.ndim != 2:
-            raise ShapeError(f"transpose2d needs a matrix, got {self.shape}")
-        return Tensor(self._a.T)
-
-    def same_bits(self, other: "Tensor") -> bool:
-        return self.shape == other.shape and self.tobytes() == other.tobytes()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Clear ``writeable`` on ``a`` and return it."""
+    a.flags.writeable = False
+    return a
 
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    return Tensor(np.stack([r.to_numpy() for r in rows], axis=0))
+def _checked(a: np.ndarray) -> np.ndarray:
+    """Return a computed array read-only, refusing a non-finite value.
+
+    Every counted primitive returns through here, so each value the
+    arithmetic makes is checked once, where it is made; views, reshapes
+    and stacking of checked arrays need no second look.
+    """
+    if not np.isfinite(a).all():
+        raise InternalError(f"computed {a.shape} array holds non-finite values")
+    return readonly(a)
 
 
-def row_blocks(a: Tensor, n: int) -> list[Tensor]:
-    """Split a row-stacked (n*m, d) matrix into its n (m, d) blocks.
+def row_blocks(a: np.ndarray, n: int) -> np.ndarray:
+    """View a row-stacked (n*m, d) matrix as an (n, m, d) array.
 
     Block r is rows [r*m, (r+1)*m) and shares memory with ``a``.
     """
-    arr = a.to_numpy()
-    if arr.ndim != 2 or n < 1 or arr.shape[0] % n:
+    if a.ndim != 2 or n < 1 or a.shape[0] % n:
         raise ShapeError(f"cannot split {a.shape} into {n} row blocks")
-    m = arr.shape[0] // n
-    return [Tensor(arr[r * m:(r + 1) * m]) for r in range(n)]
+    return a.reshape(n, a.shape[0] // n, a.shape[1])
 
 
-# ---------------------------------------------------------------------------
-# Counted primitives
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product; counts 2*m*n*p FLOPs on the active counter."""
-    if a.to_numpy().ndim != 2 or b.to_numpy().ndim != 2:
+    if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
     m, n = a.shape
     n2, p = b.shape
     if n != n2:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     _count(2 * m * n * p)
-    return Tensor(a.to_numpy() @ b.to_numpy())
+    return _checked(a @ b)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
+def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction for stability."""
-    arr = a.to_numpy()
-    if arr.ndim != 2 or arr.shape[1] < 1:
+    if a.ndim != 2 or a.shape[1] < 1:
         raise ShapeError(f"softmax_rows needs a matrix with columns, got {a.shape}")
-    m, n = arr.shape
+    m, n = a.shape
     _count(SOFTMAX_FLOPS_PER_ELEM * m * n)
-    shifted = arr - arr.max(axis=1, keepdims=True)
+    shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted, dtype=np.float32)
-    return Tensor(e / e.sum(axis=1, keepdims=True, dtype=np.float32))
+    return _checked(e / e.sum(axis=1, keepdims=True, dtype=np.float32))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     _count(a.size)
-    return Tensor(a.to_numpy() + b.to_numpy())
+    return _checked(a + b)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
     _count(a.size)
-    return Tensor(a.to_numpy() - b.to_numpy())
+    return _checked(a - b)
 
 
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
+def add_rowvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Broadcast-add a length-n vector to every row of an (m, n) matrix."""
-    if a.to_numpy().ndim != 2 or v.to_numpy().ndim != 1 or a.shape[1] != v.shape[0]:
+    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec shapes differ: {a.shape} vs {v.shape}")
     _count(a.size)
-    return Tensor(a.to_numpy() + v.to_numpy()[None, :])
+    return _checked(a + v[None, :])
 
 
-def scale(a: Tensor, s: float) -> Tensor:
+def scale(a: np.ndarray, s: float) -> np.ndarray:
     _count(a.size)
-    return Tensor(a.to_numpy() * np.float32(s))
+    return _checked(a * np.float32(s))
 
 
-def tanh_map(a: Tensor) -> Tensor:
+def tanh_map(a: np.ndarray) -> np.ndarray:
     _count(a.size)
-    return Tensor(np.tanh(a.to_numpy()))
+    return _checked(np.tanh(a))
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +222,29 @@ def tanh_map(a: Tensor) -> Tensor:
 F16_MAX = 65504.0
 
 
-def encode_f16(a: Tensor) -> bytes:
+def encode_f16(a: np.ndarray) -> bytes:
     """Quantize to IEEE-754 binary16 (round to nearest even), little-endian."""
-    arr = a.to_numpy()
-    if np.any(np.abs(arr) > F16_MAX):
-        worst = float(np.max(np.abs(arr)))
+    if np.any(np.abs(a) > F16_MAX):
+        worst = float(np.max(np.abs(a)))
         raise RangeError(f"value {worst} exceeds binary16 max {F16_MAX}")
-    half = arr.astype("<f2")
+    half = a.astype("<f2")
     if not np.all(np.isfinite(half)):
         raise RangeError("binary16 rounding overflowed to infinity")
     return half.tobytes()
 
 
-def decode_f16(raw: bytes, shape: tuple[int, ...]) -> Tensor:
+def decode_f16(raw: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """Widen binary16 bytes to float32, refusing infinities and NaNs."""
     n = int(np.prod(shape, dtype=np.int64))
     if len(raw) != 2 * n:
         raise ShapeError(f"binary16 buffer holds {len(raw)} bytes, need {2 * n}")
-    return Tensor(np.frombuffer(raw, dtype="<f2").astype(np.float32).reshape(shape))
+    a = np.frombuffer(raw, dtype="<f2").astype(np.float32).reshape(shape)
+    if not np.isfinite(a).all():
+        raise RangeError("binary16 payload holds non-finite values")
+    return readonly(a)
 
 
-def fp16_roundtrip(a: Tensor) -> Tensor:
+def fp16_roundtrip(a: np.ndarray) -> np.ndarray:
     """Quantize each element to binary16 and widen back to float32."""
     return decode_f16(encode_f16(a), a.shape)
 
@@ -359,7 +302,7 @@ class Rng:
         # (0, 1] so log() below is always finite
         return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
-    def gaussian(self, shape: tuple[int, ...]) -> Tensor:
+    def gaussian(self, shape: tuple[int, ...]) -> np.ndarray:
         n = int(np.prod(shape, dtype=np.int64))
         pairs = (n + 1) // 2
         u = self.uniform01(2 * pairs)
@@ -369,4 +312,4 @@ class Rng:
         out = np.empty(2 * pairs, dtype=np.float64)
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
-        return Tensor(out[:n].astype(np.float32).reshape(shape))
+        return readonly(out[:n].astype(np.float32).reshape(shape))

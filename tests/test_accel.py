@@ -16,7 +16,9 @@ from oblix.accel import (
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
 from oblix.errors import ConfigError, SessionError, ShapeError
-from oblix.tensor import Rng, Tensor, row_blocks, stack_rows
+from oblix.tensor import Rng, row_blocks
+
+from bitwise import same_bits
 
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -29,12 +31,12 @@ def _texts(n):
 
 def _stacked(blocks):
     """Row-stack (m, d) blocks into the (n*m, d) layout `attend` takes."""
-    return Tensor(np.concatenate([b.to_numpy() for b in blocks]))
+    return np.concatenate(blocks)
 
 
 def _latents(n, seed=5):
-    return stack_rows([Rng(seed + i).gaussian((CFG.channels, CFG.res, CFG.res))
-                       for i in range(n)])
+    return np.stack([Rng(seed + i).gaussian((CFG.channels, CFG.res, CFG.res))
+                     for i in range(n)])
 
 
 # --- gate predicates ---------------------------------------------------------
@@ -113,13 +115,13 @@ def test_config_validation():
 def _plain_site(q_in, kv_in, site):
     """Direct evaluation of the attention equations in raw numpy."""
     p = W.attn(site)
-    q = q_in.to_numpy() @ p.wq.to_numpy()
-    k = kv_in.to_numpy() @ p.wk.to_numpy()
+    q = q_in @ p.wq
+    k = kv_in @ p.wk
     scores = (q @ k.T) * np.float32(1.0 / math.sqrt(p.wq.shape[1]))
     scores = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(scores, dtype=np.float32)
     m = e / e.sum(axis=1, keepdims=True, dtype=np.float32)
-    return m @ (kv_in.to_numpy() @ p.wv.to_numpy())
+    return m @ (kv_in @ p.wv)
 
 
 def test_reuse_single_row_equals_plain_attention():
@@ -129,9 +131,9 @@ def test_reuse_single_row_equals_plain_attention():
         rows = _stacked([row] * n)
         shared = attend(rows, rows, p, "down.self", n, pivot=0)
         plain = attend(rows, rows, p, "down.self", n)
-        assert shared.same_bits(plain)
+        assert same_bits(shared, plain)
     want = _plain_site(row, row, "down.self")
-    assert np.allclose(row_blocks(shared, n)[0].to_numpy(), want, atol=1e-6)
+    assert np.allclose(row_blocks(shared, n)[0], want, atol=1e-6)
 
 
 def test_reuse_pivot_row_is_bitwise_invariant():
@@ -141,7 +143,7 @@ def test_reuse_pivot_row_is_bitwise_invariant():
     for pivot in (0, 2):
         out = attend(_stacked(qs), _stacked(qs), p, "mid.self", n, pivot=pivot)
         solo = attend(qs[pivot], qs[pivot], p, "mid.self", 1, pivot=0)
-        assert row_blocks(out, n)[pivot].same_bits(solo)
+        assert same_bits(row_blocks(out, n)[pivot], solo)
 
 
 def test_reuse_against_direct_pivot_map_oracle():
@@ -150,8 +152,8 @@ def test_reuse_against_direct_pivot_map_oracle():
     kvs = [Rng(30 + i).gaussian((CFG.token_capacity, CFG.d_text))
            for i in range(n)]
     p = W.attn("down.cross")
-    q_star = qs[0].to_numpy() @ p.wq.to_numpy()
-    k_star = kvs[0].to_numpy() @ p.wk.to_numpy()
+    q_star = qs[0] @ p.wq
+    k_star = kvs[0] @ p.wk
     scores = (q_star @ k_star.T) * np.float32(1.0 / math.sqrt(CFG.width))
     scores = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(scores, dtype=np.float32)
@@ -159,8 +161,8 @@ def test_reuse_against_direct_pivot_map_oracle():
     out = row_blocks(attend(_stacked(qs), _stacked(kvs), p, "down.cross", n,
                             pivot=0), n)
     for i in range(n):
-        want = m_star @ (kvs[i].to_numpy() @ p.wv.to_numpy())
-        assert np.allclose(out[i].to_numpy(), want, atol=1e-6)
+        want = m_star @ (kvs[i] @ p.wv)
+        assert np.allclose(out[i], want, atol=1e-6)
 
 
 def test_reuse_pivot_out_of_range():
@@ -215,6 +217,16 @@ def test_cached_output_is_served_between_refreshes():
     assert cached == after
 
 
+def test_cached_arrays_are_read_only():
+    state = AccelState(AccelConfig(cache_point=2, skip_point=3))
+    x = _latents(2)
+    for t in (1, 2):
+        x = unet_forward(x, _texts(2), t, W, state)
+    for out in (*state.cached_attention.values(), state.mid_features):
+        with pytest.raises(ValueError):
+            out[0, 0] = 0.0
+
+
 def test_disabled_gates_match_accel_free_path_bitwise():
     neutral = AccelConfig(cache_point=never(25), skip_point=never(25),
                           reuse=False)
@@ -223,4 +235,4 @@ def test_disabled_gates_match_accel_free_path_bitwise():
     texts = _texts(3)
     with_accel = unet_forward(x, texts, 4, W, state)
     without = unet_forward(x, texts, 4, W, None)
-    assert with_accel.same_bits(without)
+    assert same_bits(with_accel, without)

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from oblix.cli import (
@@ -16,7 +17,6 @@ from oblix.costmodel import attention_map_flops, expected_run_flops, step_flops
 from oblix.denoiser import ModelConfig
 from oblix.errors import ConfigError
 from oblix.protocol import Daemon, Server
-from oblix.tensor import Rng, Tensor
 
 
 def _write_config(tmp_path, **overrides):
@@ -125,7 +125,7 @@ def test_generate_is_reproducible_from_config_and_seed(tmp_path):
 
 def test_ppm_writer_validates_shape(tmp_path):
     with pytest.raises(ConfigError):
-        write_ppm(Tensor.zeros((4, 4)), str(tmp_path / "x.ppm"))
+        write_ppm(np.zeros((4, 4), np.float32), str(tmp_path / "x.ppm"))
 
 
 # --- bench -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from oblix.accel import AccelConfig, AccelState, never
@@ -25,7 +26,7 @@ from oblix.protocol import (
     SimulatedTransport,
     client_run_session,
 )
-from oblix.tensor import FlopsCounter, Rng, stack_rows, use_flops_counter
+from oblix.tensor import FlopsCounter, Rng, use_flops_counter
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -122,7 +123,7 @@ def _run_counted(n, accel_cfg, steps=8):
     counter = FlopsCounter()
     state = AccelState(accel_cfg) if accel_cfg is not None else None
     with use_flops_counter(counter):
-        run_denoise_steps(stack_rows(rows), texts, sched, CW, 1, steps, state)
+        run_denoise_steps(np.stack(rows), texts, sched, CW, 1, steps, state)
     return counter
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from oblix.denoiser import (
 )
 from oblix.errors import ConfigError, InputError, ProtocolError, SessionError
 from oblix.schedule import build_schedule
-from oblix.tensor import Rng, Tensor, fnv1a64, stack_rows
+from oblix.tensor import Rng, fnv1a64
+
+from bitwise import same_bits
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -27,21 +30,21 @@ W = ModelWeights.build(CFG, 7)
 def test_embed_is_deterministic():
     a = embed_prompt("a portrait of a fox", CFG)
     b = embed_prompt("a portrait of a fox", CFG)
-    assert a.matrix.same_bits(b.matrix)
+    assert same_bits(a.matrix, b.matrix)
     assert a.count == 5
 
 
 def test_embed_single_token_locality():
-    a = embed_prompt("a portrait of a fox", CFG).matrix.to_numpy()
-    b = embed_prompt("a portrait of a cat", CFG).matrix.to_numpy()
+    a = embed_prompt("a portrait of a fox", CFG).matrix
+    b = embed_prompt("a portrait of a cat", CFG).matrix
     differs = [i for i in range(CFG.token_capacity)
                if not np.array_equal(a[i], b[i])]
     assert differs == [4]
 
 
 def test_embed_token_swap_permutes_rows():
-    ab = embed_prompt("alpha beta", CFG).matrix.to_numpy()
-    ba = embed_prompt("beta alpha", CFG).matrix.to_numpy()
+    ab = embed_prompt("alpha beta", CFG).matrix
+    ba = embed_prompt("beta alpha", CFG).matrix
     assert np.array_equal(ab[0], ba[1])
     assert np.array_equal(ab[1], ba[0])
     assert np.array_equal(ab[2:], ba[2:])  # shared pad rows
@@ -65,33 +68,33 @@ def test_attention_single_token_softmax_collapses():
     q = Rng(1).gaussian((1, CFG.width))
     kv = Rng(2).gaussian((1, CFG.width))
     out = attend(q, kv, W.attn("down.self"), "down.self", 1)
-    want = kv.to_numpy() @ W.attn("down.self").wv.to_numpy()
-    assert np.allclose(out.to_numpy(), want, atol=1e-6)
+    want = kv @ W.attn("down.self").wv
+    assert np.allclose(out, want, atol=1e-6)
 
 
 def test_attention_zero_projections_give_uniform_map():
-    zero = Tensor.zeros((CFG.width, CFG.width))
+    zero = np.zeros((CFG.width, CFG.width), np.float32)
     w2 = W.replace(**{"mid.self.wq": zero, "mid.self.wk": zero})
     q = Rng(3).gaussian((4, CFG.width))
     kv = Rng(4).gaussian((5, CFG.width))
     out = attend(q, kv, w2.attn("mid.self"), "mid.self", 1)
-    v = kv.to_numpy() @ w2.attn("mid.self").wv.to_numpy()
+    v = kv @ w2.attn("mid.self").wv
     want = np.tile(v.mean(axis=0), (4, 1))
-    assert np.allclose(out.to_numpy(), want, atol=1e-6)
+    assert np.allclose(out, want, atol=1e-6)
 
 
 def test_attention_matches_direct_equation_oracle():
     q_in = Rng(5).gaussian((6, CFG.width))
     kv_in = Rng(6).gaussian((CFG.token_capacity, CFG.d_text))
     p = W.attn("up.cross")
-    q = q_in.to_numpy() @ p.wq.to_numpy()
-    k = kv_in.to_numpy() @ p.wk.to_numpy()
+    q = q_in @ p.wq
+    k = kv_in @ p.wk
     scores = (q @ k.T) / math.sqrt(CFG.width)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     m = e / e.sum(axis=1, keepdims=True)
-    want = m @ (kv_in.to_numpy() @ p.wv.to_numpy())
+    want = m @ (kv_in @ p.wv)
     got = attend(q_in, kv_in, p, "up.cross", 1)
-    assert np.allclose(got.to_numpy(), want, atol=1e-5)
+    assert np.allclose(got, want, atol=1e-5)
 
 
 # --- unet -----------------------------------------------------------------------
@@ -102,32 +105,32 @@ def _texts(prompts):
 
 def test_unet_duplicated_rows_are_bitwise_equal():
     row = Rng(9).gaussian((CFG.channels, CFG.res, CFG.res))
-    batch = stack_rows([row, row])
+    batch = np.stack([row, row])
     out = unet_forward(batch, _texts(["same text", "same text"]), 3, W)
-    assert out.row(0).same_bits(out.row(1))
+    assert same_bits(out[0], out[1])
 
 
 def test_unet_rows_are_independent_under_permutation():
     rows = [Rng(40 + i).gaussian((CFG.channels, CFG.res, CFG.res))
             for i in range(3)]
     prompts = ["first text", "second text", "third text"]
-    out = unet_forward(stack_rows(rows), _texts(prompts), 2, W)
+    out = unet_forward(np.stack(rows), _texts(prompts), 2, W)
     perm = [2, 0, 1]
-    out_p = unet_forward(stack_rows([rows[i] for i in perm]),
+    out_p = unet_forward(np.stack([rows[i] for i in perm]),
                          _texts([prompts[i] for i in perm]), 2, W)
     for new_pos, old_pos in enumerate(perm):
-        assert out_p.row(new_pos).same_bits(out.row(old_pos))
+        assert same_bits(out_p[new_pos], out[old_pos])
 
 
 def test_unet_is_deterministic():
-    batch = stack_rows([Rng(50).gaussian((CFG.channels, CFG.res, CFG.res))])
+    batch = np.stack([Rng(50).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["stable text"])
-    assert unet_forward(batch, texts, 5, W).same_bits(
-        unet_forward(batch, texts, 5, W))
+    assert same_bits(unet_forward(batch, texts, 5, W),
+                     unet_forward(batch, texts, 5, W))
 
 
 def test_unet_validates_batch():
-    batch = stack_rows([Rng(1).gaussian((CFG.channels, CFG.res, CFG.res))])
+    batch = np.stack([Rng(1).gaussian((CFG.channels, CFG.res, CFG.res))])
     with pytest.raises(ConfigError):
         unet_forward(batch, _texts(["a", "b"]), 1, W)
 
@@ -135,7 +138,7 @@ def test_unet_validates_batch():
 def test_skip_feeds_cached_mid_features_bitwise():
     cfg = AccelConfig(cache_point=never(25), skip_point=3)
     state = AccelState(cfg)
-    x = stack_rows([Rng(60).gaussian((CFG.channels, CFG.res, CFG.res))])
+    x = np.stack([Rng(60).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["skip test"])
     x1 = unet_forward(x, texts, 1, W, state)
     x2 = unet_forward(x1, texts, 2, W, state)
@@ -145,19 +148,19 @@ def test_skip_feeds_cached_mid_features_bitwise():
     # full recomputation at the same step
     assert state.mid_features.tobytes() == frozen
     full = unet_forward(x2, texts, 3, W, None)
-    assert not skipped.same_bits(full)
+    assert not same_bits(skipped, full)
 
 
 def test_golden_snapshot_no_accel():
     # pinned after the attention/equation oracles above passed
     w = ModelWeights.build(ModelConfig(), 1001)
-    batch = stack_rows([Rng(42).gaussian((4, 16, 16))])
+    batch = np.stack([Rng(42).gaussian((4, 16, 16))])
     out = unet_forward(batch, [embed_prompt("golden reference prompt",
                                             w.cfg)], 1, w)
     digest = hashlib.sha256(out.tobytes()).hexdigest()
     assert out.shape == (1, 4, 16, 16)
     assert digest == GOLDEN_SHA256
-    sample = out.to_numpy().ravel()
+    sample = out.ravel()
     assert np.allclose(sample[:3], GOLDEN_HEAD, atol=0)
 
 
@@ -169,7 +172,7 @@ GOLDEN_HEAD = [0.8328762054443359, 0.3854965567588806, 0.7217596769332886]
 
 def test_run_denoise_steps_range_validation():
     sched = build_schedule(10)
-    batch = stack_rows([Rng(3).gaussian((CFG.channels, CFG.res, CFG.res))])
+    batch = np.stack([Rng(3).gaussian((CFG.channels, CFG.res, CFG.res))])
     with pytest.raises(ConfigError):
         run_denoise_steps(batch, _texts(["x"]), sched, W, 5, 11)
     with pytest.raises(ConfigError):
@@ -178,12 +181,12 @@ def test_run_denoise_steps_range_validation():
 
 def test_run_denoise_steps_composes():
     sched = build_schedule(6)
-    batch = stack_rows([Rng(4).gaussian((CFG.channels, CFG.res, CFG.res))])
+    batch = np.stack([Rng(4).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["compose check"])
     whole = run_denoise_steps(batch, texts, sched, W, 1, 6)
     half = run_denoise_steps(batch, texts, sched, W, 1, 3)
     rest = run_denoise_steps(half, texts, sched, W, 4, 6)
-    assert whole.same_bits(rest)
+    assert same_bits(whole, rest)
 
 
 # --- weights serialization ---------------------------------------------------------
@@ -194,10 +197,10 @@ def test_weights_save_load_roundtrip(tmp_path):
     loaded = ModelWeights.load(str(path))
     assert loaded.cfg == W.cfg
     assert loaded.fingerprint() == W.fingerprint()
-    batch = stack_rows([Rng(8).gaussian((CFG.channels, CFG.res, CFG.res))])
+    batch = np.stack([Rng(8).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["roundtrip"])
-    assert unet_forward(batch, texts, 1, loaded).same_bits(
-        unet_forward(batch, texts, 1, W))
+    assert same_bits(unet_forward(batch, texts, 1, loaded),
+                     unet_forward(batch, texts, 1, W))
 
 
 def _param_bytes(w):
@@ -223,7 +226,7 @@ def test_fingerprint_is_hashed_once_per_instance(tmp_path, monkeypatch):
 
     cfg = AccelConfig(switch_point=6, cache_point=2, skip_point=4, reuse=True,
                       refresh_period=3)
-    batch = stack_rows([Rng(12).gaussian((CFG.channels, CFG.res, CFG.res))] * 2)
+    batch = np.stack([Rng(12).gaussian((CFG.channels, CFG.res, CFG.res))] * 2)
     run_denoise_steps(batch, _texts(["first", "second"]), build_schedule(6),
                       loaded, 1, 6, AccelState(cfg))
     assert len(hashed) == 1  # six gated steps bind, one hash
@@ -239,18 +242,29 @@ def test_fingerprint_equals_direct_hash_of_parameter_bytes():
 def test_replaced_weights_get_new_fingerprint_and_foreign_state_fails():
     w = ModelWeights.build(CFG, 7)
     before = w.fingerprint()
-    bumped = w["w_in"].to_numpy().copy()
+    bumped = w["w_in"].copy()
     bumped[0, 0] += np.float32(0.25)
-    w2 = w.replace(w_in=Tensor(bumped))
+    w2 = w.replace(w_in=bumped)
     assert w2.fingerprint() != before
     assert w.fingerprint() == before
 
     state = AccelState(AccelConfig(switch_point=2))
-    x = stack_rows([Rng(13).gaussian((CFG.channels, CFG.res, CFG.res))])
+    x = np.stack([Rng(13).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["bound session"])
     unet_forward(x, texts, 1, w, state)
     with pytest.raises(SessionError):
         unet_forward(x, texts, 2, w2, state)
+
+
+def test_parameters_are_read_only_copies():
+    own = np.zeros((CFG.width, CFG.width), np.float32)
+    w = W.replace(w_mid=own)
+    own[0, 0] = 1.0  # the caller's array stays the caller's
+    assert w["w_mid"][0, 0] == 0.0
+    with pytest.raises(ValueError):
+        w["w_mid"][0, 0] = 1.0
+    with pytest.raises(ConfigError):
+        W.replace(w_mid=np.full((CFG.width, CFG.width), np.inf, np.float32))
 
 
 def test_weights_file_starts_with_magic(tmp_path):
@@ -279,25 +293,37 @@ def test_weights_load_rejects_truncation(tmp_path):
         ModelWeights.load(str(truncated))
 
 
+def test_weights_load_rejects_non_finite_parameter(tmp_path):
+    W.save(str(tmp_path / "model.oblw"))
+    raw = bytearray((tmp_path / "model.oblw").read_bytes())
+    struct.pack_into("<f", raw, len(raw) - 4, float("nan"))
+    (tmp_path / "nan.oblw").write_bytes(raw)
+    with pytest.raises(ProtocolError) as err:
+        ModelWeights.load(str(tmp_path / "nan.oblw"))
+    assert err.value.offset == len(raw) - 4
+    assert "up.cross.bo" in str(err.value)  # the last parameter
+
+
 # --- decoder ---------------------------------------------------------------------
 
 def test_decode_zero_latent_is_mid_gray():
-    img = decode_latent(Tensor.zeros((CFG.channels, CFG.res, CFG.res)), W)
-    assert np.all(img.to_numpy() == np.float32(0.5))
+    img = decode_latent(
+        np.zeros((CFG.channels, CFG.res, CFG.res), np.float32), W)
+    assert np.all(img == np.float32(0.5))
 
 
 def test_decode_shape_is_4x_upsample():
     w = ModelWeights.build(ModelConfig(), 3)
-    img = decode_latent(Tensor.zeros((4, 16, 16)), w)
+    img = decode_latent(np.zeros((4, 16, 16), np.float32), w)
     assert img.shape == (3, 64, 64)
 
 
 def test_decode_locality_one_cell_one_patch():
-    base = Rng(70).gaussian((CFG.channels, CFG.res, CFG.res)).to_numpy()
+    base = Rng(70).gaussian((CFG.channels, CFG.res, CFG.res))
     bumped = base.copy()
     bumped[:, 3, 5] += 0.5
-    img_a = decode_latent(Tensor(base), W).to_numpy()
-    img_b = decode_latent(Tensor(bumped), W).to_numpy()
+    img_a = decode_latent(base, W)
+    img_b = decode_latent(bumped, W)
     diff = np.argwhere(img_a != img_b)
     assert len(diff) > 0
     for _, y, x in diff:
@@ -306,6 +332,6 @@ def test_decode_locality_one_cell_one_patch():
 
 
 def test_decode_range_is_clamped():
-    big = Tensor.full((CFG.channels, CFG.res, CFG.res), 50.0)
-    img = decode_latent(big, W).to_numpy()
+    big = np.full((CFG.channels, CFG.res, CFG.res), 50.0, np.float32)
+    img = decode_latent(big, W)
     assert img.min() >= 0.0 and img.max() <= 1.0

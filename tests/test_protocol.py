@@ -20,7 +20,9 @@ from oblix.protocol import (
     GenerateRequest,
     GenerateResponse,
     MAGIC,
+    MAX_CANDIDATES,
     MAX_FRAME_BYTES,
+    MAX_SCHEDULE_STEPS,
     ScheduleParams,
     Server,
     SessionConfig,
@@ -37,11 +39,11 @@ from oblix.tensor import (
     FlopsCounter,
     Rng,
     StepCost,
-    Tensor,
     fp16_roundtrip,
-    stack_rows,
     use_flops_counter,
 )
+
+from bitwise import same_bits
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -85,7 +87,9 @@ def test_response_roundtrip():
     assert back.step_reached == 5
     assert back.flops_total == 123
     assert back.step_costs == resp.step_costs
-    assert back.latents.same_bits(latents)
+    assert same_bits(back.latents, latents)
+    with pytest.raises(ValueError):
+        back.latents[0, 0, 0, 0] = 1.0
 
 
 @settings(max_examples=60)
@@ -234,8 +238,8 @@ def test_server_k0_returns_quantized_replicated_prior():
     req = _request(cloud_steps=0, candidates=("one", "two", "three"))
     resp = _server().handle_request(req)
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
-    want = fp16_roundtrip(stack_rows([base, base, base]))
-    assert resp.latents.same_bits(want)
+    want = fp16_roundtrip(np.stack([base, base, base]))
+    assert same_bits(resp.latents, want)
     assert resp.step_reached == 8
     assert resp.flops_total == 0
 
@@ -245,11 +249,11 @@ def test_server_full_denoise_matches_direct_pipeline():
     resp = _server().handle_request(req)
     sched = req.schedule.build()
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
-    want = run_denoise_steps(stack_rows([base]),
+    want = run_denoise_steps(np.stack([base]),
                              [embed_prompt("a calm forest", CFG)],
                              sched, W, 1, 8)
     assert resp.step_reached == 0
-    assert resp.latents.same_bits(fp16_roundtrip(want))
+    assert same_bits(resp.latents, fp16_roundtrip(want))
 
 
 def test_server_is_stateless_and_deterministic():
@@ -275,10 +279,10 @@ def test_server_row_order_follows_candidate_order():
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         for i, prompt in enumerate(candidates):
             state = AccelState(req.accel_config()) if gates else None
-            solo = run_denoise_steps(stack_rows([base]),
+            solo = run_denoise_steps(np.stack([base]),
                                      [embed_prompt(prompt, cfg)], sched, w,
                                      1, 4, state)
-            assert resp.latents.row(i).same_bits(fp16_roundtrip(solo).row(0)), \
+            assert same_bits(resp.latents[i], fp16_roundtrip(solo)[0]), \
                 (n, gates, i)
 
 
@@ -297,7 +301,13 @@ INVALID_REQUESTS = {
     "zero refresh period": dict(refresh_period=0),
     "whitespace candidate": dict(candidates=("a prompt", "   ")),
     "zero schedule steps": dict(cloud_steps=0, schedule=ScheduleParams(0)),
+    # alpha_bar_T is exactly 0.0, so ddim_step would divide by zero
+    "alpha_bar_T underflows": dict(
+        cloud_steps=1, schedule=ScheduleParams(1000, 0.5, 0.999, "linear")),
 }
+# decodes and runs, but drives the latents to 3.3e8, past binary16
+HANDOFF_OVERFLOW = dict(cloud_steps=100,
+                        schedule=ScheduleParams(200, 0.3, 0.3, "linear"))
 
 
 @pytest.mark.parametrize("fields", INVALID_REQUESTS.values(),
@@ -359,7 +369,7 @@ def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
     counter = FlopsCounter()
     with use_flops_counter(counter):
         latents = run_denoise_steps(
-            stack_rows([base] * len(req.candidates)),
+            np.stack([base] * len(req.candidates)),
             [embed_prompt(p, CFG) for p in req.candidates], sched, W, 1, 6,
             AccelState(req.accel_config()))
     want = GenerateResponse(sched.steps - 6, fp16_roundtrip(latents),
@@ -381,9 +391,10 @@ def test_request_whose_gates_fire_gets_accel_state(fields, monkeypatch):
     assert seen[0].cfg == req.accel_config()
 
 
-def test_reference_mode_ignores_gate_fields():
-    req = _request(reuse=True, pivot_index=5, refresh_period=0)
-    Server({"toy": W}, accel_paths=False).handle_request(req)
+def test_server_refuses_latents_beyond_binary16_at_hand_off():
+    with pytest.raises(ProtocolError) as err:
+        _server().handle_request(_request(**HANDOFF_OVERFLOW))
+    assert "binary16" in str(err.value)
 
 
 def test_server_rejects_response_frames():
@@ -432,7 +443,7 @@ def test_client_rejects_row_count_mismatch():
         def handle_request(self, req):
             resp = super().handle_request(req)
             return GenerateResponse(resp.step_reached,
-                                    resp.latents.row(0).reshape(
+                                    resp.latents[0].reshape(
                                         (1,) + resp.latents.shape[1:]),
                                     resp.flops_total, resp.step_costs)
 
@@ -448,7 +459,7 @@ def test_fp16_boundary_is_the_only_lossy_point():
     result = client_run_session("portrait of a man", cfg,
                                 SimulatedTransport(_server()), W, LEX)
     boundary = result.boundary_latent
-    assert boundary.same_bits(fp16_roundtrip(boundary))
+    assert same_bits(boundary, fp16_roundtrip(boundary))
 
 
 def test_timestep_shift_resumes_later_on_device():
@@ -490,7 +501,7 @@ def test_socket_transport_matches_simulated_bitwise():
     over_socket = _with_daemon(run)
     in_process = client_run_session("portrait of a young man", cfg,
                                     SimulatedTransport(_server()), W, LEX)
-    assert over_socket.image.same_bits(in_process.image)
+    assert same_bits(over_socket.image, in_process.image)
     assert over_socket.transcript == in_process.transcript
 
 
@@ -520,11 +531,15 @@ def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
                         lambda self, request, address: handler_errors.append(address))
     cfg = _session(k=3, seed=5, cache_point=2, reuse=True)
 
+    frames = [encode_frame(_request(**fields))
+              for fields in (*INVALID_REQUESTS.values(), HANDOFF_OVERFLOW)]
+    frames += [raw for raw, _ in _over_cap_frames().values()]
+
     def run(addr):
-        for fields in INVALID_REQUESTS.values():
+        for frame in frames:
             conn = socket.create_connection(addr, timeout=30)
             try:
-                conn.sendall(encode_frame(_request(**fields)))
+                conn.sendall(frame)
                 assert conn.recv(1) == b""  # refused: closed without a reply
             finally:
                 conn.close()
@@ -538,7 +553,7 @@ def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
     in_process = client_run_session("portrait of a man", cfg,
                                     SimulatedTransport(_server()), W, LEX)
     assert handler_errors == []
-    assert over_socket.image.same_bits(in_process.image)
+    assert same_bits(over_socket.image, in_process.image)
     assert over_socket.transcript == in_process.transcript
 
 
@@ -586,7 +601,7 @@ def test_two_concurrent_clients_complete_independently():
         assert results[seed].candidates.size >= 6
         solo = client_run_session(prompt, cfg, SimulatedTransport(_server()),
                                   W, LEX)
-        assert results[seed].image.same_bits(solo.image)
+        assert same_bits(results[seed].image, solo.image)
         assert results[seed].transcript == solo.transcript
 
 
@@ -625,3 +640,40 @@ def test_read_frame_refuses_length_above_cap_before_reading_payload():
 def test_encode_refuses_payload_above_cap():
     with pytest.raises(FrameError):
         encode_frame(_request(candidates=("x" * MAX_FRAME_BYTES,)))
+
+
+def _over_cap_frames() -> dict[str, tuple[bytes, int]]:
+    """A valid request frame with one peer-chosen u32 raised past its cap,
+    and the offset of that field."""
+    raw = encode_frame(_request())
+    # u32 steps | f32 | f32 | u8, then the model id "toy" with its prefix
+    steps_at = len(raw) - (4 + 4 + 4 + 1) - (4 + 3)
+    assert struct.unpack_from("<I", raw, steps_at) == (8,)
+    frames = {}
+    for name, at, value in (("candidates", 10, MAX_CANDIDATES + 1),
+                            ("schedule steps", steps_at,
+                             MAX_SCHEDULE_STEPS + 1)):
+        body = bytearray(raw)
+        struct.pack_into("<I", body, at, value)
+        frames[name] = (bytes(body), at)
+    return frames
+
+
+def test_decode_refuses_counts_above_caps_before_reading_them():
+    # the count frame still holds only two candidates: the cap, not a
+    # truncation, must refuse it, so nothing was read or built per candidate
+    for name, (raw, at) in _over_cap_frames().items():
+        with pytest.raises(ProtocolError) as err:
+            decode_frame(raw)
+        assert "cap" in str(err.value) and err.value.offset == at, name
+    # a value at its cap is carried
+    at_caps = _request(candidates=("x",) * MAX_CANDIDATES,
+                       schedule=ScheduleParams(MAX_SCHEDULE_STEPS))
+    assert decode_frame(encode_frame(at_caps)) == at_caps
+
+
+def test_encode_refuses_counts_above_caps():
+    with pytest.raises(FrameError):
+        encode_frame(_request(candidates=("x",) * (MAX_CANDIDATES + 1)))
+    with pytest.raises(FrameError):
+        encode_frame(_request(schedule=ScheduleParams(MAX_SCHEDULE_STEPS + 1)))
