@@ -19,16 +19,14 @@ reuse shapes how a recomputation is performed.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, SessionError
 from .tensor import flops_tag, matmul, readonly, row_blocks, scale, softmax_rows
-
-log = logging.getLogger("oblix.accel")
 
 
 def never(total_steps: int) -> int:
@@ -42,7 +40,8 @@ class AccelConfig:
 
     ``switch_point`` is the number of iterations run on the cloud; the
     gates themselves only read ``cache_point``, ``skip_point`` and the
-    reuse fields.
+    reuse fields.  A skip needs mid-block features cached by an earlier
+    full step, so ``skip_point`` must be at least 2.
     """
 
     switch_point: int = 0
@@ -55,8 +54,12 @@ class AccelConfig:
     def __post_init__(self):
         if self.switch_point < 0:
             raise ConfigError(f"switch_point must be >= 0, got {self.switch_point}")
-        if self.cache_point < 1 or self.skip_point < 1:
-            raise ConfigError("cache_point and skip_point must be >= 1")
+        if self.cache_point < 1:
+            raise ConfigError(f"cache_point must be >= 1, got {self.cache_point}")
+        if self.skip_point < 2:
+            raise ConfigError(
+                f"skip_point must be >= 2, got {self.skip_point}: a skip at "
+                "iteration 1 would run before any mid-block features exist")
         if self.refresh_period < 1:
             raise ConfigError(f"refresh_period must be >= 1, got {self.refresh_period}")
         if self.pivot_index < 0:
@@ -74,18 +77,9 @@ def should_recompute_attention(t: int, cfg: AccelConfig) -> bool:
 
 
 def should_skip_blocks(t: int, cfg: AccelConfig) -> bool:
-    """True when the down and mid blocks are skipped at iteration t.
-
-    A skip needs cached mid-block features, which only exist after some
-    earlier full step; skip_point == 1 would fire before any exist, so it
-    is refused with a diagnostic instead of raised.
-    """
+    """True when the down and mid blocks are skipped at iteration t."""
     if t < 1:
         raise ConfigError(f"iteration index must be >= 1, got {t}")
-    if cfg.skip_point == 1:
-        log.warning("skip_point=1 would skip before any mid-block features "
-                    "are cached; treating as never")
-        return False
     return t >= cfg.skip_point
 
 
@@ -95,19 +89,37 @@ def reuse_active(t: int, cfg: AccelConfig, batch: int) -> bool:
     return cfg.reuse and t <= cfg.cache_point and batch > 1
 
 
-def gates_fire(cfg: AccelConfig, steps: int, batch: int) -> bool:
-    """True when some gate changes how iterations 1..steps run for a batch.
+class StepGates(NamedTuple):
+    """The gate decision for one iteration, in `FlopsCounter.step` order."""
 
-    False means every step recomputes every site, none skips and reuse
-    never applies, so a run with no AccelState at all gives the same bits
-    and step flags and keeps no caches that nothing would read.  Reuse can
-    only fire from iteration 1 and a skip, once it fires, fires to the
-    end, so one iteration decides each of them.
+    recompute: bool
+    skip: bool
+    reuse: bool
+
+
+def step_gates(t: int, cfg: AccelConfig | None, batch: int) -> StepGates:
+    """The one place the three gates are combined for iteration t.
+
+    With no config every site recomputes, nothing skips and no map is
+    shared.  The denoiser obeys exactly this decision and the FLOPs
+    counter records it; `oblix.costmodel.expected_run_flops` is the
+    independent closed form the two are checked against.
     """
-    return (reuse_active(1, cfg, batch)
-            or should_skip_blocks(steps, cfg)
-            or not all(should_recompute_attention(t, cfg)
-                       for t in range(1, steps + 1)))
+    if cfg is None:
+        return StepGates(True, False, False)
+    return StepGates(should_recompute_attention(t, cfg),
+                     should_skip_blocks(t, cfg), reuse_active(t, cfg, batch))
+
+
+def gates_fire(cfg: AccelConfig, steps: int, batch: int) -> bool:
+    """True when some iteration in 1..steps differs from the neutral gates.
+
+    False means a run with no AccelState at all gives the same bits and
+    step flags and keeps no caches that nothing would read.
+    """
+    neutral = step_gates(1, None, batch)
+    return any(step_gates(t, cfg, batch) != neutral
+               for t in range(1, steps + 1))
 
 
 @dataclass
@@ -118,15 +130,12 @@ class AccelState:
     attention output of its last recomputation; ``mid_features`` holds the
     row-stacked mid-block output of the last unskipped step.  Both are
     single read-only arrays whose row block r belongs to batch row r, in
-    the layout `oblix.denoiser.unet_forward` uses.  ``cache_writes`` records
-    (iteration, site) for every overwrite so refresh behaviour is
-    observable in tests.
+    the layout `oblix.denoiser.unet_forward` uses.
     """
 
     cfg: AccelConfig
     cached_attention: dict[str, np.ndarray] = field(default_factory=dict)
     mid_features: np.ndarray | None = None
-    cache_writes: list[tuple[int, str]] = field(default_factory=list)
     _bound: tuple[int, int] | None = None
 
     def bind(self, weights_key: int, batch: int) -> None:
@@ -137,10 +146,6 @@ class AccelState:
                 "accel state belongs to a different session "
                 f"(bound {self._bound}, got {(weights_key, batch)})"
             )
-
-    def store_attention(self, site: str, t: int, out: np.ndarray) -> None:
-        self.cached_attention[site] = out
-        self.cache_writes.append((t, site))
 
     def load_attention(self, site: str) -> np.ndarray:
         if site not in self.cached_attention:

@@ -14,8 +14,9 @@ one row-stacked (N*res*res, width) matrix):
     eps  = up @ w_out + b_out
 
 Attention sites follow the gates in `oblix.accel` when an AccelState is
-supplied; with ``accel=None`` the gate machinery is bypassed entirely,
-which is the reference path the equivalence tests compare against.
+supplied; with ``accel=None`` every step runs the neutral gates (every
+site recomputes, nothing is skipped or shared or cached), which is the
+reference path the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +129,8 @@ def _init_param(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
 class ModelWeights:
     """All projections of the toy model; a pure function of (config, seed).
 
-    Parameters enter here from a caller or a file: each is copied to a
+    Parameters enter here from a caller or a file: they must be exactly
+    the names and shapes of ``_param_specs(cfg)``, and each is copied to a
     C-order float32 array, checked for finiteness and made read-only, so
     no caller can change an instance after its fingerprint is taken.
     """
@@ -136,9 +139,18 @@ class ModelWeights:
                  params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.seed = seed
+        specs = dict(_param_specs(cfg))
+        unknown = [name for name in params if name not in specs]
+        if unknown:
+            raise ConfigError(f"parameter {unknown[0]} is not in the config")
         self._params = {}
-        for name, values in params.items():
-            a = np.array(values, dtype=np.float32, order="C")
+        for name, shape in specs.items():
+            if name not in params:
+                raise ConfigError(f"parameter {name} is missing")
+            a = np.array(params[name], dtype=np.float32, order="C")
+            if a.shape != shape:
+                raise ConfigError(
+                    f"parameter {name} has shape {a.shape}, want {shape}")
             if not np.isfinite(a).all():
                 raise ConfigError(f"parameter {name} holds non-finite values")
             self._params[name] = readonly(a)
@@ -181,15 +193,12 @@ class ModelWeights:
         specs = _param_specs(cfg)
         out.write(struct.pack("<I", len(specs)))
         for name, shape in specs:
-            param = self._params[name]
-            if param.shape != shape:
-                raise InternalError(f"parameter {name} has shape {param.shape}")
             raw = name.encode()
             out.write(struct.pack("<H", len(raw)))
             out.write(raw)
             out.write(struct.pack("<B", len(shape)))
             out.write(struct.pack(f"<{len(shape)}I", *shape))
-            out.write(param.astype("<f4").tobytes())
+            out.write(self._params[name].astype("<f4").tobytes())
         with open(path, "wb") as f:
             f.write(out.getvalue())
 
@@ -205,8 +214,8 @@ class ModelWeights:
         try:
             channels, res, d_text, width, cap, heads, seed = struct.unpack_from(
                 "<6IQ", raw, off)
-            off += struct.calcsize("<6IQ")
             cfg = ModelConfig(channels, res, d_text, width, cap, heads)
+            off += struct.calcsize("<6IQ")
             (count,) = struct.unpack_from("<I", raw, off)
             off += 4
             params: dict[str, np.ndarray] = {}
@@ -214,6 +223,8 @@ class ModelWeights:
                 (name_len,) = struct.unpack_from("<H", raw, off)
                 off += 2
                 name = raw[off:off + name_len].decode("utf-8")
+                if name in params:
+                    raise ProtocolError(f"parameter {name} repeats", offset=off)
                 off += name_len
                 (ndim,) = struct.unpack_from("<B", raw, off)
                 off += 1
@@ -229,13 +240,17 @@ class ModelWeights:
                         f"offset {off}", offset=off)
                 off += 4 * n
                 params[name] = data.reshape(shape)
-        except (struct.error, ValueError, UnicodeDecodeError) as exc:
+        except (struct.error, ValueError, UnicodeDecodeError,
+                ConfigError) as exc:
             raise ProtocolError(f"corrupt weights file near offset {off}: {exc}",
                                 offset=off) from None
         if off != len(raw):
             raise ProtocolError(
                 f"trailing bytes in weights file at offset {off}", offset=off)
-        return cls(cfg, seed, params)
+        try:
+            return cls(cfg, seed, params)
+        except ConfigError as exc:
+            raise ProtocolError(f"invalid weights file: {exc}") from None
 
     def fingerprint(self) -> int:
         """FNV-1a 64 of every parameter's bytes in serialization order.
@@ -291,29 +306,6 @@ def time_vector(t: int, cfg: ModelConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Attention with gate routing
-# ---------------------------------------------------------------------------
-
-
-def _attention(q: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
-               n: int, accel: AccelState | None, step: int,
-               trace: dict | None = None) -> np.ndarray:
-    params = w.attn(site)
-    if accel is None:
-        out = accel_mod.attend(q, kv, params, site, n)
-    elif not accel_mod.should_recompute_attention(step, accel.cfg):
-        out = accel.load_attention(site)
-    else:
-        reuse = accel_mod.reuse_active(step, accel.cfg, n)
-        out = accel_mod.attend(q, kv, params, site, n,
-                               accel.cfg.pivot_index if reuse else None)
-        accel.store_attention(site, step, out)
-    if trace is not None:
-        trace[(step, site)] = out.reshape((n, -1, out.shape[1]))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # U-Net forward
 # ---------------------------------------------------------------------------
 
@@ -330,17 +322,27 @@ def _mix(mix: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 
 
 def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
-                n: int, accel, step, trace) -> np.ndarray:
-    out = _attention(h, kv, w, site, n, accel, step, trace)
+                n: int, accel: AccelState | None, recompute: bool,
+                pivot: int | None) -> np.ndarray:
+    """One attention site plus its output projection and residual.
+
+    When not recomputing, the site serves its cached output; otherwise it
+    attends and, with a state, caches the result for later steps.
+    """
     params = w.attn(site)
+    if not recompute:
+        out = accel.load_attention(site)
+    else:
+        out = accel_mod.attend(h, kv, params, site, n, pivot)
+        if accel is not None:
+            accel.cached_attention[site] = out
     with flops_tag(f"{site}/proj"):
         projected = add_rowvec(matmul(out, params.wo), params.bo)
     return add(h, projected)
 
 
 def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
-                 w: ModelWeights, accel: AccelState | None = None,
-                 trace: dict | None = None) -> np.ndarray:
+                 w: ModelWeights, accel: AccelState | None = None) -> np.ndarray:
     """Predict per-row noise for a batch of latents at iteration t.
 
     ``latents`` is (N, channels, res, res) with one text embedding per row.
@@ -348,8 +350,9 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     block r holds the S = res*res tokens of batch row r, so every
     projection, bias, tanh and residual runs once per step for the whole
     batch; only the attention maps run per row (`oblix.accel.attend`).
-    When the skip gate fires, down and mid blocks are not executed and the
-    cached mid features feed the up block.
+    The gates of iteration t come from `oblix.accel.step_gates`.  When the
+    skip gate fires, down and mid blocks are not executed and the cached
+    mid features feed the up block.
 
     Batch composition never changes a row's bits: each output row equals
     a one-row run of that row, bit for bit.  That holds because every op
@@ -369,6 +372,9 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
         )
     if accel is not None:
         accel.bind(w.fingerprint(), n)
+    recompute, skip, reuse = accel_mod.step_gates(
+        t, None if accel is None else accel.cfg, n)
+    route = (accel, recompute, accel.cfg.pivot_index if reuse else None)
 
     s, c = cfg.tokens, cfg.channels
     text = np.concatenate([te.matrix for te in texts])
@@ -376,7 +382,6 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     base = add_rowvec(add_rowvec(matmul(tokens, w["w_in"]), w["b_in"]),
                       time_vector(t, cfg))
 
-    skip = accel is not None and accel_mod.should_skip_blocks(t, accel.cfg)
     if skip:
         if accel.mid_features is None:
             raise InternalError("skip gate fired with no cached mid features")
@@ -384,19 +389,19 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     else:
         down = tanh_map(add_rowvec(
             matmul(_mix(w["mix_down"], base, n), w["w_down"]), w["b_down"]))
-        down = _attn_block(down, down, w, "down.self", n, accel, t, trace)
-        down = _attn_block(down, text, w, "down.cross", n, accel, t, trace)
+        down = _attn_block(down, down, w, "down.self", n, *route)
+        down = _attn_block(down, text, w, "down.cross", n, *route)
 
         mid = tanh_map(add_rowvec(matmul(down, w["w_mid"]), w["b_mid"]))
-        mid = _attn_block(mid, mid, w, "mid.self", n, accel, t, trace)
-        mid = _attn_block(mid, text, w, "mid.cross", n, accel, t, trace)
+        mid = _attn_block(mid, mid, w, "mid.self", n, *route)
+        mid = _attn_block(mid, text, w, "mid.cross", n, *route)
         if accel is not None:
             accel.mid_features = mid
 
     up = tanh_map(add_rowvec(
         matmul(_mix(w["mix_up"], add(base, mid), n), w["w_up"]), w["b_up"]))
-    up = _attn_block(up, up, w, "up.self", n, accel, t, trace)
-    up = _attn_block(up, text, w, "up.cross", n, accel, t, trace)
+    up = _attn_block(up, up, w, "up.self", n, *route)
+    up = _attn_block(up, text, w, "up.cross", n, *route)
 
     eps = add_rowvec(matmul(up, w["w_out"]), w["b_out"])
     return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
@@ -406,8 +411,7 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
 def run_denoise_steps(latents: np.ndarray, texts: list[TextEmbedding],
                       sched: NoiseSchedule, w: ModelWeights,
                       first_iter: int, last_iter: int,
-                      accel: AccelState | None = None,
-                      trace: dict | None = None) -> np.ndarray:
+                      accel: AccelState | None = None) -> np.ndarray:
     """Run iterations [first_iter, last_iter] of the deterministic sampler.
 
     Iteration i moves the batch from schedule index T-i+1 to T-i.  The
@@ -420,29 +424,15 @@ def run_denoise_steps(latents: np.ndarray, texts: list[TextEmbedding],
             f"iteration range [{first_iter}, {last_iter}] outside [1, {total}]"
         )
     counter = active_counter()
+    cfg = None if accel is None else accel.cfg
     x = latents
     for i in range(first_iter, last_iter + 1):
-        flags = {
-            "recompute": accel is None
-            or accel_mod.should_recompute_attention(i, accel.cfg),
-            "skip": accel is not None and accel_mod.should_skip_blocks(i, accel.cfg),
-            "reuse": accel is not None
-            and accel_mod.reuse_active(i, accel.cfg, latents.shape[0]),
-        }
-        t_sched = total - i + 1
-        if counter is not None:
-            with counter.step(i, **flags):
-                x = _one_step(x, texts, i, t_sched, sched, w, accel, trace)
-        else:
-            x = _one_step(x, texts, i, t_sched, sched, w, accel, trace)
+        gates = accel_mod.step_gates(i, cfg, latents.shape[0])
+        with nullcontext() if counter is None else counter.step(i, *gates):
+            # no name keeps eps alive through the next step's forward
+            x = ddim_step(x, unet_forward(x, texts, i, w, accel),
+                          total - i + 1, total - i, sched)
     return x
-
-
-def _one_step(x: np.ndarray, texts, i: int, t_sched: int,
-              sched: NoiseSchedule, w: ModelWeights, accel,
-              trace) -> np.ndarray:
-    eps = unet_forward(x, texts, i, w, accel, trace)
-    return ddim_step(x, eps, t_sched, t_sched - 1, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -43,25 +43,27 @@ class AttributeLexicon:
     def __init__(self, classes: list[AttributeClass]):
         if not classes:
             raise ConfigError("lexicon needs at least one attribute class")
-        seen: dict[str, str] = {}
+        # token tuple of each surface -> (class name, canonical value)
+        self.surfaces: dict[tuple[str, ...], tuple[str, str]] = {}
         for cls in classes:
             if not cls.values:
                 raise ConfigError(f"class {cls.name!r} has an empty value space")
             if len(set(cls.values)) != len(cls.values):
                 raise ConfigError(f"class {cls.name!r} repeats a value")
-            for surface in cls.synonyms:
-                if surface in seen:
+            for surface, canonical in cls.synonyms.items():
+                key = tuple(surface.split())
+                owner = self.surfaces.get(key)
+                if owner is not None and owner[0] != cls.name:
                     raise ConfigError(
                         f"surface {surface!r} appears in classes "
-                        f"{seen[surface]!r} and {cls.name!r}"
+                        f"{owner[0]!r} and {cls.name!r}"
                     )
-                seen[surface] = cls.name
+                self.surfaces[key] = (cls.name, canonical)
         self.classes = tuple(classes)
         self._by_name = {c.name: c for c in classes}
+        self._order = {c.name: i for i, c in enumerate(classes)}
         # longest synonym first so multi-token surfaces win the scan
-        self._max_ngram = max(
-            len(surface.split()) for c in classes for surface in c.synonyms
-        )
+        self.max_ngram = max(len(key) for key in self.surfaces)
 
     def class_named(self, name: str) -> AttributeClass:
         if name not in self._by_name:
@@ -69,7 +71,7 @@ class AttributeLexicon:
         return self._by_name[name]
 
     def class_order(self, name: str) -> int:
-        return [c.name for c in self.classes].index(name)
+        return self._order[name]
 
     @classmethod
     def from_text(cls, text: str) -> "AttributeLexicon":
@@ -178,19 +180,14 @@ def detect_attributes(prompt: str, lex: AttributeLexicon) -> list[Detection]:
     tokens = norm.split()
     cores = [_split_token(t)[1].lower() for t in tokens]
 
-    surface_map: dict[tuple[str, ...], tuple[str, str]] = {}
-    for cls in lex.classes:
-        for surface, canonical in cls.synonyms.items():
-            surface_map[tuple(surface.split())] = (cls.name, canonical)
-
     found: dict[str, Detection] = {}
     i = 0
     while i < len(tokens):
         matched = False
-        for n in range(min(lex._max_ngram, len(tokens) - i), 0, -1):
+        for n in range(min(lex.max_ngram, len(tokens) - i), 0, -1):
             key = tuple(cores[i:i + n])
-            if key in surface_map and all(key):
-                cls_name, canonical = surface_map[key]
+            if key in lex.surfaces and all(key):
+                cls_name, canonical = lex.surfaces[key]
                 if cls_name in found:
                     log.warning(
                         "attribute class %r occurs again at token %d; "

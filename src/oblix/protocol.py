@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import AccelConfig, AccelState, gates_fire, reuse_active
+from .accel import AccelConfig, AccelState, gates_fire, step_gates
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import (
     ConfigError,
@@ -337,10 +337,9 @@ class Server:
         w = self.weights[req.model_id]
         cfg = w.cfg
         n = len(req.candidates)
-        gated = req.cloud_steps > 0
         try:
             sched = req.schedule.build()
-            accel_cfg = req.accel_config() if gated else None
+            accel_cfg = req.accel_config() if req.cloud_steps > 0 else None
             texts = [embed_prompt(p, cfg) for p in req.candidates]
         except (ConfigError, InputError) as exc:
             raise ProtocolError(f"invalid request: {exc}") from None
@@ -353,8 +352,7 @@ class Server:
                 f"switch point {req.cloud_steps} exceeds schedule of "
                 f"{sched.steps} steps")
         # every gated run starts at iteration 1, where reuse fires if it ever does
-        if accel_cfg is not None and reuse_active(1, accel_cfg, n) \
-                and req.pivot_index >= n:
+        if step_gates(1, accel_cfg, n).reuse and req.pivot_index >= n:
             raise ProtocolError(
                 f"pivot_index {req.pivot_index} outside {n} candidates")
 
@@ -362,9 +360,9 @@ class Server:
         latents = np.stack([base] * n)
 
         counter = FlopsCounter()
-        if req.cloud_steps > 0:
+        if accel_cfg is not None:
             # a run that no gate can change keeps no caches
-            fires = gated and gates_fire(accel_cfg, req.cloud_steps, n)
+            fires = gates_fire(accel_cfg, req.cloud_steps, n)
             state = AccelState(accel_cfg) if fires else None
             with use_flops_counter(counter):
                 latents = run_denoise_steps(

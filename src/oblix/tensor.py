@@ -69,7 +69,7 @@ class FlopsCounter:
                 self.tagged[key] = self.tagged.get(key, 0) + n
 
     @contextmanager
-    def step(self, index: int, *, recompute: bool = True, skip: bool = False,
+    def step(self, index: int, recompute: bool = True, skip: bool = False,
              reuse: bool = False):
         if self._current is not None:
             raise InternalError("nested step contexts on one counter")

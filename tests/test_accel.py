@@ -13,12 +13,13 @@ from oblix.accel import (
     reuse_active,
     should_recompute_attention,
     should_skip_blocks,
+    step_gates,
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
 from oblix.errors import ConfigError, SessionError, ShapeError
 from oblix.tensor import Rng, row_blocks
 
-from bitwise import same_bits
+from bitwise import WriteLog, same_bits
 
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -59,12 +60,11 @@ def test_skip_gate_never_encoding():
     assert not any(should_skip_blocks(t, cfg) for t in range(1, 26))
 
 
-def test_skip_point_one_refused_with_diagnostic(caplog):
-    cfg = AccelConfig(skip_point=1)
-    with caplog.at_level("WARNING", logger="oblix.accel"):
-        assert should_skip_blocks(1, cfg) is False
-        assert should_skip_blocks(9, cfg) is False
-    assert any("skip_point=1" in rec.message for rec in caplog.records)
+def test_skip_point_one_refused_with_diagnostic():
+    # a skip at iteration 1 would have no cached mid features to feed
+    with pytest.raises(ConfigError, match="skip_point must be >= 2, got 1"):
+        AccelConfig(skip_point=1)
+    assert AccelConfig(skip_point=2).skip_point == 2
 
 
 def test_gate_truth_tables_for_shipped_configurations():
@@ -88,10 +88,15 @@ def test_gate_totality():
 
 def test_gates_fire_matches_the_per_step_gates():
     for cache, skip, refresh, reuse, steps, batch in itertools.product(
-            (1, 2, 4, 8), (1, 2, 4, 8, 9), (1, 3, 5), (False, True),
+            (1, 2, 4, 8), (2, 4, 8, 9), (1, 3, 5), (False, True),
             (1, 4, 8), (1, 2)):
         cfg = AccelConfig(cache_point=cache, skip_point=skip,
                           refresh_period=refresh, reuse=reuse)
+        for t in range(1, steps + 1):
+            assert step_gates(t, cfg, batch) == (
+                should_recompute_attention(t, cfg), should_skip_blocks(t, cfg),
+                reuse_active(t, cfg, batch)), (cfg, t, batch)
+            assert step_gates(t, None, batch) == (True, False, False)
         fires = any(not should_recompute_attention(t, cfg)
                     or should_skip_blocks(t, cfg)
                     or reuse_active(t, cfg, batch)
@@ -190,17 +195,19 @@ def test_accel_state_session_binding():
 def test_cache_refresh_overwrites_every_fifth_step():
     cfg = AccelConfig(cache_point=3, skip_point=never(25), refresh_period=5)
     state = AccelState(cfg)
+    state.cached_attention = writes = WriteLog()
     x = _latents(2)
     for t in range(1, 26):
+        writes.step = t
         x = unet_forward(x, _texts(2), t, W, state)
     recompute_steps = {t for t in range(1, 26) if t <= 3 or t % 5 == 0}
     sites = {"down.self", "down.cross", "mid.self", "mid.cross",
              "up.self", "up.cross"}
     written = {}
-    for t, site in state.cache_writes:
-        written.setdefault(t, set()).add(site)
+    for t, site, _ in writes.log:
+        written.setdefault(t, []).append(site)
     assert set(written) == recompute_steps
-    assert all(v == sites for v in written.values())
+    assert all(sorted(v) == sorted(sites) for v in written.values())
 
 
 def test_cached_output_is_served_between_refreshes():

@@ -22,6 +22,7 @@ from oblix.costmodel import (
     transmission_bytes,
 )
 from oblix.denoiser import (
+    SITES,
     ModelConfig,
     ModelWeights,
     decode_latent,
@@ -47,9 +48,10 @@ from oblix.protocol import (
 from oblix.schedule import build_schedule, ddim_step, forward_diffuse, \
     reverse_step_eq1
 from oblix.security import check_indistinguishability, distinguisher_experiment
-from oblix.tensor import FlopsCounter, Rng, fp16_roundtrip, use_flops_counter
+from oblix.tensor import FlopsCounter, Rng, fp16_roundtrip, row_blocks, \
+    use_flops_counter
 
-from bitwise import same_bits
+from bitwise import WriteLog, follow_steps, same_bits
 
 LEX = default_lexicon()
 TOY = ModelConfig()                       # 4 channels, res 16, width 32
@@ -156,11 +158,15 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
         seen = []
         real = oblix.protocol.run_denoise_steps
 
-        def spy(latents, texts, sched, w, first, last, accel=None, trace=None):
+        def spy(latents, texts, sched, w, first, last, accel=None):
             seen.append(accel)
-            return real(latents, texts, sched, w, first, last, accel, trace)
+            if accel is not None:
+                accel.cached_attention = WriteLog()
+            return real(latents, texts, sched, w, first, last, accel)
 
         monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
+        follow_steps(monkeypatch)
+        every_site = [(t, site) for t in range(1, 13) for site in SITES]
         transport = SimulatedTransport(Server({"toy": TOY_W}))
         for seed in range(5):
             cfg = _session(k=12, seed=seed)
@@ -172,15 +178,17 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
                 gated = client_run_session(prompt, cfg, transport, TOY_W, LEX)
             state = seen[2]
             assert isinstance(state, AccelState) and seen[3] is None, seed
-            assert len(state.cache_writes) == 12 * 6  # every site, every step
+            written = [(t, site) for t, site, _ in state.cached_attention.log]
+            assert written == every_site, seed  # 72 writes
             assert same_bits(gated.image, gate_free.image), seed
 
     _report(5, "neutral gates match the accel-free pipeline bitwise over "
                "5 seeds", body)
 
 
-def test_criterion_06_pivot_invariance():
+def test_criterion_06_pivot_invariance(monkeypatch):
     def body():
+        follow_steps(monkeypatch)
         sched = build_schedule(25)
         for n in (2, 6):
             rows = [Rng(500).gaussian((TOY.channels, TOY.res, TOY.res))] * n
@@ -194,14 +202,23 @@ def test_criterion_06_pivot_invariance():
                 with_reuse = AccelConfig(switch_point=k,
                                          cache_point=cache_point,
                                          skip_point=skip_point, reuse=True)
-                trace_a, trace_b = {}, {}
+                state_a, state_b = AccelState(base), AccelState(with_reuse)
+                state_a.cached_attention = writes_a = WriteLog()
+                state_b.cached_attention = writes_b = WriteLog()
                 out_a = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
-                                          AccelState(base), trace_a)
+                                          state_a)
                 out_b = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
-                                          AccelState(with_reuse), trace_b)
-                assert set(trace_a) == set(trace_b)
-                for key in trace_a:
-                    assert same_bits(trace_a[key][0], trace_b[key][0]), key
+                                          state_b)
+                # both write at every recomputed (step, site), in order
+                want = [(t, site) for t in range(1, k + 1)
+                        if should_recompute_attention(t, base)
+                        for site in SITES if site.startswith("up")
+                        or not should_skip_blocks(t, base)]
+                for writes in (writes_a, writes_b):
+                    assert [(t, site) for t, site, _ in writes.log] == want
+                for (t, site, a), (_, _, b) in zip(writes_a.log, writes_b.log):
+                    assert same_bits(row_blocks(a, n)[0],
+                                     row_blocks(b, n)[0]), (t, site)
                 assert same_bits(out_a[0], out_b[0])
 
     _report(6, "pivot row is bitwise invariant under reuse at every step "

@@ -293,6 +293,72 @@ def test_weights_load_rejects_truncation(tmp_path):
         ModelWeights.load(str(truncated))
 
 
+def _entries(w):
+    return [(name, w[name]) for name, _ in oblix.denoiser._param_specs(w.cfg)]
+
+
+def _write_weights(path, entries, cfg=CFG, seed=7):
+    """A weights file holding exactly ``entries``, (name, array) in order."""
+    out = bytearray(b"OBLW\x01")
+    out += struct.pack("<6IQ", cfg.channels, cfg.res, cfg.d_text, cfg.width,
+                       cfg.token_capacity, cfg.heads, seed)
+    out += struct.pack("<I", len(entries))
+    for name, a in entries:
+        out += struct.pack("<H", len(name)) + name.encode()
+        out += struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape)
+        out += a.astype("<f4").tobytes()
+    path.write_bytes(bytes(out))
+
+
+# each edit of a valid parameter list, and the parameter it must name
+WRONG_PARAMETER_SETS = {
+    "missing last": (lambda e: e[:-1], "up.cross.bo"),
+    "unknown extra": (lambda e: e + [("spare", np.zeros(3, np.float32))],
+                      "spare"),
+    "misshapen": (lambda e: [(n, np.zeros((4, 15), np.float32)
+                              if n == "w_in" else a) for n, a in e], "w_in"),
+}
+
+
+def test_weights_file_writer_matches_save(tmp_path):
+    W.save(str(tmp_path / "saved.oblw"))
+    _write_weights(tmp_path / "written.oblw", _entries(W))
+    assert (tmp_path / "saved.oblw").read_bytes() == \
+        (tmp_path / "written.oblw").read_bytes()
+
+
+@pytest.mark.parametrize("edit,name", WRONG_PARAMETER_SETS.values(),
+                         ids=WRONG_PARAMETER_SETS.keys())
+def test_weights_refuse_wrong_parameter_set(tmp_path, edit, name):
+    entries = edit(_entries(W))
+    with pytest.raises(ConfigError, match=f"parameter {name} "):
+        ModelWeights(CFG, 7, dict(entries))
+    _write_weights(tmp_path / "edited.oblw", entries)
+    with pytest.raises(ProtocolError, match=f"parameter {name} "):
+        ModelWeights.load(str(tmp_path / "edited.oblw"))
+
+
+def test_weights_load_rejects_repeated_parameter(tmp_path):
+    _write_weights(tmp_path / "twice.oblw", _entries(W) + _entries(W)[:1])
+    with pytest.raises(ProtocolError, match="parameter w_in repeats"):
+        ModelWeights.load(str(tmp_path / "twice.oblw"))
+
+
+def test_replace_refuses_misshapen_parameter():
+    with pytest.raises(ConfigError, match="parameter w_in has shape"):
+        W.replace(w_in=np.zeros((4, 15), np.float32))
+
+
+def test_weights_load_rejects_invalid_config_header(tmp_path):
+    W.save(str(tmp_path / "model.oblw"))
+    raw = bytearray((tmp_path / "model.oblw").read_bytes())
+    struct.pack_into("<I", raw, 9, 3)  # res = 3, not a power of two
+    (tmp_path / "res3.oblw").write_bytes(raw)
+    with pytest.raises(ProtocolError, match="power of two") as err:
+        ModelWeights.load(str(tmp_path / "res3.oblw"))
+    assert err.value.offset == 5  # the config block
+
+
 def test_weights_load_rejects_non_finite_parameter(tmp_path):
     W.save(str(tmp_path / "model.oblw"))
     raw = bytearray((tmp_path / "model.oblw").read_bytes())

@@ -208,6 +208,13 @@ def test_lexicon_rejects_cross_class_synonym_collision():
             "[a]\nx: shared\n[b]\ny: shared\n")
 
 
+def test_lexicon_rejects_surfaces_that_scan_as_the_same_tokens():
+    # detection matches token tuples, so spacing cannot split a collision
+    with pytest.raises(ConfigError, match="appears in classes 'a' and 'b'"):
+        AttributeLexicon.from_text(
+            "[a]\nx: dark skin\n[b]\ny: dark   skin\n")
+
+
 def test_lexicon_parse_rejects_orphan_value():
     with pytest.raises(ConfigError):
         AttributeLexicon.from_text("lonely: alone\n")

@@ -299,6 +299,7 @@ def test_server_rejects_unknown_model():
 INVALID_REQUESTS = {
     "pivot outside batch": dict(reuse=True, pivot_index=5),
     "zero refresh period": dict(refresh_period=0),
+    "skip point 1": dict(skip_point=1),
     "whitespace candidate": dict(candidates=("a prompt", "   ")),
     "zero schedule steps": dict(cloud_steps=0, schedule=ScheduleParams(0)),
     # alpha_bar_T is exactly 0.0, so ddim_step would divide by zero
@@ -326,6 +327,7 @@ def test_server_refuses_invalid_request_before_compute(fields, monkeypatch):
     dict(reuse=False, pivot_index=5),                 # pivot never read
     dict(reuse=True, pivot_index=5, candidates=("solo prompt",)),
     dict(refresh_period=0, cloud_steps=0),            # no gate runs
+    dict(skip_point=1, cloud_steps=0),                # no gate runs
 ])
 def test_server_accepts_gate_fields_that_never_take_effect(fields):
     _server().handle_request(_request(**fields))
@@ -335,9 +337,9 @@ def _spy_on_accel_state(monkeypatch):
     seen = []
     real = oblix.protocol.run_denoise_steps
 
-    def spy(latents, texts, sched, w, first, last, accel=None, trace=None):
+    def spy(latents, texts, sched, w, first, last, accel=None):
         seen.append(accel)
-        return real(latents, texts, sched, w, first, last, accel, trace)
+        return real(latents, texts, sched, w, first, last, accel)
 
     monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
     return seen
