@@ -2,7 +2,6 @@
 
 from .accel import (
     AccelConfig,
-    AccelState,
     never,
     should_recompute_attention,
     should_skip_blocks,

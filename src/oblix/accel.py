@@ -1,4 +1,4 @@
-"""Server-side acceleration gates and their session state.
+"""Server-side acceleration gates and the caches one run keeps.
 
 Three independent mechanisms, all pure functions of the iteration index
 and the config:
@@ -124,7 +124,11 @@ def gates_fire(cfg: AccelConfig, steps: int, batch: int) -> bool:
 
 @dataclass
 class AccelState:
-    """Per-session caches written by the denoiser as gates fire.
+    """Caches written by the denoiser as gates fire, for one run only.
+
+    `oblix.denoiser.run_denoise_steps` makes a fresh state for each run
+    whose gates can fire and drops it when the run ends, so a state never
+    meets a second batch or a second set of weights.
 
     ``cached_attention`` maps a site id to the row-stacked (N*S, width)
     attention output of its last recomputation; ``mid_features`` holds the
@@ -136,16 +140,6 @@ class AccelState:
     cfg: AccelConfig
     cached_attention: dict[str, np.ndarray] = field(default_factory=dict)
     mid_features: np.ndarray | None = None
-    _bound: tuple[int, int] | None = None
-
-    def bind(self, weights_key: int, batch: int) -> None:
-        if self._bound is None:
-            self._bound = (weights_key, batch)
-        elif self._bound != (weights_key, batch):
-            raise SessionError(
-                "accel state belongs to a different session "
-                f"(bound {self._bound}, got {(weights_key, batch)})"
-            )
 
     def load_attention(self, site: str) -> np.ndarray:
         if site not in self.cached_attention:

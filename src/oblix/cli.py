@@ -19,7 +19,7 @@ import numpy as np
 from .accel import AccelConfig
 from .costmodel import counted_flops_report
 from .denoiser import ModelConfig, ModelWeights
-from .errors import ConfigError, OblixError
+from .errors import ConfigError, InputError, OblixError
 from .oblivious import (
     AttributeLexicon,
     DEFAULT_TEMPLATES,
@@ -71,6 +71,20 @@ class RunConfig:
     templates: tuple[str, ...]
 
 
+def _typed(sec: configparser.SectionProxy, key: str, kind: type, default):
+    """``sec[key]`` converted to ``kind``; a missing or empty key gives
+    ``default`` and a value that does not convert is a ConfigError naming
+    its section and key."""
+    if not sec.get(key):
+        return default
+    getter = {int: sec.getint, float: sec.getfloat, bool: sec.getboolean}[kind]
+    try:
+        return getter(key)
+    except ValueError:
+        raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a "
+                          f"valid {kind.__name__}") from None
+
+
 def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
     path_key, seed_key = f"{role}_path", f"{role}_seed"
     if section.get(path_key):
@@ -78,13 +92,10 @@ def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
         if not os.path.exists(path):
             raise ConfigError(f"{path_key} points at missing file {path!r}")
         return ModelWeights.load(path)
-    seed = section.get(seed_key)
-    if not seed:
+    seed = _typed(section, seed_key, int, None)
+    if seed is None:
         raise ConfigError(f"[model] needs {path_key} or {seed_key}")
-    try:
-        return ModelWeights.build(model_cfg, int(seed))
-    except ValueError:
-        raise ConfigError(f"{seed_key} must be an integer, got {seed!r}") from None
+    return ModelWeights.build(model_cfg, seed)
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
@@ -92,62 +103,67 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     exist and parse before any computation starts."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
-    parser = configparser.ConfigParser()
-    parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(dict.fromkeys(
+        ("model", "schedule", "accel", "channel", "run", "transport"), {}))
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} does not parse: {exc}") \
+            from None
 
-    model_sec = parser["model"] if parser.has_section("model") else {}
+    model_sec = parser["model"]
     model_cfg = ModelConfig(
-        channels=int(model_sec.get("channels", 4)),
-        res=int(model_sec.get("res", 16)),
-        d_text=int(model_sec.get("d_text", 32)),
-        width=int(model_sec.get("width", 32)),
-        token_capacity=int(model_sec.get("token_capacity", 16)),
-        heads=int(model_sec.get("heads", 1)),
+        channels=_typed(model_sec, "channels", int, 4),
+        res=_typed(model_sec, "res", int, 16),
+        d_text=_typed(model_sec, "d_text", int, 32),
+        width=_typed(model_sec, "width", int, 32),
+        token_capacity=_typed(model_sec, "token_capacity", int, 16),
+        heads=_typed(model_sec, "heads", int, 1),
     )
     cloud = _weights_from(model_sec, "cloud", model_cfg)
     device = _weights_from(model_sec, "device", model_cfg)
 
-    sched_sec = parser["schedule"] if parser.has_section("schedule") else {}
+    sched_sec = parser["schedule"]
     schedule = ScheduleParams(
-        steps=int(sched_sec.get("steps", 25)),
-        beta_start=float(sched_sec.get("beta_start", 0.00085)),
-        beta_end=float(sched_sec.get("beta_end", 0.012)),
+        steps=_typed(sched_sec, "steps", int, 25),
+        beta_start=_typed(sched_sec, "beta_start", float, 0.00085),
+        beta_end=_typed(sched_sec, "beta_end", float, 0.012),
         spacing=sched_sec.get("spacing", "scaled-linear"),
     )
     schedule.build()  # validate early
-    device_steps = sched_sec.get("device_steps")
 
-    accel_sec = parser["accel"] if parser.has_section("accel") else {}
+    accel_sec = parser["accel"]
     default_never = schedule.steps + 1
     accel = AccelConfig(
-        switch_point=int(accel_sec.get("switch_point", 0)),
-        cache_point=int(accel_sec.get("cache_point", default_never)),
-        skip_point=int(accel_sec.get("skip_point", default_never)),
-        reuse=str(accel_sec.get("reuse", "false")).lower() in ("1", "true", "yes", "on"),
-        refresh_period=int(accel_sec.get("refresh_period", 5)),
-        pivot_index=int(accel_sec.get("pivot_index", 0)),
+        switch_point=_typed(accel_sec, "switch_point", int, 0),
+        cache_point=_typed(accel_sec, "cache_point", int, default_never),
+        skip_point=_typed(accel_sec, "skip_point", int, default_never),
+        reuse=_typed(accel_sec, "reuse", bool, False),
+        refresh_period=_typed(accel_sec, "refresh_period", int, 5),
+        pivot_index=_typed(accel_sec, "pivot_index", int, 0),
     )
     if accel.switch_point > schedule.steps:
         raise ConfigError(
             f"switch_point {accel.switch_point} exceeds {schedule.steps} steps")
 
-    chan_sec = parser["channel"] if parser.has_section("channel") else {}
+    chan_sec = parser["channel"]
     channel = ChannelModel(
-        bandwidth_bps=float(chan_sec.get("bandwidth_bps", 18.88e6)),
-        rtt_s=float(chan_sec.get("rtt_s", 0.0)),
+        bandwidth_bps=_typed(chan_sec, "bandwidth_bps", float, 18.88e6),
+        rtt_s=_typed(chan_sec, "rtt_s", float, 0.0),
     )
 
-    run_sec = parser["run"] if parser.has_section("run") else {}
+    run_sec = parser["run"]
     seed = seed_override if seed_override is not None \
-        else int(run_sec.get("seed", 0))
+        else _typed(run_sec, "seed", int, 0)
 
     session = SessionConfig(
         model_id=model_sec.get("id", "toy"),
         seed=seed,
         accel=accel,
         cloud_schedule=schedule,
-        device_steps=int(device_steps) if device_steps else None,
-        dt_shift=int(sched_sec.get("dt_shift", 0)),
+        device_steps=_typed(sched_sec, "device_steps", int, None),
+        dt_shift=_typed(sched_sec, "dt_shift", int, 0),
         channel=channel,
     )
 
@@ -156,7 +172,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     tpl_path = run_sec.get("templates")
     templates = load_templates(tpl_path) if tpl_path else DEFAULT_TEMPLATES
 
-    transport_sec = parser["transport"] if parser.has_section("transport") else {}
+    transport_sec = parser["transport"]
     return RunConfig(
         model_id=session.model_id,
         model=model_cfg,
@@ -165,7 +181,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         session=session,
         transport_mode=transport_sec.get("mode", "simulated"),
         host=transport_sec.get("host", "127.0.0.1"),
-        port=int(transport_sec.get("port", 7410)),
+        port=_typed(transport_sec, "port", int, 7410),
         out_path=run_sec.get("out", "oblix_out.ppm"),
         report_path=run_sec.get("report", "oblix_report.jsonl"),
         lexicon=lexicon,
@@ -319,10 +335,14 @@ def cmd_dataset(args) -> int:
 
 def cmd_attest(args) -> int:
     rc = load_run_config(args.config)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     if args.prompt:
         prompts = [args.prompt]
     elif args.corpus:
         prompts = [rec["prompt"] for rec in read_corpus(args.corpus)]
+        if not prompts:
+            raise InputError(f"corpus {args.corpus!r} holds no prompts")
     else:
         prompts = [rec["prompt"]
                    for rec in generate_corpus(rc.templates, rc.lexicon)]

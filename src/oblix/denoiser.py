@@ -13,8 +13,8 @@ one row-stacked (N*res*res, width) matrix):
     up   = (h0 + mid features), mix, projection + tanh, both attentions
     eps  = up @ w_out + b_out
 
-Attention sites follow the gates in `oblix.accel` when an AccelState is
-supplied; with ``accel=None`` every step runs the neutral gates (every
+Attention sites follow the gates in `oblix.accel` when a run is given an
+AccelConfig; with ``accel=None`` every step runs the neutral gates (every
 site recomputes, nothing is skipped or shared or cached), which is the
 reference path the equivalence tests compare against.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel as accel_mod
-from .accel import AccelState
+from .accel import AccelConfig, AccelState, gates_fire
 from .errors import ConfigError, InputError, InternalError, ProtocolError
 from .schedule import NoiseSchedule, ddim_step
 from .tensor import (
@@ -132,7 +132,7 @@ class ModelWeights:
     Parameters enter here from a caller or a file: they must be exactly
     the names and shapes of ``_param_specs(cfg)``, and each is copied to a
     C-order float32 array, checked for finiteness and made read-only, so
-    no caller can change an instance after its fingerprint is taken.
+    no caller can change an instance once it is built.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int,
@@ -154,7 +154,6 @@ class ModelWeights:
             if not np.isfinite(a).all():
                 raise ConfigError(f"parameter {name} holds non-finite values")
             self._params[name] = readonly(a)
-        self._fingerprint: int | None = None
         p = self._params
         self._sites = {
             site: AttnSite(p[f"{site}.wq"], p[f"{site}.wk"], p[f"{site}.wv"],
@@ -253,17 +252,9 @@ class ModelWeights:
             raise ProtocolError(f"invalid weights file: {exc}") from None
 
     def fingerprint(self) -> int:
-        """FNV-1a 64 of every parameter's bytes in serialization order.
-
-        Computed once per instance, on first call, and kept: parameters are
-        read-only and ``build``/``load``/``replace`` return new instances,
-        so the value cannot go stale.  Hashing stays lazy because weights
-        that never meet a gated step never need it.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = fnv1a64(b"".join(
-                self._params[n].tobytes() for n, _ in _param_specs(self.cfg)))
-        return self._fingerprint
+        """FNV-1a 64 of every parameter's bytes in serialization order."""
+        return fnv1a64(b"".join(
+            self._params[n].tobytes() for n, _ in _param_specs(self.cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +361,6 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
             f"latent shape {latents.shape[1:]} does not match config "
             f"({cfg.channels}, {cfg.res}, {cfg.res})"
         )
-    if accel is not None:
-        accel.bind(w.fingerprint(), n)
     recompute, skip, reuse = accel_mod.step_gates(
         t, None if accel is None else accel.cfg, n)
     route = (accel, recompute, accel.cfg.pivot_index if reuse else None)
@@ -411,26 +400,35 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
 def run_denoise_steps(latents: np.ndarray, texts: list[TextEmbedding],
                       sched: NoiseSchedule, w: ModelWeights,
                       first_iter: int, last_iter: int,
-                      accel: AccelState | None = None) -> np.ndarray:
+                      accel: AccelConfig | None = None) -> np.ndarray:
     """Run iterations [first_iter, last_iter] of the deterministic sampler.
 
     Iteration i moves the batch from schedule index T-i+1 to T-i.  The
     active FLOPs counter (if any) gets one step bucket per iteration with
-    the gate flags that were in force.
+    the gate flags that were in force.  A run whose gates can fire makes
+    its own AccelState and drops it on return; since its caches start
+    empty, such a run must start at iteration 1.  A run whose gates cannot
+    fire keeps no caches, with the same bits and step flags.
     """
     total = sched.steps
     if not 1 <= first_iter <= last_iter <= total:
         raise ConfigError(
             f"iteration range [{first_iter}, {last_iter}] outside [1, {total}]"
         )
+    n = latents.shape[0]
+    state = None
+    if accel is not None and gates_fire(accel, last_iter, n):
+        if first_iter != 1:
+            raise ConfigError(
+                f"a gated run starts at iteration 1, not {first_iter}")
+        state = AccelState(accel)
     counter = active_counter()
-    cfg = None if accel is None else accel.cfg
     x = latents
     for i in range(first_iter, last_iter + 1):
-        gates = accel_mod.step_gates(i, cfg, latents.shape[0])
+        gates = accel_mod.step_gates(i, accel, n)
         with nullcontext() if counter is None else counter.step(i, *gates):
             # no name keeps eps alive through the next step's forward
-            x = ddim_step(x, unet_forward(x, texts, i, w, accel),
+            x = ddim_step(x, unet_forward(x, texts, i, w, state),
                           total - i + 1, total - i, sched)
     return x
 

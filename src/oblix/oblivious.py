@@ -367,14 +367,18 @@ def write_corpus(records: list[dict], path: str) -> None:
 
 
 def read_corpus(path: str) -> list[dict]:
+    """A corpus file's records: JSON objects, each with a string "prompt"."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: not a JSON record ({exc})") \
                     from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("prompt"), str):
+                raise InputError(f'{path}:{lineno}: record has no string "prompt"')
+            records.append(rec)
     return records

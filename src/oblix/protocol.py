@@ -9,8 +9,8 @@ Request payload, fields in declared order:
     u32 candidate count (at most MAX_CANDIDATES), then per candidate
         u32 byte length + UTF-8
     u64 shared seed for the initial latent
-    u32 cloud step count (switch point)
-    u32 cache point | u32 skip point | u8 reuse | u32 refresh | u32 pivot
+    gate fields, the AccelConfig: u32 cloud step count (switch point) |
+        u32 cache point | u32 skip point | u8 reuse | u32 refresh | u32 pivot
     u32 schedule steps (at most MAX_SCHEDULE_STEPS) | f32 beta start |
         f32 beta end | u8 spacing
     u32 model id length + UTF-8
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import AccelConfig, AccelState, gates_fire, step_gates
+from .accel import AccelConfig, step_gates
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import (
     ConfigError,
@@ -73,6 +73,7 @@ PROTOCOL_VERSION = 1
 TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 _HEADER = struct.Struct("<4sBBI")
+_GATES = struct.Struct("<IIIBII")
 # payload bytes a frame may carry; far above any real frame (an N=30
 # response of the default toy model is about 61 KB), far below the 4 GiB
 # a u32 length field could make a reader allocate
@@ -113,19 +114,9 @@ class ScheduleParams:
 class GenerateRequest:
     candidates: tuple[str, ...]
     seed: int
-    cloud_steps: int
-    cache_point: int
-    skip_point: int
-    reuse: bool
-    refresh_period: int
-    pivot_index: int
+    accel: AccelConfig         # accel.switch_point is the cloud step count
     schedule: ScheduleParams
     model_id: str
-    version: int = PROTOCOL_VERSION
-
-    def accel_config(self) -> AccelConfig:
-        return AccelConfig(self.cloud_steps, self.cache_point, self.skip_point,
-                           self.reuse, self.refresh_period, self.pivot_index)
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,6 @@ class GenerateResponse:
     latents: np.ndarray        # already binary16-quantized values
     flops_total: int
     step_costs: tuple[StepCost, ...]
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -178,10 +168,10 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
         body += struct.pack("<I", len(msg.candidates))
         for prompt in msg.candidates:
             body += _pack_str(prompt)
-        body += struct.pack("<QI", msg.seed, msg.cloud_steps)
-        body += struct.pack("<IIBII", msg.cache_point, msg.skip_point,
-                            1 if msg.reuse else 0, msg.refresh_period,
-                            msg.pivot_index)
+        a = msg.accel
+        body += struct.pack("<Q", msg.seed) + _GATES.pack(
+            a.switch_point, a.cache_point, a.skip_point, 1 if a.reuse else 0,
+            a.refresh_period, a.pivot_index)
         body += struct.pack("<IffB", msg.schedule.steps,
                             msg.schedule.beta_start, msg.schedule.beta_end,
                             _SPACINGS.index(msg.schedule.spacing))
@@ -206,7 +196,8 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"payload of {len(body)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte cap")
-    return _HEADER.pack(MAGIC, frame_type, msg.version, len(body)) + bytes(body)
+    return _HEADER.pack(MAGIC, frame_type, PROTOCOL_VERSION, len(body)) \
+        + bytes(body)
 
 
 class _Reader:
@@ -263,8 +254,16 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
             raise ProtocolError(f"{count} candidates exceed the cap of "
                                 f"{MAX_CANDIDATES}", offset=r.off - 4)
         candidates = tuple(r.take_str() for _ in range(count))
-        seed, cloud_steps = r.take("<QI")
-        cache_point, skip_point, reuse, refresh, pivot = r.take("<IIBII")
+        (seed,) = r.take("<Q")
+        gates_at = r.off
+        k, cache_point, skip_point, reuse, refresh, pivot = r.take(
+            _GATES.format)
+        try:
+            accel = AccelConfig(k, cache_point, skip_point, bool(reuse),
+                                refresh, pivot)
+        except ConfigError as exc:
+            raise ProtocolError(f"invalid gate fields: {exc}",
+                                offset=gates_at) from None
         steps, beta_start, beta_end, spacing_idx = r.take("<IffB")
         if steps > MAX_SCHEDULE_STEPS:
             raise ProtocolError(f"{steps} schedule steps exceed the cap of "
@@ -275,11 +274,9 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         model_id = r.take_str()
         _expect_end(r)
         return GenerateRequest(
-            candidates, seed, cloud_steps, cache_point, skip_point,
-            bool(reuse), refresh, pivot,
+            candidates, seed, accel,
             ScheduleParams(steps, beta_start, beta_end, _SPACINGS[spacing_idx]),
-            model_id, version,
-        )
+            model_id)
     if frame_type == TYPE_RESPONSE:
         step_reached, batch, channels, res = r.take("<IIII")
         n_vals = batch * channels * res * res
@@ -303,7 +300,7 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
                                   bool(flags & 2), bool(flags & 4)))
         _expect_end(r)
         return GenerateResponse(step_reached, latents, flops_total,
-                                tuple(costs), version)
+                                tuple(costs))
     raise ProtocolError(f"unknown frame type {frame_type}", offset=4)
 
 
@@ -325,21 +322,22 @@ class Server:
         self.weights = dict(weights)
 
     def handle_request(self, req: GenerateRequest) -> GenerateResponse:
-        """Denoise the first ``cloud_steps`` iterations of every candidate.
+        """Denoise the first ``accel.switch_point`` steps of each candidate.
 
-        A request that decodes but cannot run (bad schedule or gate
-        parameters, an empty candidate, a pivot outside the batch) is
-        refused with ProtocolError before any compute starts; one whose
-        latents leave binary16's range is refused at the hand-off.
+        A request that decodes but cannot run (a bad schedule, an empty
+        candidate, a pivot outside the batch) is refused with ProtocolError
+        before any compute starts; one whose latents leave binary16's range
+        is refused at the hand-off.  Gate fields were checked at decode.
         """
         if req.model_id not in self.weights:
             raise ProtocolError(f"unknown model id {req.model_id!r}")
         w = self.weights[req.model_id]
         cfg = w.cfg
         n = len(req.candidates)
+        accel = req.accel
+        k = accel.switch_point
         try:
             sched = req.schedule.build()
-            accel_cfg = req.accel_config() if req.cloud_steps > 0 else None
             texts = [embed_prompt(p, cfg) for p in req.candidates]
         except (ConfigError, InputError) as exc:
             raise ProtocolError(f"invalid request: {exc}") from None
@@ -347,32 +345,28 @@ class Server:
             raise ProtocolError(
                 f"schedule ends at alpha_bar {sched.alpha_bar[-1]}, below "
                 f"float32's smallest normal {_ALPHA_BAR_FLOOR}")
-        if req.cloud_steps > sched.steps:
+        if k > sched.steps:
             raise ProtocolError(
-                f"switch point {req.cloud_steps} exceeds schedule of "
-                f"{sched.steps} steps")
-        # every gated run starts at iteration 1, where reuse fires if it ever does
-        if step_gates(1, accel_cfg, n).reuse and req.pivot_index >= n:
+                f"switch point {k} exceeds schedule of {sched.steps} steps")
+        # every run starts at iteration 1, where reuse fires if it ever does
+        if k > 0 and step_gates(1, accel, n).reuse and accel.pivot_index >= n:
             raise ProtocolError(
-                f"pivot_index {req.pivot_index} outside {n} candidates")
+                f"pivot_index {accel.pivot_index} outside {n} candidates")
 
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         latents = np.stack([base] * n)
 
         counter = FlopsCounter()
-        if accel_cfg is not None:
-            # a run that no gate can change keeps no caches
-            fires = gates_fire(accel_cfg, req.cloud_steps, n)
-            state = AccelState(accel_cfg) if fires else None
+        if k > 0:
             with use_flops_counter(counter):
-                latents = run_denoise_steps(
-                    latents, texts, sched, w, 1, req.cloud_steps, state)
+                latents = run_denoise_steps(latents, texts, sched, w, 1, k,
+                                            accel)
         try:
             latents = fp16_roundtrip(latents)
         except RangeError as exc:
             raise ProtocolError(f"latents cannot be handed off: {exc}") from None
         return GenerateResponse(
-            step_reached=sched.steps - req.cloud_steps,
+            step_reached=sched.steps - k,
             latents=latents,
             flops_total=counter.total,
             step_costs=tuple(counter.steps),
@@ -555,19 +549,8 @@ def build_request(prompt: str, cfg: SessionConfig, lex: AttributeLexicon,
         reordered = (cset.real_prompt,) + tuple(
             p for i, p in enumerate(cset.prompts) if i != cset.real_index)
         cset = CandidateSet(reordered, 0)
-    a = cfg.accel
-    req = GenerateRequest(
-        candidates=cset.prompts,
-        seed=cfg.seed,
-        cloud_steps=a.switch_point,
-        cache_point=a.cache_point,
-        skip_point=a.skip_point,
-        reuse=a.reuse,
-        refresh_period=a.refresh_period,
-        pivot_index=a.pivot_index,
-        schedule=cfg.cloud_schedule,
-        model_id=cfg.model_id,
-    )
+    req = GenerateRequest(cset.prompts, cfg.seed, cfg.accel,
+                          cfg.cloud_schedule, cfg.model_id)
     return req, cset
 
 
@@ -632,11 +615,11 @@ def client_run_session(prompt: str, cfg: SessionConfig, transport,
         raise ProtocolError(
             f"response latent geometry {resp.latents.shape[1:]} does not "
             f"match the device model")
-    expected_boundary = cfg.cloud_schedule.steps - k
-    if resp.step_reached != expected_boundary:
+    expected_step = cfg.cloud_schedule.steps - k
+    if resp.step_reached != expected_step:
         raise ProtocolError(
             f"server stopped at schedule index {resp.step_reached}, "
-            f"expected {expected_boundary}")
+            f"expected {expected_step}")
 
     boundary = extract_latent(resp.latents, cset)
     index_map = StepIndexMap(cfg.cloud_schedule.steps, dev_sched.steps,

@@ -34,3 +34,22 @@ def follow_steps(monkeypatch):
         return real(latents, texts, t, w, accel)
 
     monkeypatch.setattr(oblix.denoiser, "unet_forward", forward)
+
+
+def spy_states(monkeypatch) -> list:
+    """Record every AccelState a run makes, each with a WriteLog cache.
+
+    `oblix.denoiser.run_denoise_steps` makes the state of a run whose
+    gates fire, so this is how a test reaches that state.
+    """
+    made = []
+    real = oblix.denoiser.AccelState
+
+    def make(cfg):
+        state = real(cfg)
+        state.cached_attention = WriteLog()
+        made.append(state)
+        return state
+
+    monkeypatch.setattr(oblix.denoiser, "AccelState", make)
+    return made

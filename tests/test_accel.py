@@ -182,14 +182,12 @@ def test_reuse_pivot_out_of_range():
 
 # --- state and refresh ------------------------------------------------------------
 
-def test_accel_state_session_binding():
-    state = AccelState(AccelConfig())
-    other = ModelWeights.build(CFG, 8)
-    unet_forward(_latents(2), _texts(2), 1, W, state)
+def test_fresh_state_has_no_cache_to_serve():
+    # a state starts empty, so a step that serves the cache before any
+    # recompute wrote it is refused, never served stale data
+    state = AccelState(AccelConfig(cache_point=2, skip_point=never(25)))
     with pytest.raises(SessionError):
-        unet_forward(_latents(2), _texts(2), 2, other, state)
-    with pytest.raises(SessionError):
-        unet_forward(_latents(3), _texts(3), 2, W, state)
+        unet_forward(_latents(2), _texts(2), 3, W, state)
 
 
 def test_cache_refresh_overwrites_every_fifth_step():

@@ -10,8 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import oblix.denoiser
 import oblix.protocol
-from oblix.accel import AccelConfig, AccelState, never, reuse_active, \
+from oblix.accel import AccelConfig, never, reuse_active, \
     should_recompute_attention, should_skip_blocks
 from oblix.costmodel import (
     attention_map_flops,
@@ -51,7 +52,7 @@ from oblix.security import check_indistinguishability, distinguisher_experiment
 from oblix.tensor import FlopsCounter, Rng, fp16_roundtrip, row_blocks, \
     use_flops_counter
 
-from bitwise import WriteLog, follow_steps, same_bits
+from bitwise import follow_steps, same_bits, spy_states
 
 LEX = default_lexicon()
 TOY = ModelConfig()                       # 4 channels, res 16, width 32
@@ -160,25 +161,26 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
 
         def spy(latents, texts, sched, w, first, last, accel=None):
             seen.append(accel)
-            if accel is not None:
-                accel.cached_attention = WriteLog()
             return real(latents, texts, sched, w, first, last, accel)
 
         monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
+        made = spy_states(monkeypatch)
         follow_steps(monkeypatch)
         every_site = [(t, site) for t in range(1, 13) for site in SITES]
         transport = SimulatedTransport(Server({"toy": TOY_W}))
         for seed in range(5):
             cfg = _session(k=12, seed=seed)
             seen.clear()
+            made.clear()
             gate_free = client_run_session(prompt, cfg, transport, TOY_W, LEX)
-            assert seen == [None, None], seed      # server, then device
+            # server, then device; only the server's run carries the gates
+            assert seen == [cfg.accel, None] and made == [], seed
             with monkeypatch.context() as m:
-                m.setattr(oblix.protocol, "gates_fire", lambda *args: True)
+                m.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
                 gated = client_run_session(prompt, cfg, transport, TOY_W, LEX)
-            state = seen[2]
-            assert isinstance(state, AccelState) and seen[3] is None, seed
-            written = [(t, site) for t, site, _ in state.cached_attention.log]
+            assert seen[2:] == [cfg.accel, None] and len(made) == 1, seed
+            written = [(t, site)
+                       for t, site, _ in made[0].cached_attention.log]
             assert written == every_site, seed  # 72 writes
             assert same_bits(gated.image, gate_free.image), seed
 
@@ -189,6 +191,10 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
 def test_criterion_06_pivot_invariance(monkeypatch):
     def body():
         follow_steps(monkeypatch)
+        made = spy_states(monkeypatch)
+        # the base config is gate-neutral at k=25; both runs keep a state so
+        # every recompute is logged
+        monkeypatch.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
         sched = build_schedule(25)
         for n in (2, 6):
             rows = [Rng(500).gaussian((TOY.channels, TOY.res, TOY.res))] * n
@@ -202,13 +208,15 @@ def test_criterion_06_pivot_invariance(monkeypatch):
                 with_reuse = AccelConfig(switch_point=k,
                                          cache_point=cache_point,
                                          skip_point=skip_point, reuse=True)
-                state_a, state_b = AccelState(base), AccelState(with_reuse)
-                state_a.cached_attention = writes_a = WriteLog()
-                state_b.cached_attention = writes_b = WriteLog()
+                made.clear()
                 out_a = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
-                                          state_a)
+                                          base)
                 out_b = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
-                                          state_b)
+                                          with_reuse)
+                state_a, state_b = made
+                assert (state_a.cfg, state_b.cfg) == (base, with_reuse)
+                writes_a = state_a.cached_attention
+                writes_b = state_b.cached_attention
                 # both write at every recomputed (step, site), in order
                 want = [(t, site) for t in range(1, k + 1)
                         if should_recompute_attention(t, base)
@@ -320,9 +328,8 @@ def test_criterion_10_instrumented_flops():
 
         def counted(accel_cfg):
             counter = FlopsCounter()
-            state = AccelState(accel_cfg) if accel_cfg else None
             with use_flops_counter(counter):
-                run_denoise_steps(latents, texts, sched, w, 1, 8, state)
+                run_denoise_steps(latents, texts, sched, w, 1, 8, accel_cfg)
             return counter
 
         off = counted(None)

@@ -66,6 +66,47 @@ def test_non_integer_seed_is_a_config_error(tmp_path):
     assert "cloud_seed" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "res", "abc"),
+    ("accel", "switch_point", "x"),
+    ("accel", "reuse", "maybe"),
+    ("schedule", "beta_end", "small"),
+    ("transport", "port", "http"),
+])
+def test_unconvertible_value_is_a_config_error_naming_it(tmp_path, capsys,
+                                                         section, key, value):
+    path = _write_config(tmp_path, **{section: {key: value}})
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert f"[{section}] {key}" in str(err.value)
+    assert value in str(err.value)
+    assert main(["generate", "--config", path, "--prompt", "a red bicycle"]) == 2
+    assert f"error: [{section}] {key}" in capsys.readouterr().err
+
+
+def test_boolean_keys_take_configparser_spellings(tmp_path):
+    for value, want in (("on", True), ("YES", True), ("1", True),
+                        ("off", False), ("no", False), ("0", False)):
+        path = _write_config(tmp_path, accel={"reuse": value})
+        assert load_run_config(path).session.accel.reuse is want, value
+
+
+@pytest.mark.parametrize("text", [
+    "reuse = true\n",                          # no section header
+    "[accel]\nreuse = true\n[accel]\n",        # repeated section
+    "[accel]\nreuse = true\nreuse = false\n",  # repeated key
+    "[accel]\nthis line is not a key\n",
+])
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_run_config(str(path))
+    assert "does not parse" in str(err.value)
+    assert main(["generate", "--config", str(path), "--prompt", "a cat"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_weights_paths_are_loaded(tmp_path):
     from oblix.denoiser import ModelWeights
     cfg = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -278,6 +319,32 @@ def test_attest_single_prompt_with_distinguisher(tmp_path, capsys):
     assert code == 0
     assert "distinguisher N=2" in out
     assert "leaky control" in out
+
+
+@pytest.mark.parametrize("corpus,argv", [
+    ("", []),                                    # empty corpus
+    ("\n\n", []),                                # blank lines only
+    ('{"prompt": "portrait of a man"}\n', ["--seeds", "0"]),
+    ('{"text": "portrait of a man"}\n', []),     # no "prompt"
+    ('{"prompt": 7}\n', []),                     # "prompt" not a string
+    ('["portrait of a man"]\n', []),             # not an object
+])
+def test_attest_refuses_bad_input_with_exit_2(tmp_path, capsys, corpus, argv):
+    path = _write_config(tmp_path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus)
+    code = main(["attest", "--config", path, "--corpus", str(corpus_path),
+                 *argv])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_attest_refuses_zero_seeds_for_a_single_prompt(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    code = main(["attest", "--config", path, "--prompt", "portrait of a man",
+                 "--seeds", "0"])
+    assert code == 2
+    assert "error: --seeds" in capsys.readouterr().err
 
 
 def test_parser_knows_all_subcommands():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oblix.accel import AccelConfig, AccelState, never
+from oblix.accel import AccelConfig, never
 from oblix.costmodel import (
     CostReport,
     attention_map_flops,
@@ -121,9 +121,8 @@ def _run_counted(n, accel_cfg, steps=8):
             for i in range(n)]
     texts = [embed_prompt(f"candidate {i}", CFG) for i in range(n)]
     counter = FlopsCounter()
-    state = AccelState(accel_cfg) if accel_cfg is not None else None
     with use_flops_counter(counter):
-        run_denoise_steps(np.stack(rows), texts, sched, CW, 1, steps, state)
+        run_denoise_steps(np.stack(rows), texts, sched, CW, 1, steps, accel_cfg)
     return counter
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import socket
 import struct
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oblix.denoiser
 import oblix.protocol
-from oblix.accel import AccelConfig, AccelState, never
+from oblix.accel import AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
 from oblix.errors import FrameError, ProtocolError
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
@@ -43,7 +45,7 @@ from oblix.tensor import (
     use_flops_counter,
 )
 
-from bitwise import same_bits
+from bitwise import same_bits, spy_states
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -61,13 +63,36 @@ def _session(k=4, steps=8, seed=11, **accel_kw) -> SessionConfig:
                          cloud_schedule=ScheduleParams(steps))
 
 
+_GATE_DEFAULTS = dict(switch_point=3, cache_point=9, skip_point=9,
+                      reuse=False, refresh_period=5, pivot_index=0)
+
+
 def _request(**kw) -> GenerateRequest:
+    """A request; AccelConfig field names set its gate fields."""
+    gates = {f: kw.pop(f, v) for f, v in _GATE_DEFAULTS.items()}
     base = dict(candidates=("a prompt", "another prompt"), seed=7,
-                cloud_steps=3, cache_point=9, skip_point=9, reuse=False,
-                refresh_period=5, pivot_index=0,
-                schedule=ScheduleParams(8), model_id="toy")
+                accel=AccelConfig(**gates), schedule=ScheduleParams(8),
+                model_id="toy")
     base.update(kw)
     return GenerateRequest(**base)
+
+
+def _gates_at(req: GenerateRequest) -> int:
+    """Offset of the gate fields (u32 switch point first) in req's frame:
+    header, candidate count, length-prefixed candidates, u64 seed."""
+    return 10 + 4 + sum(4 + len(c.encode()) for c in req.candidates) + 8
+
+
+def _gate_frame(**fields) -> bytes:
+    """The frame of `_request()` with its gate fields overwritten in place,
+    so they may hold values no AccelConfig can."""
+    req = _request()
+    g = {**dataclasses.asdict(req.accel), **fields}
+    raw = bytearray(encode_frame(req))
+    struct.pack_into("<IIIBII", raw, _gates_at(req), g["switch_point"],
+                     g["cache_point"], g["skip_point"], g["reuse"],
+                     g["refresh_period"], g["pivot_index"])
+    return bytes(raw)
 
 
 # --- codec ------------------------------------------------------------------
@@ -95,11 +120,13 @@ def test_response_roundtrip():
 @settings(max_examples=60)
 @given(st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=5),
        st.integers(0, 2**64 - 1), st.integers(0, 30), st.integers(1, 31),
-       st.booleans(), st.integers(1, 10))
-def test_request_roundtrip_property(cands, seed, k, point, reuse, refresh):
-    req = _request(candidates=tuple(cands), seed=seed, cloud_steps=k,
-                   cache_point=point, skip_point=point, reuse=reuse,
-                   refresh_period=refresh)
+       st.integers(2, 31), st.booleans(), st.integers(1, 10),
+       st.integers(0, 40))
+def test_request_roundtrip_property(cands, seed, k, cache, skip, reuse,
+                                    refresh, pivot):
+    req = _request(candidates=tuple(cands), seed=seed, switch_point=k,
+                   cache_point=cache, skip_point=skip, reuse=reuse,
+                   refresh_period=refresh, pivot_index=pivot)
     assert decode_frame(encode_frame(req)) == req
 
 
@@ -148,6 +175,23 @@ def test_single_byte_corruption_never_escapes_protocol_error(pos, value, resp):
         pass  # rejected cleanly; silent success means the bytes still parse
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 20), st.integers(0, 255))
+def test_gate_byte_corruption_is_refused_only_as_protocol_error(pos, value):
+    # the 21 gate bytes hold no length, so a mutation there either still
+    # decodes to a valid AccelConfig or is refused at the gates' offset
+    req = _request()
+    at = _gates_at(req)
+    raw = bytearray(encode_frame(req))
+    raw[at + pos] = value
+    try:
+        got = decode_frame(bytes(raw))
+    except ProtocolError as exc:
+        assert exc.offset == at
+    else:
+        assert isinstance(got.accel, AccelConfig)
+
+
 def test_decode_rejects_invalid_utf8_candidate():
     raw = bytearray(encode_frame(_request(candidates=("abcd",))))
     payload_start = 10 + 4 + 4  # header, count, first length prefix
@@ -188,9 +232,10 @@ def test_equivalence_class_members_produce_identical_request_bytes():
         other, _ = build_request(member, cfg, LEX)
         assert encode_frame(other) == reference
     # the request schema carries nothing that could encode the real index
+    fields = [*GenerateRequest.__dataclass_fields__,
+              *AccelConfig.__dataclass_fields__]
     assert not any("index" in f or "real" in f
-                   for f in GenerateRequest.__dataclass_fields__
-                   if f != "pivot_index")
+                   for f in fields if f != "pivot_index")
 
 
 def test_transport_failure_surfaces_as_session_error():
@@ -235,7 +280,7 @@ def _server():
 
 
 def test_server_k0_returns_quantized_replicated_prior():
-    req = _request(cloud_steps=0, candidates=("one", "two", "three"))
+    req = _request(switch_point=0, candidates=("one", "two", "three"))
     resp = _server().handle_request(req)
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     want = fp16_roundtrip(np.stack([base, base, base]))
@@ -245,7 +290,7 @@ def test_server_k0_returns_quantized_replicated_prior():
 
 
 def test_server_full_denoise_matches_direct_pipeline():
-    req = _request(cloud_steps=8, candidates=("a calm forest",))
+    req = _request(switch_point=8, candidates=("a calm forest",))
     resp = _server().handle_request(req)
     sched = req.schedule.build()
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
@@ -257,7 +302,7 @@ def test_server_full_denoise_matches_direct_pipeline():
 
 
 def test_server_is_stateless_and_deterministic():
-    raw = encode_frame(_request(cloud_steps=5))
+    raw = encode_frame(_request(switch_point=5))
     server = _server()
     assert server.handle_frame(raw) == server.handle_frame(raw)
 
@@ -273,22 +318,21 @@ def test_server_row_order_follows_candidate_order():
     for w, n, gates in cases:
         cfg = w.cfg
         candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
-        req = _request(cloud_steps=4, candidates=candidates, **gates)
+        req = _request(switch_point=4, candidates=candidates, **gates)
         resp = Server({"toy": w}).handle_request(req)
         sched = req.schedule.build()
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         for i, prompt in enumerate(candidates):
-            state = AccelState(req.accel_config()) if gates else None
             solo = run_denoise_steps(np.stack([base]),
                                      [embed_prompt(prompt, cfg)], sched, w,
-                                     1, 4, state)
+                                     1, 4, req.accel if gates else None)
             assert same_bits(resp.latents[i], fp16_roundtrip(solo)[0]), \
                 (n, gates, i)
 
 
 def test_server_rejects_k_beyond_schedule():
     with pytest.raises(ProtocolError):
-        _server().handle_request(_request(cloud_steps=9))
+        _server().handle_request(_request(switch_point=9))
 
 
 def test_server_rejects_unknown_model():
@@ -298,42 +342,70 @@ def test_server_rejects_unknown_model():
 
 INVALID_REQUESTS = {
     "pivot outside batch": dict(reuse=True, pivot_index=5),
-    "zero refresh period": dict(refresh_period=0),
-    "skip point 1": dict(skip_point=1),
     "whitespace candidate": dict(candidates=("a prompt", "   ")),
-    "zero schedule steps": dict(cloud_steps=0, schedule=ScheduleParams(0)),
+    "zero schedule steps": dict(switch_point=0, schedule=ScheduleParams(0)),
     # alpha_bar_T is exactly 0.0, so ddim_step would divide by zero
     "alpha_bar_T underflows": dict(
-        cloud_steps=1, schedule=ScheduleParams(1000, 0.5, 0.999, "linear")),
+        switch_point=1, schedule=ScheduleParams(1000, 0.5, 0.999, "linear")),
+}
+# gate fields no AccelConfig can hold, written into the frame; decode
+# refuses them even when no cloud step would run
+INVALID_GATES = {
+    "zero refresh period": dict(refresh_period=0),
+    "zero refresh period, no cloud step": dict(refresh_period=0,
+                                               switch_point=0),
+    "skip point 1": dict(skip_point=1),
+    "skip point 1, no cloud step": dict(skip_point=1, switch_point=0),
+    "zero cache point": dict(cache_point=0),
+}
+INVALID_FRAMES = {
+    **{name: encode_frame(_request(**fields))
+       for name, fields in INVALID_REQUESTS.items()},
+    **{name: _gate_frame(**fields) for name, fields in INVALID_GATES.items()},
 }
 # decodes and runs, but drives the latents to 3.3e8, past binary16
-HANDOFF_OVERFLOW = dict(cloud_steps=100,
+HANDOFF_OVERFLOW = dict(switch_point=100,
                         schedule=ScheduleParams(200, 0.3, 0.3, "linear"))
 
 
-@pytest.mark.parametrize("fields", INVALID_REQUESTS.values(),
-                         ids=INVALID_REQUESTS.keys())
-def test_server_refuses_invalid_request_before_compute(fields, monkeypatch):
+def test_gate_frame_rewrites_only_the_gate_fields():
+    assert _gate_frame() == encode_frame(_request())
+    valid = dict(switch_point=5, cache_point=2, skip_point=4, reuse=True,
+                 refresh_period=3, pivot_index=1)
+    assert decode_frame(_gate_frame(**valid)) == _request(**valid)
+
+
+@pytest.mark.parametrize("fields", INVALID_GATES.values(),
+                         ids=INVALID_GATES.keys())
+def test_decode_refuses_invalid_gate_fields_at_their_offset(fields):
+    with pytest.raises(ProtocolError) as err:
+        decode_frame(_gate_frame(**fields))
+    assert err.value.offset == _gates_at(_request())
+    assert "gate" in str(err.value)
+
+
+@pytest.mark.parametrize("raw", INVALID_FRAMES.values(),
+                         ids=INVALID_FRAMES.keys())
+def test_server_refuses_invalid_request_before_compute(raw, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("denoiser ran for an invalid request")
 
     monkeypatch.setattr(oblix.protocol, "run_denoise_steps", no_compute)
     with pytest.raises(ProtocolError):
-        _server().handle_frame(encode_frame(_request(**fields)))
+        _server().handle_frame(raw)
 
 
 @pytest.mark.parametrize("fields", [
-    dict(reuse=True, pivot_index=5, cloud_steps=0),   # no step runs
+    dict(reuse=True, pivot_index=5, switch_point=0),   # no step runs
     dict(reuse=False, pivot_index=5),                 # pivot never read
     dict(reuse=True, pivot_index=5, candidates=("solo prompt",)),
-    dict(refresh_period=0, cloud_steps=0),            # no gate runs
-    dict(skip_point=1, cloud_steps=0),                # no gate runs
 ])
 def test_server_accepts_gate_fields_that_never_take_effect(fields):
     _server().handle_request(_request(**fields))
 
 
-def _spy_on_accel_state(monkeypatch):
+def _spy_on_run_accel(monkeypatch):
+    """Record the accel argument the server hands to each run."""
     seen = []
     real = oblix.protocol.run_denoise_steps
 
@@ -358,22 +430,25 @@ GATE_NEUTRAL = {
 @pytest.mark.parametrize("fields", GATE_NEUTRAL.values(),
                          ids=GATE_NEUTRAL.keys())
 def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
-    req = _request(**{"cloud_steps": 6,
+    req = _request(**{"switch_point": 6,
                       "candidates": ("one prompt", "two prompt", "three"),
                       **fields})
-    seen = _spy_on_accel_state(monkeypatch)
+    seen = _spy_on_run_accel(monkeypatch)
+    made = spy_states(monkeypatch)
     got = encode_frame(_server().handle_request(req))
-    assert seen == [None]
+    assert seen == [req.accel] and made == []
 
-    # the same bytes and step flags as a direct run carrying the state
+    # the same bytes and step flags as a direct run forced to carry a state
     sched = req.schedule.build()
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     counter = FlopsCounter()
+    monkeypatch.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
     with use_flops_counter(counter):
         latents = run_denoise_steps(
             np.stack([base] * len(req.candidates)),
             [embed_prompt(p, CFG) for p in req.candidates], sched, W, 1, 6,
-            AccelState(req.accel_config()))
+            req.accel)
+    assert len(made) == 1
     want = GenerateResponse(sched.steps - 6, fp16_roundtrip(latents),
                             counter.total, tuple(counter.steps))
     assert got == encode_frame(want)
@@ -385,12 +460,13 @@ def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
     dict(reuse=True),             # three rows share a map
 ])
 def test_request_whose_gates_fire_gets_accel_state(fields, monkeypatch):
-    req = _request(cloud_steps=6, candidates=("one prompt", "two", "three"),
+    req = _request(switch_point=6, candidates=("one prompt", "two", "three"),
                    **fields)
-    seen = _spy_on_accel_state(monkeypatch)
+    seen = _spy_on_run_accel(monkeypatch)
+    made = spy_states(monkeypatch)
     _server().handle_request(req)
-    assert len(seen) == 1 and isinstance(seen[0], AccelState)
-    assert seen[0].cfg == req.accel_config()
+    assert seen == [req.accel]
+    assert len(made) == 1 and made[0].cfg == req.accel
 
 
 def test_server_refuses_latents_beyond_binary16_at_hand_off():
@@ -533,8 +609,7 @@ def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
                         lambda self, request, address: handler_errors.append(address))
     cfg = _session(k=3, seed=5, cache_point=2, reuse=True)
 
-    frames = [encode_frame(_request(**fields))
-              for fields in (*INVALID_REQUESTS.values(), HANDOFF_OVERFLOW)]
+    frames = [*INVALID_FRAMES.values(), encode_frame(_request(**HANDOFF_OVERFLOW))]
     frames += [raw for raw, _ in _over_cap_frames().values()]
 
     def run(addr):
