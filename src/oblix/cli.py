@@ -148,10 +148,13 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             f"switch_point {accel.switch_point} exceeds {schedule.steps} steps")
 
     chan_sec = parser["channel"]
-    channel = ChannelModel(
-        bandwidth_bps=_typed(chan_sec, "bandwidth_bps", float, 18.88e6),
-        rtt_s=_typed(chan_sec, "rtt_s", float, 0.0),
-    )
+    try:
+        channel = ChannelModel(
+            bandwidth_bps=_typed(chan_sec, "bandwidth_bps", float, 18.88e6),
+            rtt_s=_typed(chan_sec, "rtt_s", float, 0.0),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"[channel] {exc}") from None
 
     run_sec = parser["run"]
     seed = seed_override if seed_override is not None \

@@ -240,22 +240,35 @@ def expand_candidates(prompt: str, detections: list[Detection],
             raise InternalError("detection spans overlap")
 
     classes = [lex.class_named(d.attr_class) for d in ordered]
-    real_values = tuple(d.value for d in ordered)
+
+    # one slot template: the tokens with each span collapsed to a slot; a
+    # slot's fills keep the punctuation glued to its span's outermost tokens
+    template: list[str] = []
+    slots = [0] * len(ordered)              # template index, in class order
+    fills: list[tuple[str, ...]] = [()] * len(ordered)
+    real = [""] * len(ordered)
+    pos = 0
+    for i, det in sorted(enumerate(ordered), key=lambda p: p[1].start):
+        prefix = _split_token(tokens[det.start])[0]
+        suffix = _split_token(tokens[det.end - 1])[2]
+        fills[i] = tuple(prefix + v + suffix for v in classes[i].values)
+        real[i] = prefix + det.value + suffix
+        template += tokens[pos:det.start]
+        slots[i] = len(template)
+        template.append("")
+        pos = det.end
+    template += tokens[pos:]
+    real_fills = tuple(real)
 
     prompts: list[str] = []
     real_index = -1
-    for combo in itertools.product(*(c.values for c in classes)):
-        out = list(tokens)
-        # replace each span with the canonical surface, keeping any
-        # punctuation that was glued to the span's outermost tokens
-        for det, value in sorted(zip(ordered, combo), key=lambda p: -p[0].start):
-            prefix = _split_token(out[det.start])[0]
-            suffix = _split_token(out[det.end - 1])[2]
-            out[det.start:det.end] = [prefix + value + suffix]
-        candidate = " ".join(out)
+    for combo in itertools.product(*fills):
+        for slot, fill in zip(slots, combo):
+            template[slot] = fill
+        candidate = " ".join(template)
         if not candidate:
             raise InternalError("substitution produced an empty prompt")
-        if combo == real_values:
+        if combo == real_fills:
             real_index = len(prompts)
         prompts.append(candidate)
     if real_index < 0:
@@ -369,7 +382,12 @@ def write_corpus(records: list[dict], path: str) -> None:
 def read_corpus(path: str) -> list[dict]:
     """A corpus file's records: JSON objects, each with a string "prompt"."""
     records = []
-    with open(path, encoding="utf-8") as f:
+    try:
+        f = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"corpus {path!r} cannot be read ({exc.strerror})") \
+            from None
+    with f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue

@@ -30,6 +30,7 @@ that is the content of the transcript-equality checks in `oblix.security`.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -133,8 +134,12 @@ class ChannelModel:
     rtt_s: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise FrameError("bandwidth must be positive")
+        # written so that NaN fails both comparisons
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise ConfigError(f"bandwidth_bps must be finite and positive, "
+                              f"got {self.bandwidth_bps}")
+        if not 0 <= self.rtt_s < math.inf:
+            raise ConfigError(f"rtt_s must be finite and >= 0, got {self.rtt_s}")
 
 
 def simulate_transfer(bytes_count: int, ch: ChannelModel) -> float:

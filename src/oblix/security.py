@@ -91,6 +91,7 @@ def check_indistinguishability(prompt: str, lex: AttributeLexicon, seed: int,
     ``order_real_first`` threads the broken debug ordering through every
     replay, which must make the check fail (the negative control).
     """
+    cfg = _with_seed(cfg, seed)
     detections = detect_attributes(prompt, lex)
     cset = expand_candidates(prompt, detections, lex)
     reference: bytes | None = None

@@ -84,6 +84,36 @@ def test_unconvertible_value_is_a_config_error_naming_it(tmp_path, capsys,
     assert f"error: [{section}] {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("bandwidth_bps", "nan"),
+    ("bandwidth_bps", "inf"),
+    ("bandwidth_bps", "0"),
+    ("rtt_s", "nan"),
+    ("rtt_s", "-0.01"),
+])
+def test_channel_values_outside_their_range_are_config_errors(tmp_path, capsys,
+                                                             key, value):
+    path = _write_config(tmp_path, channel={key: value})
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert f"[channel] {key}" in str(err.value)
+    assert main(["generate", "--config", path, "--prompt", "a red bicycle"]) == 2
+    assert f"error: [channel] {key}" in capsys.readouterr().err
+
+
+def test_report_is_strict_json(tmp_path):
+    def refuse(constant):
+        raise AssertionError(f"report holds {constant}")
+
+    path = _write_config(tmp_path, channel={"bandwidth_bps": "1e6",
+                                            "rtt_s": "0.05"})
+    assert main(["generate", "--config", path,
+                 "--prompt", "portrait of a man"]) == 0
+    lines = (tmp_path / "report.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    assert records[0]["modeled_transfer_s"] > 0.05
+
+
 def test_boolean_keys_take_configparser_spellings(tmp_path):
     for value, want in (("on", True), ("YES", True), ("1", True),
                         ("off", False), ("no", False), ("0", False)):
@@ -337,6 +367,16 @@ def test_attest_refuses_bad_input_with_exit_2(tmp_path, capsys, corpus, argv):
                  *argv])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_attest_refuses_a_missing_corpus_with_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    missing = str(tmp_path / "missing.jsonl")
+    code = main(["attest", "--config", path, "--corpus", missing])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert missing in err
 
 
 def test_attest_refuses_zero_seeds_for_a_single_prompt(tmp_path, capsys):

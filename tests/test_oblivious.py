@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oblix.errors import ConfigError, ProtocolError, TemplateError
 from oblix.oblivious import (
     AttributeLexicon,
+    CandidateSet,
     DEFAULT_TEMPLATES,
     default_lexicon,
     detect_attributes,
@@ -137,6 +138,81 @@ def test_whitespace_is_normalized_before_expansion():
     a = _expand("  portrait   of a  man ")
     b = _expand("portrait of a man")
     assert a.prompts == b.prompts
+
+
+# --- property: the slot template equals span-by-span substitution -------------------
+
+def _split_glue(token):
+    start, end = 0, len(token)
+    while start < end and token[start] in ".,;:!?()[]{}\"'`":
+        start += 1
+    while end > start and token[end - 1] in ".,;:!?()[]{}\"'`":
+        end -= 1
+    return token[:start], token[end:]
+
+
+def _expand_oracle(prompt, detections, lex):
+    """Expansion as first written: a fresh token list per value combination,
+    each span replaced right to left with the punctuation glued to it."""
+    tokens = prompt.split()
+    if not detections:
+        return CandidateSet((" ".join(tokens),), 0)
+    ordered = sorted(detections, key=lambda d: lex.class_order(d.attr_class))
+    spaces = [lex.class_named(d.attr_class).values for d in ordered]
+    prompts, real_index = [], -1
+    for combo in itertools.product(*spaces):
+        out = list(tokens)
+        for det, value in sorted(zip(ordered, combo), key=lambda p: -p[0].start):
+            prefix = _split_glue(out[det.start])[0]
+            suffix = _split_glue(out[det.end - 1])[1]
+            out[det.start:det.end] = [prefix + value + suffix]
+        if combo == tuple(d.value for d in ordered):
+            real_index = len(prompts)
+        prompts.append(" ".join(out))
+    return CandidateSet(tuple(prompts), real_index)
+
+
+SURFACES = sorted(" ".join(key) for key in LEX.surfaces)
+FILLERS = ("portrait", "of", "a", "photo", "B&W", "wearing", "glasses", ",", "-")
+SEPARATORS = (" ", " ", "  ", "\t", " \n ")
+
+
+@st.composite
+def _glued(draw, words):
+    word = draw(st.sampled_from(words))
+    case = draw(st.sampled_from((str, str.upper, str.title)))
+    return (draw(st.sampled_from(("", "(", '"', "(["))) + case(word)
+            + draw(st.sampled_from(("", ",", ".", "),", "!", "'s"))))
+
+
+@st.composite
+def _piece_prompts(draw):
+    pieces = draw(st.lists(st.one_of(_glued(SURFACES), _glued(FILLERS)),
+                           min_size=1, max_size=8))
+    text = draw(st.sampled_from(SEPARATORS))
+    for piece in pieces:
+        text += piece + draw(st.sampled_from(SEPARATORS))
+    return text
+
+
+@st.composite
+def _template_prompts(draw):
+    prompt = draw(st.sampled_from(DEFAULT_TEMPLATES))
+    for placeholder in ("$gender", "$age", "$ethnicity"):
+        prompt = prompt.replace(placeholder, draw(st.sampled_from(SURFACES)))
+    return prompt
+
+
+@settings(max_examples=150)
+@given(st.one_of(_piece_prompts(), _template_prompts()))
+@example("(young, african man.")            # glue on first and last tokens
+@example("(Middle Aged, indian guy).")      # glue around a two-token surface
+@example("man woman old young")             # adjacent spans, repeated classes
+@example("  elderly\tASIAN   lady  ")       # spans at both ends, extra space
+@example("a red bicycle")
+def test_slot_template_matches_span_by_span_substitution(prompt):
+    dets = detect_attributes(prompt, LEX)
+    assert expand_candidates(prompt, dets, LEX) == _expand_oracle(prompt, dets, LEX)
 
 
 # --- extraction ------------------------------------------------------------------

@@ -2,8 +2,14 @@ import struct
 
 import pytest
 
+import oblix.protocol
 from oblix.accel import AccelConfig, never
-from oblix.oblivious import DEFAULT_TEMPLATES, default_lexicon, fill_template
+from oblix.oblivious import (
+    CandidateSet,
+    DEFAULT_TEMPLATES,
+    default_lexicon,
+    fill_template,
+)
 from oblix.protocol import ScheduleParams, SessionConfig
 from oblix.security import (
     LEAKY_ADVERSARY,
@@ -72,6 +78,30 @@ def test_negative_control_fails_with_concrete_offset():
     assert verdict.class_size == 6
     assert isinstance(verdict.first_diff_offset, int)
     assert "FAIL" in verdict.describe()
+
+
+def test_each_member_is_compared_through_its_own_expansion(monkeypatch):
+    # reorder the candidates of one member's replay only: the check must
+    # see it, so no replay may reuse another member's expansion
+    expand = oblix.protocol.expand_candidates
+    odd_member = "portrait of a old female"
+
+    def reorder_for_one_member(prompt, detections, lex):
+        cset = expand(prompt, detections, lex)
+        if prompt != odd_member:
+            return cset
+        prompts = cset.prompts[::-1]
+        return CandidateSet(prompts, prompts.index(cset.real_prompt))
+
+    monkeypatch.setattr(oblix.protocol, "expand_candidates",
+                        reorder_for_one_member)
+    verdict = check_indistinguishability("portrait of a young man", LEX, 3,
+                                         _cfg())
+    assert not verdict.passed
+    assert verdict.class_size == 6
+    assert isinstance(verdict.first_diff_offset, int)
+    assert check_indistinguishability("portrait of a young african man", LEX,
+                                      3, _cfg()).passed
 
 
 def test_no_detection_prompt_is_vacuous_pass():

@@ -7,7 +7,9 @@ import inspect
 import pathlib
 
 import oblix.denoiser
-from oblix.protocol import GenerateRequest, GenerateResponse
+import oblix.security
+from oblix.oblivious import default_lexicon
+from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +39,23 @@ def test_run_denoise_steps_positions_the_tracer_reads():
 def test_message_fields_the_tracer_reads():
     assert {"candidates", "seed"} <= set(GenerateRequest.__dataclass_fields__)
     assert "flops_total" in GenerateResponse.__dataclass_fields__
+
+
+def test_tracer_records_each_members_expansion():
+    # the per-layer expansion figures count one span per expansion: the
+    # class's own and one per replayed member, each of the class's size
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        verdict = oblix.security.check_indistinguishability(
+            "portrait of a young african man", default_lexicon(), 3,
+            SessionConfig())
+    assert verdict.passed and verdict.class_size == 30
+    names = {span[0]: span[2] for span in tracer.spans}
+    for name in ("oblivious.expand_candidates", "oblivious.detect_attributes"):
+        spans = [span for span in tracer.spans if span[2] == name]
+        callers = sorted(names[span[1]] for span in spans)
+        assert callers == (["protocol.build_request"] * 30
+                           + ["security.check_indistinguishability"])
+    assert {span[8] for span in tracer.spans
+            if span[2] == "oblivious.expand_candidates"} == {30}
