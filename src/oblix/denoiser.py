@@ -41,6 +41,7 @@ from .tensor import (
     add_rowvec,
     flops_tag,
     fnv1a64,
+    gaussian_rows,
     matmul,
     readonly,
     tanh_map,
@@ -275,12 +276,9 @@ def embed_prompt(prompt: str, cfg: ModelConfig) -> TextEmbedding:
     if not tokens:
         raise InputError("prompt is empty after whitespace normalization")
     tokens = tokens[:cfg.token_capacity]
-    rows = [Rng(fnv1a64(tok.encode("utf-8"))).gaussian((cfg.d_text,))
-            for tok in tokens]
-    pad = Rng(fnv1a64(_PAD_SEED_TAG)).gaussian((cfg.d_text,))
-    while len(rows) < cfg.token_capacity:
-        rows.append(pad)
-    return TextEmbedding(readonly(np.stack(rows)), len(tokens))
+    seeds = [fnv1a64(tok.encode("utf-8")) for tok in tokens]
+    seeds += [fnv1a64(_PAD_SEED_TAG)] * (cfg.token_capacity - len(tokens))
+    return TextEmbedding(gaussian_rows(seeds, cfg.d_text), len(tokens))
 
 
 def time_vector(t: int, cfg: ModelConfig) -> np.ndarray:
@@ -328,7 +326,7 @@ def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
         if accel is not None:
             accel.cached_attention[site] = out
     with flops_tag(f"{site}/proj"):
-        projected = add_rowvec(matmul(out, params.wo), params.bo)
+        projected = matmul(out, params.wo, params.bo)
     return add(h, projected)
 
 
@@ -368,31 +366,30 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     s, c = cfg.tokens, cfg.channels
     text = np.concatenate([te.matrix for te in texts])
     tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
-    base = add_rowvec(add_rowvec(matmul(tokens, w["w_in"]), w["b_in"]),
-                      time_vector(t, cfg))
+    base = add_rowvec(matmul(tokens, w["w_in"], w["b_in"]), time_vector(t, cfg))
 
     if skip:
         if accel.mid_features is None:
             raise InternalError("skip gate fired with no cached mid features")
         mid = accel.mid_features
     else:
-        down = tanh_map(add_rowvec(
-            matmul(_mix(w["mix_down"], base, n), w["w_down"]), w["b_down"]))
+        down = tanh_map(
+            matmul(_mix(w["mix_down"], base, n), w["w_down"], w["b_down"]))
         down = _attn_block(down, down, w, "down.self", n, *route)
         down = _attn_block(down, text, w, "down.cross", n, *route)
 
-        mid = tanh_map(add_rowvec(matmul(down, w["w_mid"]), w["b_mid"]))
+        mid = tanh_map(matmul(down, w["w_mid"], w["b_mid"]))
         mid = _attn_block(mid, mid, w, "mid.self", n, *route)
         mid = _attn_block(mid, text, w, "mid.cross", n, *route)
         if accel is not None:
             accel.mid_features = mid
 
-    up = tanh_map(add_rowvec(
-        matmul(_mix(w["mix_up"], add(base, mid), n), w["w_up"]), w["b_up"]))
+    up = tanh_map(
+        matmul(_mix(w["mix_up"], add(base, mid), n), w["w_up"], w["b_up"]))
     up = _attn_block(up, up, w, "up.self", n, *route)
     up = _attn_block(up, text, w, "up.cross", n, *route)
 
-    eps = add_rowvec(matmul(up, w["w_out"]), w["b_out"])
+    eps = matmul(up, w["w_out"], w["b_out"])
     return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
                     .reshape(latents.shape))
 

@@ -10,7 +10,8 @@ Request payload, fields in declared order:
         u32 byte length + UTF-8
     u64 shared seed for the initial latent
     gate fields, the AccelConfig: u32 cloud step count (switch point) |
-        u32 cache point | u32 skip point | u8 reuse | u32 refresh | u32 pivot
+        u32 cache point | u32 skip point | u8 reuse (0 or 1) | u32 refresh |
+        u32 pivot
     u32 schedule steps (at most MAX_SCHEDULE_STEPS) | f32 beta start |
         f32 beta end | u8 spacing
     u32 model id length + UTF-8
@@ -22,6 +23,7 @@ Response payload:
     batch*channels*res*res values as binary16
     u64 server FLOPs total
     u32 step count, then per step u32 index | u64 flops | u8 gate flags
+        (bit 0 recompute, bit 1 skip, bit 2 reuse; no other bit set)
 
 The request never carries anything derived from the real candidate index;
 that is the content of the transcript-equality checks in `oblix.security`.
@@ -75,6 +77,7 @@ TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 _HEADER = struct.Struct("<4sBBI")
 _GATES = struct.Struct("<IIIBII")
+_REUSE_OFFSET = struct.calcsize("<III")  # of the reuse byte in the gates
 # payload bytes a frame may carry; far above any real frame (an N=30
 # response of the default toy model is about 61 KB), far below the 4 GiB
 # a u32 length field could make a reader allocate
@@ -263,6 +266,9 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         gates_at = r.off
         k, cache_point, skip_point, reuse, refresh, pivot = r.take(
             _GATES.format)
+        if reuse > 1:  # one encoding per request: only 0 and 1 are booleans
+            raise ProtocolError(f"reuse byte is {reuse}, not 0 or 1",
+                                offset=gates_at + _REUSE_OFFSET)
         try:
             accel = AccelConfig(k, cache_point, skip_point, bool(reuse),
                                 refresh, pivot)
@@ -301,6 +307,9 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         costs = []
         for _ in range(n_steps):
             index, flops, flags = r.take("<IQB")
+            if flags > 0b111:
+                raise ProtocolError(f"step flags {flags:#04x} set unknown bits",
+                                    offset=r.off - 1)
             costs.append(StepCost(index, flops, bool(flags & 1),
                                   bool(flags & 2), bool(flags & 4)))
         _expect_end(r)
@@ -473,7 +482,15 @@ class _DaemonHandler(socketserver.BaseRequestHandler):
             except ProtocolError as exc:
                 log.warning("malformed frame: %s", exc)
                 return
-            self.request.sendall(reply)
+            except Exception as exc:  # one log line, never a thread traceback
+                log.error("request failed, dropping connection: %s: %s",
+                          type(exc).__name__, exc)
+                return
+            try:
+                self.request.sendall(reply)
+            except OSError as exc:  # the peer left before its reply
+                log.warning("reply not sent: %s", exc)
+                return
 
 
 class Daemon(socketserver.ThreadingTCPServer):

@@ -4,7 +4,7 @@ reproducible RNG.
 Every arithmetic primitive here feeds the session FLOPs counter when one
 is active.  The counting conventions are fixed package-wide:
 
-    matmul (m,n)x(n,p)   2*m*n*p
+    matmul (m,n)x(n,p)   2*m*n*p, plus m*p for a fused bias add
     softmax per element  5      (max scan, subtract, exp, sum, divide)
     elementwise add/sub  1
     scalar multiply      1
@@ -20,7 +20,7 @@ latents, ``ModelWeights`` for parameters).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -44,6 +44,24 @@ class StepCost:
     recompute: bool = True
     skip: bool = False
     reuse: bool = False
+
+
+class _TagScope:
+    """Files a counter's FLOPs under ``name`` for the block, then restores
+    the tag that was in force, also when the block raises."""
+
+    __slots__ = ("counter", "name", "prev")
+
+    def __init__(self, counter: FlopsCounter, name: str):
+        self.counter = counter
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.prev = self.counter._tag
+        self.counter._tag = self.name
+
+    def __exit__(self, *exc) -> None:
+        self.counter._tag = self.prev
 
 
 @dataclass
@@ -80,14 +98,8 @@ class FlopsCounter:
             self.steps.append(self._current)
             self._current = None
 
-    @contextmanager
-    def tag(self, name: str):
-        prev = self._tag
-        self._tag = name
-        try:
-            yield
-        finally:
-            self._tag = prev
+    def tag(self, name: str) -> _TagScope:
+        return _TagScope(self, name)
 
     def tag_total(self, tag: str) -> int:
         return sum(v for (_, t), v in self.tagged.items() if t == tag)
@@ -117,14 +129,13 @@ def _count(n: int) -> None:
         c.add(n)
 
 
-@contextmanager
+_NO_TAG = nullcontext()
+
+
 def flops_tag(name: str):
+    """Tag scope on the active counter; a shared no-op without one."""
     c = _ACTIVE_COUNTER.get()
-    if c is None:
-        yield
-    else:
-        with c.tag(name):
-            yield
+    return _NO_TAG if c is None else _TagScope(c, name)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +156,8 @@ def _checked(a: np.ndarray) -> np.ndarray:
     arithmetic makes is checked once, where it is made; views, reshapes
     and stacking of checked arrays need no second look.
     """
-    if not np.isfinite(a).all():
+    # the ufunc reduce itself: ndarray.all adds a Python-level wrapper call
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise InternalError(f"computed {a.shape} array holds non-finite values")
     return readonly(a)
 
@@ -160,16 +172,29 @@ def row_blocks(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(n, a.shape[0] // n, a.shape[1])
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; counts 2*m*n*p FLOPs on the active counter."""
+def matmul(a: np.ndarray, b: np.ndarray,
+           bias: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product, plus ``bias`` on every row when given.
+
+    Counts 2*m*n*p FLOPs, and m*p more for the bias, in the active
+    bucket.  The bias is added in place on the fresh product, with the
+    bits of a separate broadcast add, and the sum is checked once.
+    """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
     m, n = a.shape
     n2, p = b.shape
     if n != n2:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    _count(2 * m * n * p)
-    return _checked(a @ b)
+    out = a @ b
+    if bias is None:
+        _count(2 * m * n * p)
+    else:
+        if bias.shape != (p,):
+            raise ShapeError(f"matmul bias {bias.shape} does not fit {out.shape}")
+        _count(2 * m * n * p + m * p)
+        out += bias
+    return _checked(out)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -178,9 +203,11 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"softmax_rows needs a matrix with columns, got {a.shape}")
     m, n = a.shape
     _count(SOFTMAX_FLOPS_PER_ELEM * m * n)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted, dtype=np.float32)
-    return _checked(e / e.sum(axis=1, keepdims=True, dtype=np.float32))
+    # a - max is a fresh buffer, so exp and divide may run in place on it
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True, dtype=np.float32)
+    return _checked(e)
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,6 +305,32 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _uniform01(seeds: list[int], position: int, n: int) -> np.ndarray:
+    """Outputs position+1 .. position+n of each seed's stream as 53-bit
+    floats in (0, 1], so log() is always finite; one row per seed.
+
+    Each integer buffer is dropped as soon as it is used up, since the
+    draw of a weight matrix is MB-sized.
+    """
+    idx = np.arange(position + 1, position + n + 1, dtype=np.uint64)
+    raw = _mix64(np.array(seeds, dtype=np.uint64)[:, None] + idx * _GOLDEN)
+    del idx
+    raw >>= np.uint64(11)
+    return (raw.astype(np.float64) + 1.0) * 2.0**-53
+
+
+def gaussian_rows(seeds: list[int], n: int, position: int = 0) -> np.ndarray:
+    """Row i holds n float32 Gaussians of seed i's stream, all rows in one
+    pass: Box-Muller over consecutive pairs of outputs position+1, ..."""
+    u = _uniform01(seeds, position, 2 * ((n + 1) // 2))
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * math.pi * u[:, 1::2]
+    out = np.empty(u.shape, dtype=np.float64)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return readonly(out[:, :n].astype(np.float32))
+
+
 class Rng:
     """Counter-based generator: output i is a pure function of (seed, i).
 
@@ -293,23 +346,8 @@ class Rng:
         self.seed = seed & _U64_MASK
         self.position = position
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
-        self.position += n
-        return _mix64(np.uint64(self.seed) + idx * _GOLDEN)
-
-    def uniform01(self, n: int) -> np.ndarray:
-        # (0, 1] so log() below is always finite
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-
     def gaussian(self, shape: tuple[int, ...]) -> np.ndarray:
         n = int(np.prod(shape, dtype=np.int64))
-        pairs = (n + 1) // 2
-        u = self.uniform01(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return readonly(out[:n].astype(np.float32).reshape(shape))
+        z = gaussian_rows([self.seed], n, self.position)
+        self.position += 2 * ((n + 1) // 2)
+        return z.reshape(shape)

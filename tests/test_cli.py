@@ -1,4 +1,5 @@
 import json
+import pathlib
 import sys
 import threading
 
@@ -39,6 +40,22 @@ def _write_config(tmp_path, **overrides):
             for k, v in kv.items():
                 f.write(f"{k} = {v}\n")
     return str(path)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_sample_loads(tmp_path):
+    sample = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
+    path = tmp_path / "run.ini"
+    path.write_text(sample.split("```", 1)[0], encoding="utf-8")
+    rc = load_run_config(str(path))
+    assert (rc.cloud_weights.seed, rc.device_weights.seed) == (1001, 2002)
+    assert rc.session.cloud_schedule.spacing == "scaled-linear"
+    accel = rc.session.accel
+    assert (accel.switch_point, accel.cache_point, accel.skip_point,
+            accel.reuse) == (10, 4, 6, True)
+    assert (rc.transport_mode, rc.session.seed) == ("simulated", 42)
 
 
 def test_missing_config_is_an_error(tmp_path):

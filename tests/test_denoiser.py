@@ -16,8 +16,10 @@ from oblix.denoiser import (
     unet_forward,
 )
 from oblix.errors import ConfigError, InputError, ProtocolError
+from oblix.oblivious import DEFAULT_TEMPLATES, default_lexicon, generate_corpus
+from oblix.protocol import ScheduleParams, run_device_steps
 from oblix.schedule import build_schedule
-from oblix.tensor import FlopsCounter, Rng, fnv1a64, use_flops_counter
+from oblix.tensor import FlopsCounter, Rng, StepCost, fnv1a64, use_flops_counter
 
 from bitwise import same_bits, spy_states
 
@@ -60,6 +62,51 @@ def test_embed_truncates_at_capacity():
 def test_embed_rejects_empty_prompt():
     with pytest.raises(InputError):
         embed_prompt("   ", CFG)
+
+
+def _gaussian_oracle(seed: int, n: int) -> np.ndarray:
+    """One token's row, drawn on its own: splitmix64 of (seed + i * golden)
+    for i = 1, 2, ..., 53-bit uniforms in (0, 1], Box-Muller over
+    consecutive pairs, rounded to float32."""
+    pairs = (n + 1) // 2
+    idx = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    u = ((x >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n].astype(np.float32)
+
+
+def _embed_oracle(prompt: str, cfg: ModelConfig) -> np.ndarray:
+    """Each token drawn on its own, then the pad row to capacity."""
+    tokens = prompt.split()[:cfg.token_capacity]
+    rows = [_gaussian_oracle(fnv1a64(t.encode("utf-8")), cfg.d_text)
+            for t in tokens]
+    pad = _gaussian_oracle(fnv1a64(b"\x00oblix-pad\x00"), cfg.d_text)
+    return np.stack(rows + [pad] * (cfg.token_capacity - len(rows)))
+
+
+def test_embed_matches_per_token_oracle():
+    prompts = [rec["prompt"] for rec in generate_corpus(DEFAULT_TEMPLATES,
+                                                        default_lexicon())]
+    assert len(prompts) == 300
+    for cfg in (ModelConfig(), CFG, ModelConfig(d_text=7, token_capacity=3)):
+        cap = cfg.token_capacity
+        edges = [" ".join(f"tök{i}" for i in range(k))
+                 for k in (1, cap - 1, cap, cap + 1, 3 * cap) if k > 0]
+        for prompt in prompts + edges:
+            got = embed_prompt(prompt, cfg)
+            assert got.count == min(len(prompt.split()), cap)
+            assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
+            assert same_bits(got.matrix, _embed_oracle(prompt, cfg)), (cfg, prompt)
 
 
 # --- attention -----------------------------------------------------------------
@@ -169,6 +216,66 @@ GOLDEN_HEAD = [0.8328762054443359, 0.3854965567588806, 0.7217596769332886]
 
 
 # --- sampler loop ----------------------------------------------------------------
+
+def _site_buckets(blocks, self_site, cross_site):
+    """(map, value, proj) FLOPs of each block's self and cross site."""
+    return {f"{b}.{kind}/{phase}": flops
+            for b in blocks
+            for kind, triple in (("self", self_site), ("cross", cross_site))
+            for phase, flops in zip(("map", "value", "proj"), triple)}
+
+
+_BLOCKS = ("down", "mid", "up")
+# the counter's (step, tag) buckets and step series of the paper's default
+# session on the default model: the server runs k=10 of 25 steps on N=6
+# rows (cache 4, skip 6, reuse on, refresh 5) and the device finishes one
+# row; any FLOP moved between buckets, added or dropped changes a figure
+SERVER_LEDGER = {
+    (1, 2, 3, 4): _site_buckets(_BLOCKS, (5636096, 28311552, 3194880),
+                                (843776, 1769472, 3194880)),
+    (5,): _site_buckets(_BLOCKS, (33816576, 28311552, 3194880),
+                        (5062656, 1769472, 3194880)),
+    (6, 7, 8, 9): _site_buckets(("up",), (0, 0, 3194880), (0, 0, 3194880)),
+    (10,): _site_buckets(("up",), (33816576, 28311552, 3194880),
+                         (5062656, 1769472, 3194880)),
+}
+SERVER_STEPS = [
+    *(StepCost(i, 190187520, True, False, True) for i in (1, 2, 3, 4)),
+    StepCost(5, 287385600, True, False, False),
+    *(StepCost(i, 35874816, False, True, False) for i in (6, 7, 8, 9)),
+    StepCost(10, 104835072, True, True, False),
+]
+DEVICE_LEDGER = {tuple(range(11, 26)): _site_buckets(
+    _BLOCKS, (5636096, 4718592, 532480), (843776, 294912, 532480))}
+DEVICE_STEPS = [StepCost(i, 47897600) for i in range(11, 26)]
+
+
+def _buckets(ledger):
+    return {(i, tag): flops for steps, table in ledger.items()
+            for i in steps for tag, flops in table.items() if flops}
+
+
+def test_default_session_flops_ledger():
+    w = ModelWeights.build(ModelConfig(), 1001)
+    sched = ScheduleParams(25).build()
+    accel = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
+                        reuse=True, refresh_period=5)
+    prompts = [f"portrait of a {a} person"
+               for a in ("young", "old", "tall", "short", "calm", "kind")]
+    x = np.stack([Rng(3).gaussian((4, 16, 16))] * 6)
+    server = FlopsCounter()
+    with use_flops_counter(server):
+        out = run_denoise_steps(x, [embed_prompt(p, w.cfg) for p in prompts],
+                                sched, w, 1, 10, accel)
+    device = FlopsCounter()
+    run_device_steps(out[0], prompts[0], sched, w, 11, device)
+    for counter, ledger, steps in ((server, SERVER_LEDGER, SERVER_STEPS),
+                                   (device, DEVICE_LEDGER, DEVICE_STEPS)):
+        assert counter.tagged == _buckets(ledger)
+        assert counter.steps == steps
+        assert counter.total == sum(s.flops for s in steps)
+    assert (server.total, device.total) == (1296470016, 718464000)
+
 
 def test_run_denoise_steps_range_validation():
     sched = build_schedule(10)

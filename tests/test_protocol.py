@@ -14,7 +14,7 @@ import oblix.denoiser
 import oblix.protocol
 from oblix.accel import AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
-from oblix.errors import FrameError, ProtocolError
+from oblix.errors import FrameError, InternalError, ProtocolError, ShapeError
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
 from oblix.protocol import (
     ChannelModel,
@@ -175,11 +175,16 @@ def test_single_byte_corruption_never_escapes_protocol_error(pos, value, resp):
         pass  # rejected cleanly; silent success means the bytes still parse
 
 
+REUSE_BYTE = 12  # offset of the u8 reuse flag within the 21 gate bytes
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 20), st.integers(0, 255))
 def test_gate_byte_corruption_is_refused_only_as_protocol_error(pos, value):
     # the 21 gate bytes hold no length, so a mutation there either still
-    # decodes to a valid AccelConfig or is refused at the gates' offset
+    # decodes to a valid AccelConfig, re-encoding to the same bytes, or is
+    # refused: at the reuse byte when that is neither 0 nor 1, else at the
+    # gates' offset
     req = _request()
     at = _gates_at(req)
     raw = bytearray(encode_frame(req))
@@ -187,9 +192,35 @@ def test_gate_byte_corruption_is_refused_only_as_protocol_error(pos, value):
     try:
         got = decode_frame(bytes(raw))
     except ProtocolError as exc:
-        assert exc.offset == at
+        bad_reuse = pos == REUSE_BYTE and value > 1
+        assert exc.offset == (at + REUSE_BYTE if bad_reuse else at)
     else:
         assert isinstance(got.accel, AccelConfig)
+        assert encode_frame(got) == bytes(raw)
+
+
+def test_decode_refuses_reuse_byte_other_than_0_or_1():
+    at = _gates_at(_request())
+    assert decode_frame(_gate_frame(reuse=1)).accel.reuse
+    for value in (2, 255):
+        with pytest.raises(ProtocolError) as err:
+            decode_frame(_gate_frame(reuse=value))
+        assert err.value.offset == at + REUSE_BYTE, value
+        assert "reuse" in str(err.value)
+
+
+def test_decode_refuses_step_flags_with_unknown_bits():
+    latents = fp16_roundtrip(Rng(5).gaussian((1, 4, 8, 8)))
+    resp = GenerateResponse(5, latents, 9, (StepCost(1, 4, True, True, True),))
+    raw = bytearray(encode_frame(resp))
+    flags_at = len(raw) - 1
+    assert raw[flags_at] == 0b111
+    assert decode_frame(bytes(raw)).step_costs == resp.step_costs
+    for value in (0b1000, 0b1111, 0xFF):
+        raw[flags_at] = value
+        with pytest.raises(ProtocolError) as err:
+            decode_frame(bytes(raw))
+        assert err.value.offset == flags_at, value
 
 
 def test_decode_rejects_invalid_utf8_candidate():
@@ -603,23 +634,25 @@ def test_daemon_survives_malformed_magic():
     assert result.image.shape == (3, 32, 32)
 
 
-def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
+def _refused(addr, frame: bytes) -> None:
+    conn = socket.create_connection(addr, timeout=30)
+    try:
+        conn.sendall(frame)
+        assert conn.recv(1) == b""  # refused: closed without a reply
+    finally:
+        conn.close()
+
+
+def _session_after(before, cfg, monkeypatch):
+    """Call ``before(addr)`` on a loopback daemon, then run one session over
+    it; require no handler-thread error and the bits and transcript of the
+    same session in process."""
     handler_errors = []
     monkeypatch.setattr(Daemon, "handle_error",
                         lambda self, request, address: handler_errors.append(address))
-    cfg = _session(k=3, seed=5, cache_point=2, reuse=True)
-
-    frames = [*INVALID_FRAMES.values(), encode_frame(_request(**HANDOFF_OVERFLOW))]
-    frames += [raw for raw, _ in _over_cap_frames().values()]
 
     def run(addr):
-        for frame in frames:
-            conn = socket.create_connection(addr, timeout=30)
-            try:
-                conn.sendall(frame)
-                assert conn.recv(1) == b""  # refused: closed without a reply
-            finally:
-                conn.close()
+        before(addr)
         transport = SocketTransport(addr[0], addr[1])
         try:
             return client_run_session("portrait of a man", cfg, transport, W, LEX)
@@ -632,6 +665,52 @@ def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
     assert handler_errors == []
     assert same_bits(over_socket.image, in_process.image)
     assert over_socket.transcript == in_process.transcript
+
+
+def test_daemon_refuses_invalid_requests_without_handler_errors(monkeypatch):
+    frames = [*INVALID_FRAMES.values(), encode_frame(_request(**HANDOFF_OVERFLOW))]
+    frames += [raw for raw, _ in _over_cap_frames().values()]
+
+    def refuse_all(addr):
+        for frame in frames:
+            _refused(addr, frame)
+
+    _session_after(refuse_all, _session(k=3, seed=5, cache_point=2, reuse=True),
+                   monkeypatch)
+
+
+@pytest.mark.parametrize("error", [InternalError, ShapeError])
+def test_daemon_logs_unexpected_errors_and_keeps_serving(error, monkeypatch,
+                                                         caplog):
+    planted = [error("planted fault")]
+    real = Server.handle_request
+
+    def faulty(self, req):
+        if planted:
+            raise planted.pop()
+        return real(self, req)
+
+    monkeypatch.setattr(Server, "handle_request", faulty)
+    with caplog.at_level("ERROR", logger="oblix.protocol"):
+        _session_after(lambda addr: _refused(addr, encode_frame(_request())),
+                       _session(k=3, seed=5), monkeypatch)
+    assert planted == []
+    logged = [r for r in caplog.records if r.name == "oblix.protocol"]
+    assert len(logged) == 1 and logged[0].exc_info is None
+    assert error.__name__ in logged[0].getMessage()
+    assert "\n" not in logged[0].getMessage()
+
+
+def test_daemon_survives_a_peer_that_resets_before_its_reply(monkeypatch):
+    def reset_after_sending(addr):
+        conn = socket.create_connection(addr, timeout=30)
+        # linger 0: close() resets the connection instead of a clean FIN
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        conn.sendall(encode_frame(_request(switch_point=8)))
+        conn.close()
+
+    _session_after(reset_after_sending, _session(k=3, seed=5), monkeypatch)
 
 
 def test_two_concurrent_clients_complete_independently():

@@ -13,6 +13,7 @@ from oblix.tensor import (
     add_rowvec,
     decode_f16,
     encode_f16,
+    flops_tag,
     fnv1a64,
     fp16_roundtrip,
     matmul,
@@ -66,6 +67,30 @@ def test_matmul_counts_2mnp():
     with use_flops_counter(counter):
         matmul(np.ones((3, 4), np.float32), np.ones((4, 2), np.float32))
     assert counter.total == 2 * 3 * 4 * 2
+
+
+def test_matmul_bias_has_the_bits_of_a_separate_add():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(7, 5)).astype(np.float32)
+    b = rng.normal(size=(5, 4)).astype(np.float32)
+    bias = rng.normal(size=4).astype(np.float32)
+    assert same_bits(matmul(a, b, bias), add_rowvec(matmul(a, b), bias))
+    assert same_bits(matmul(a, b, bias), (a @ b) + bias[None, :])
+
+
+def test_matmul_bias_counts_2mnp_plus_mp_in_the_active_bucket():
+    counter = FlopsCounter()
+    with use_flops_counter(counter), counter.step(1), flops_tag("site/proj"):
+        matmul(np.ones((3, 4), np.float32), np.ones((4, 2), np.float32),
+               np.ones(2, np.float32))
+    assert counter.total == 2 * 3 * 4 * 2 + 3 * 2
+    assert counter.tagged == {(1, "site/proj"): 2 * 3 * 4 * 2 + 3 * 2}
+
+
+def test_matmul_refuses_a_bias_that_does_not_fit():
+    for bias in (T([1.0, 2.0, 3.0]), T([[1.0, 2.0]])):
+        with pytest.raises(ShapeError):
+            matmul(T([[1.0, 2.0]]), T([[1.0, 2.0], [3.0, 4.0]]), bias)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -183,6 +208,9 @@ BIG = T([[3e38, 1.0]])
 # cannot overflow, so they are fed a NaN
 NON_FINITE = {
     "matmul": lambda: matmul(BIG, T([[10.0], [0.0]])),
+    # overflow in the product, and in the bias add on a finite product
+    "matmul bias product": lambda: matmul(BIG, T([[10.0], [0.0]]), T([0.0])),
+    "matmul bias add": lambda: matmul(BIG, T([[1.0], [0.0]]), T([3e38])),
     "softmax_rows": lambda: softmax_rows(T([[np.nan, 0.0]])),
     "add": lambda: add(BIG, BIG),
     "sub": lambda: sub(BIG, -BIG),
@@ -207,7 +235,8 @@ def test_tensor_rejects_non_finite():
 def test_tensor_is_immutable():
     x = T([[0.5, -1.0], [2.0, 0.25]])
     outputs = {
-        "matmul": matmul(x, x), "softmax_rows": softmax_rows(x),
+        "matmul": matmul(x, x), "matmul bias": matmul(x, x, x[0]),
+        "softmax_rows": softmax_rows(x),
         "add": add(x, x), "sub": sub(x, x),
         "add_rowvec": add_rowvec(x, x[0]), "scale": scale(x, 2.0),
         "tanh_map": tanh_map(x), "fp16_roundtrip": fp16_roundtrip(x),
@@ -266,3 +295,39 @@ def test_counter_steps_and_tags():
     assert c.steps[0].reuse and not c.steps[1].reuse
     assert c.tagged[(1, "site/map")] == 16
     assert c.tag_total("site/map") == 16
+
+
+def test_tag_scope_is_restored_after_an_error_inside_it():
+    c = FlopsCounter()
+    one = np.ones((2, 2), np.float32)
+    with use_flops_counter(c), c.step(1):
+        with c.tag("outer"):
+            with pytest.raises(ShapeError):
+                with flops_tag("inner"):
+                    matmul(one, one)
+                    matmul(one, T([[1.0, 2.0]]))
+            matmul(one, one)
+        matmul(one, one)
+    assert c.tagged == {(1, "inner"): 16, (1, "outer"): 16}
+    assert c.steps[0].flops == 48 and c._tag is None
+
+
+def test_tag_scope_is_restored_after_a_nested_scope():
+    c = FlopsCounter()
+    one = np.ones((2, 2), np.float32)
+    with use_flops_counter(c), c.step(1):
+        with flops_tag("a"):
+            with flops_tag("b"):
+                with c.tag("c"):
+                    matmul(one, one)
+                matmul(one, one)
+            matmul(one, one)
+        matmul(one, one)
+    assert c.tagged == {(1, "a"): 16, (1, "b"): 16, (1, "c"): 16}
+    assert c.total == 64 and c._tag is None
+
+
+def test_tag_scope_without_a_counter_is_one_shared_no_op():
+    assert flops_tag("a") is flops_tag("b")
+    with flops_tag("a"):
+        matmul(np.ones((2, 2), np.float32), np.ones((2, 2), np.float32))

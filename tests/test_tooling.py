@@ -6,10 +6,12 @@ import importlib.util
 import inspect
 import pathlib
 
+import oblix.accel
 import oblix.denoiser
 import oblix.security
 from oblix.oblivious import default_lexicon
 from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
+from oblix.tensor import Rng
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,3 +61,21 @@ def test_tracer_records_each_members_expansion():
                            + ["security.check_indistinguishability"])
     assert {span[8] for span in tracer.spans
             if span[2] == "oblivious.expand_candidates"} == {30}
+
+
+def test_tracer_sees_every_product_of_an_ungated_forward():
+    # the per-layer tensor.matmul_* figures wrap the matmul names of
+    # oblix.denoiser and oblix.accel: a product made through any other name
+    # (say a separate helper for the 11 biased layers) would drop out here
+    tracing = _tracing()
+    assert {(owner, attr) for owner, attr, *_ in tracing._TARGETS
+            if attr == "matmul"} == {(oblix.denoiser, "matmul"),
+                                     (oblix.accel, "matmul")}
+    cfg = oblix.denoiser.ModelConfig()
+    w = oblix.denoiser.ModelWeights.build(cfg, 1001)
+    text = oblix.denoiser.embed_prompt("portrait of a man", cfg)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        oblix.denoiser.unet_forward(Rng(1).gaussian((1, 4, 16, 16)), [text],
+                                    1, w)
+    assert [span[2] for span in tracer.spans].count("tensor.matmul") == 43
