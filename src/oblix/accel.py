@@ -19,6 +19,7 @@ reuse shapes how a recomputation is performed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -26,7 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SessionError
-from .tensor import flops_tag, matmul, readonly, row_blocks, scale, softmax_rows
+from .tensor import _checked, flops_tag, matmul, row_blocks, softmax_rows
+
+# bytes of float32 attention maps that one chunk of rows makes at once
+MAP_CHUNK_BYTES = 256 * 1024
 
 
 def never(total_steps: int) -> int:
@@ -154,34 +158,49 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
     ``q`` is (n*S, width) and ``kv`` is (n*T, kv width); row block r of
     each belongs to batch row r.  ``params`` exposes ``wq``/``wk``/``wv``
     projections.  The value projection runs once on all of ``kv``.  The
-    map work (query and key projections, scaled scores, softmax) runs per
-    row block, or once on block ``pivot`` whose map every row then shares.
-    The map-times-value product runs per row block, since an (S, T) map
-    stays in cache where a batch of them does not, and writes into one
-    (n*S, width) output.  The output projection is applied by the caller,
-    so the result is exactly what the attention cache stores.
+    map work runs per chunk of ``max(1, MAP_CHUNK_BYTES // (4*S*T))``
+    rows, or once on block ``pivot`` whose map every row then shares: one
+    query and one key product per chunk, each row's scaled scores into one
+    (rows*S, T) buffer, one check of it (softmax would hide a -inf score)
+    and one softmax.  Each numpy call releases and retakes the interpreter
+    lock, so fewer calls per row let concurrent requests overlap, and the
+    budget keeps a chunk's maps in cache: one self-site row or 16
+    cross-site rows of the default model.  Each row's map-times-value
+    product goes into its slice of one (n*S, width) output, checked once.
+    Every row keeps the bits of a one-row call, whatever the chunk.  The
+    output projection is applied by the caller, so the result is exactly
+    what the attention cache stores.
     """
     if pivot is not None and not 0 <= pivot < n:
         raise ConfigError(f"pivot_index {pivot} outside batch of {n}")
-    q_blocks, kv_blocks = row_blocks(q, n), row_blocks(kv, n)
-    width = params.wq.shape[1]
+    s, t = row_blocks(q, n).shape[1], row_blocks(kv, n).shape[1]
+    scale = 1.0 / math.sqrt(params.wq.shape[1])
+    map_tag, value_tag = f"{site}/map", f"{site}/value"
 
-    def attention_map(q_in: np.ndarray, kv_in: np.ndarray) -> np.ndarray:
-        with flops_tag(f"{site}/map"):
-            q_proj = matmul(q_in, params.wq)
-            k_proj = matmul(kv_in, params.wk)
-            scores = scale(matmul(q_proj, k_proj.T), 1.0 / math.sqrt(width))
-            return softmax_rows(scores)
+    def maps(r0: int, r1: int) -> np.ndarray:
+        """The softmaxed maps of rows r0..r1-1, as one (rows*S, T) matrix."""
+        with flops_tag(map_tag):
+            q_proj = matmul(q[r0 * s:r1 * s], params.wq)
+            k_proj = matmul(kv[r0 * t:r1 * t], params.wk)
+            scores = np.empty(((r1 - r0) * s, t), dtype=np.float32)
+            for q_row, k_row, into in zip(row_blocks(q_proj, r1 - r0),
+                                          row_blocks(k_proj, r1 - r0),
+                                          row_blocks(scores, r1 - r0)):
+                matmul(q_row, k_row.T, scale=scale, out=into)
+            return softmax_rows(_checked(scores))
 
-    with flops_tag(f"{site}/value"):
+    with flops_tag(value_tag):
         values = row_blocks(matmul(kv, params.wv), n)
-    shared = None if pivot is None else attention_map(q_blocks[pivot],
-                                                      kv_blocks[pivot])
-    s = q.shape[0] // n
     out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
-    for r in range(n):
-        attn_map = shared if shared is not None else attention_map(
-            q_blocks[r], kv_blocks[r])
-        with flops_tag(f"{site}/value"):
-            out[r * s:(r + 1) * s] = matmul(attn_map, values[r])
-    return readonly(out)
+    out_rows = row_blocks(out, n)
+    shared = None if pivot is None else maps(pivot, pivot + 1)
+    rows = max(1, MAP_CHUNK_BYTES // (4 * s * t))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        chunk = itertools.repeat(shared) if shared is not None else \
+            row_blocks(maps(r0, r1), r1 - r0)
+        with flops_tag(value_tag):
+            for attn_map, value, into in zip(chunk, values[r0:r1],
+                                             out_rows[r0:r1]):
+                matmul(attn_map, value, out=into)
+    return _checked(out)

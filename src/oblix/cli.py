@@ -262,43 +262,65 @@ def cmd_serve(args) -> int:
     return 0
 
 
+# grid axis -> value type; reuse takes configparser's boolean words
+_GRID_AXES = {"k": int, "r": int, "s": int, "N": int, "reuse": bool}
+
+
+def _grid_value(axis: str, text: str):
+    """One grid value as its axis's type; a ConfigError names the axis."""
+    kind = _GRID_AXES[axis]
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        return int(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"grid axis {axis} value {text!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
 def _parse_grid(grid: str) -> dict[str, list]:
-    """Grid strings look like "k=0,5,10 N=1,2,6 reuse=0,1 r=4 s=6"."""
+    """Typed axes of a grid string like "k=0,5,10 N=1,2,6 reuse=0,1 r=4 s=6".
+
+    Each axis appears at most once, and every value must convert.
+    """
     axes: dict[str, list] = {}
     for part in grid.split():
         key, _, values = part.partition("=")
-        if not values:
+        if key not in _GRID_AXES:
+            raise ConfigError(f"unknown grid axis {key!r}; choose from "
+                              f"{sorted(_GRID_AXES)}")
+        if key in axes:
+            raise ConfigError(f"grid axis {key} repeats")
+        axes[key] = [_grid_value(key, v) for v in values.split(",") if v]
+        if not axes[key]:
             raise ConfigError(f"grid axis {part!r} has no values")
-        axes[key] = [v for v in values.split(",") if v]
     return axes
 
 
 def cmd_bench(args) -> int:
     rc = load_run_config(args.config)
     axes = _parse_grid(args.grid)
-    unknown = set(axes) - {"k", "r", "s", "reuse", "N"}
-    if unknown:
-        raise ConfigError(f"unknown grid axes {sorted(unknown)}")
     total_steps = rc.session.cloud_schedule.steps
     never = total_steps + 1
-    ks = [int(v) for v in axes.get("k", [rc.session.accel.switch_point])]
-    rs = [int(v) for v in axes.get("r", [rc.session.accel.cache_point])]
-    ss = [int(v) for v in axes.get("s", [rc.session.accel.skip_point])]
-    reuses = [v in ("1", "true", "on") for v in axes.get(
-        "reuse", ["1" if rc.session.accel.reuse else "0"])]
-    batches = [int(v) for v in axes.get("N", [2])]
-
-    records = []
-    for n in batches:
+    base = rc.session.accel
+    ks = axes.get("k", [base.switch_point])
+    rs = axes.get("r", [base.cache_point])
+    ss = axes.get("s", [base.skip_point])
+    reuses = axes.get("reuse", [base.reuse])
+    batches = axes.get("N", [2])
+    for n in batches:  # before any grid point runs
         if n not in BENCH_PROMPTS:
             raise ConfigError(
                 f"no bench prompt for N={n}; choose from "
                 f"{sorted(BENCH_PROMPTS)}")
+
+    records = []
+    for n in batches:
         for k in ks:
             for r in rs:
                 for s in ss:
                     for reuse in reuses:
-                        accel = replace(rc.session.accel, switch_point=k,
+                        accel = replace(base, switch_point=k,
                                         cache_point=min(r, never),
                                         skip_point=min(s, never), reuse=reuse)
                         session = replace(rc.session, accel=accel)

@@ -37,6 +37,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,11 @@ _REUSE_OFFSET = struct.calcsize("<III")  # of the reuse byte in the gates
 # response of the default toy model is about 61 KB), far below the 4 GiB
 # a u32 length field could make a reader allocate
 MAX_FRAME_BYTES = 16 * 2**20
+# once a frame's first byte reaches the daemon, the rest of the frame must
+# follow within this many seconds, so a peer that stops mid-frame cannot
+# hold a handler thread; the wait for a first byte is unbounded, since a
+# client keeps its connection open between sessions
+FRAME_READ_TIMEOUT_S = 30.0
 # the peer chooses both u32 fields and the server allocates per candidate
 # and per schedule step, so both are refused above these at decode:
 # 8.5x the largest candidate class of 30 (an N=256 response of the default
@@ -437,8 +443,14 @@ class SocketTransport:
             self._sock = None
 
 
-def read_frame(sock: socket.socket, prefix: bytes = b"") -> bytes:
-    header = prefix + _recv_exact(sock, _HEADER.size - len(prefix))
+def read_frame(sock: socket.socket, prefix: bytes = b"",
+               deadline: float | None = None) -> bytes:
+    """One frame whose first bytes ``prefix`` were read already.
+
+    With a ``deadline`` (a `time.monotonic` value) a frame that is not
+    complete by then raises TimeoutError.
+    """
+    header = prefix + _recv_exact(sock, _HEADER.size - len(prefix), deadline)
     magic, _, _, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}", offset=0)
@@ -446,14 +458,20 @@ def read_frame(sock: socket.socket, prefix: bytes = b"") -> bytes:
         raise ProtocolError(
             f"frame announces {length} payload bytes, above the "
             f"{MAX_FRAME_BYTES}-byte cap", offset=6)
-    return header + _recv_exact(sock, length)
+    return header + _recv_exact(sock, length, deadline)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int,
+                deadline: float | None = None) -> bytes:
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"timed out after {got} of {n} bytes")
+            sock.settimeout(left)
         k = sock.recv_into(view[got:])
         if not k:
             raise ProtocolError(f"connection closed after {got} of {n} bytes")
@@ -471,12 +489,19 @@ class _DaemonHandler(socketserver.BaseRequestHandler):
             if not first:
                 return  # client closed the connection between frames
             try:
-                frame = read_frame(self.request, prefix=first)
+                frame = read_frame(self.request, prefix=first,
+                                   deadline=time.monotonic()
+                                   + FRAME_READ_TIMEOUT_S)
             except ProtocolError as exc:
                 log.warning("dropping connection: %s", exc)
                 return
+            except TimeoutError:
+                log.warning("dropping connection: frame not complete within "
+                            "%s s of its first byte", FRAME_READ_TIMEOUT_S)
+                return
             except OSError:
                 return
+            self.request.settimeout(None)  # the reply and the idle wait
             try:
                 reply = self.server.oblix_server.handle_frame(frame)
             except ProtocolError as exc:

@@ -4,7 +4,8 @@ reproducible RNG.
 Every arithmetic primitive here feeds the session FLOPs counter when one
 is active.  The counting conventions are fixed package-wide:
 
-    matmul (m,n)x(n,p)   2*m*n*p, plus m*p for a fused bias add
+    matmul (m,n)x(n,p)   2*m*n*p, plus m*p for a fused bias add or a
+                         fused scale (the attention scores' 1/sqrt(width))
     softmax per element  5      (max scan, subtract, exp, sum, divide)
     elementwise add/sub  1
     scalar multiply      1
@@ -172,13 +173,18 @@ def row_blocks(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(n, a.shape[0] // n, a.shape[1])
 
 
-def matmul(a: np.ndarray, b: np.ndarray,
-           bias: np.ndarray | None = None) -> np.ndarray:
-    """Matrix product, plus ``bias`` on every row when given.
+def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
+           scale: float | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product, plus ``bias`` on every row or times ``scale``.
 
-    Counts 2*m*n*p FLOPs, and m*p more for the bias, in the active
-    bucket.  The bias is added in place on the fresh product, with the
-    bits of a separate broadcast add, and the sum is checked once.
+    Counts 2*m*n*p FLOPs, and m*p more for a bias or a scale, in the
+    active bucket.  Either is applied in place on the fresh product, with
+    the bits of a separate broadcast add or scalar multiply.  The result
+    is checked once and returned read-only.  With ``out``, a writeable
+    C-order (m, p) slice of a caller's buffer, the product is made there
+    and returned unchecked: the caller checks the filled buffer once,
+    before anything reads it.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
@@ -186,25 +192,39 @@ def matmul(a: np.ndarray, b: np.ndarray,
     n2, p = b.shape
     if n != n2:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = a @ b
-    if bias is None:
-        _count(2 * m * n * p)
+    if out is None:
+        prod = a @ b
+    elif out.shape == (m, p):
+        prod = np.matmul(a, b, out=out)
     else:
+        raise ShapeError(f"matmul output {out.shape} does not fit {(m, p)}")
+    flops = 2 * m * n * p
+    if bias is not None:
         if bias.shape != (p,):
-            raise ShapeError(f"matmul bias {bias.shape} does not fit {out.shape}")
-        _count(2 * m * n * p + m * p)
-        out += bias
-    return _checked(out)
+            raise ShapeError(f"matmul bias {bias.shape} does not fit {(m, p)}")
+        flops += m * p
+        prod += bias
+    if scale is not None:
+        flops += m * p
+        prod *= np.float32(scale)
+    _count(flops)
+    return _checked(prod) if out is None else prod
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction for stability."""
+    """Row softmax with max subtraction for stability.
+
+    The row max is read at ``argmax``, which numpy finds faster than
+    ``max`` along a short row, with the same values: the max is exact, a
+    tie of +0 and -0 gives the same bits after ``exp``, and a row holding
+    a NaN or +inf, or only -inf, turns NaN, which the output check refuses.
+    """
     if a.ndim != 2 or a.shape[1] < 1:
         raise ShapeError(f"softmax_rows needs a matrix with columns, got {a.shape}")
     m, n = a.shape
     _count(SOFTMAX_FLOPS_PER_ELEM * m * n)
     # a - max is a fresh buffer, so exp and divide may run in place on it
-    e = a - a.max(axis=1, keepdims=True)
+    e = a - a[np.arange(m), a.argmax(axis=1)][:, None]
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True, dtype=np.float32)
     return _checked(e)

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import oblix.accel
 from oblix.accel import (
+    MAP_CHUNK_BYTES,
     AccelConfig,
     AccelState,
     attend,
@@ -16,7 +19,7 @@ from oblix.accel import (
     step_gates,
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
-from oblix.errors import ConfigError, SessionError, ShapeError
+from oblix.errors import ConfigError, InternalError, SessionError, ShapeError
 from oblix.tensor import Rng, row_blocks
 
 from bitwise import WriteLog, same_bits
@@ -178,6 +181,72 @@ def test_reuse_pivot_out_of_range():
     kv = Rng(2).gaussian((CFG.tokens + 1, CFG.width))
     with pytest.raises(ShapeError):
         attend(_stacked([q, q]), kv, W.attn("up.self"), "up.self", 2)
+
+
+# --- map chunks ---------------------------------------------------------------
+
+def _rows_per_chunk(site):
+    kv_tokens = CFG.token_capacity if site.endswith("cross") else CFG.tokens
+    return max(1, MAP_CHUNK_BYTES // (4 * CFG.tokens * kv_tokens))
+
+
+def _site_inputs(site, n, seed=40):
+    qs = [Rng(seed + i).gaussian((CFG.tokens, CFG.width)) for i in range(n)]
+    if site.endswith("self"):
+        return _stacked(qs), _stacked(qs)
+    kvs = [Rng(seed + 100 + i).gaussian((CFG.token_capacity, CFG.d_text))
+           for i in range(n)]
+    return _stacked(qs), _stacked(kvs)
+
+
+@pytest.mark.parametrize("site", ["down.self", "mid.cross"])
+@pytest.mark.parametrize("pivot", [None, 1])
+def test_attention_bits_do_not_depend_on_the_chunk_size(site, pivot,
+                                                        monkeypatch):
+    # the self sites of this model take 16-row chunks, the cross sites 128
+    assert (_rows_per_chunk("down.self"), _rows_per_chunk("mid.cross")) \
+        == (16, 128)
+    n = 7
+    q, kv = _site_inputs(site, n)
+    want = attend(q, kv, W.attn(site), site, n, pivot)
+    map_bytes = 4 * CFG.tokens * (kv.shape[0] // n)
+    for budget in (1, map_bytes, 2 * map_bytes, 3 * map_bytes - 1,
+                   n * map_bytes, 10 * n * map_bytes):
+        monkeypatch.setattr(oblix.accel, "MAP_CHUNK_BYTES", budget)
+        assert same_bits(attend(q, kv, W.attn(site), site, n, pivot), want), \
+            budget
+
+
+def _poisoned_site(site, sign):
+    """Site weights whose scores are q @ (sign * kv).T times the scale, so a
+    token of 1e20 in a row's queries and keys overflows its own score."""
+    p = W.attn(site)
+    eye = np.eye(CFG.width, dtype=np.float32)
+    return dataclasses.replace(p, wq=eye, wk=np.float32(sign) * eye)
+
+
+@pytest.mark.parametrize("site,n,row", [
+    ("down.self", 16, 15),   # the last row of a full 16-row chunk
+    ("down.self", 17, 16),   # the one-row chunk after it
+    ("up.cross", 3, 2),      # the last row of a 3-row chunk
+    ("up.cross", 1, 0),      # one row, as on the device
+])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-inf", "+inf"])
+def test_a_non_finite_score_in_any_row_of_a_chunk_is_refused(site, n, row,
+                                                             sign):
+    # a -inf score leaves a finite softmax (its weight is 0) and a finite
+    # output, so only the check of the score buffer can refuse it
+    q, kv = (a.copy() for a in _site_inputs(site, n))
+    if site.endswith("self"):
+        kv = q
+    q[row * CFG.tokens] = 1e20
+    kv[row * (kv.shape[0] // n)] = 1e20
+    params = _poisoned_site(site, sign)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InternalError):
+            attend(q, kv, params, site, n)
+        with pytest.raises(InternalError):  # the pivot's shared map
+            attend(q, kv, params, site, n, pivot=row)
 
 
 # --- state and refresh ------------------------------------------------------------

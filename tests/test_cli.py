@@ -262,6 +262,38 @@ def test_bench_rejects_unknown_axis(tmp_path):
     assert main(["bench", "--config", path, "--grid", "N=7"]) == 2
 
 
+@pytest.mark.parametrize("grid,names", [
+    ("k=x", "grid axis k value 'x'"),
+    ("N=abc", "grid axis N value 'abc'"),
+    ("r=4.5", "grid axis r value '4.5'"),
+    ("s=6,six", "grid axis s value 'six'"),
+    ("reuse=maybe", "grid axis reuse value 'maybe'"),
+    ("k=4 N=1 k=8", "grid axis k repeats"),
+    ("reuse=0 reuse=1", "grid axis reuse repeats"),
+    ("N=1,7", "no bench prompt for N=7"),
+])
+def test_bench_refuses_malformed_grid_axes(tmp_path, capsys, grid, names,
+                                          monkeypatch):
+    # refused before any grid point runs
+    monkeypatch.setattr("oblix.cli.client_run_session", None)
+    path = _write_config(tmp_path)
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", "--config", path, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert f"error: {names}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_reuse_axis_takes_configparser_boolean_words(tmp_path):
+    path = _write_config(tmp_path)
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", "--config", path, "--grid",
+                 "k=4 N=1 reuse=ON,no,True,off,1,0,Yes,FALSE",
+                 "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["reuse"] for r in records] == [True, False] * 4
+
+
 # --- dataset -----------------------------------------------------------------------
 
 def test_dataset_full_and_seeded_sampling(tmp_path):

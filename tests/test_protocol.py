@@ -4,6 +4,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import oblix.denoiser
 import oblix.protocol
-from oblix.accel import AccelConfig, never
+from oblix.accel import MAP_CHUNK_BYTES, AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
 from oblix.errors import FrameError, InternalError, ProtocolError, ShapeError
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
@@ -343,9 +344,15 @@ def test_server_row_order_follows_candidate_order():
     # The batch runs as one row-stacked matrix, so N=30 at the default
     # model's shapes checks that BLAS gives every row of a tall product
     # the bits of that row's own product.
+    # odd N and N around a chunk's row count (16 for this W's self sites and
+    # the default model's cross sites) give ragged last chunks
     gated = dict(cache_point=2, skip_point=3, refresh_period=4, reuse=False)
-    cases = [(W, 2, {}), (W, 6, {}), (W, 30, {}), (TOY_W, 30, {}),
-             (TOY_W, 30, gated)]
+    chunk = _rows_per_cross_chunk(TOY_W)
+    assert chunk == MAP_CHUNK_BYTES // (4 * W.cfg.tokens ** 2) == 16
+    cases = [(W, 2, {}), (W, 5, {}), (W, 6, {}), (W, 7, {}), (W, 30, {}),
+             (TOY_W, 30, {}), (TOY_W, 30, gated)]
+    cases += [(w, chunk + d, {}) for w in (W, TOY_W) for d in (-1, 0, 1)]
+    cases += [(W, chunk + d, gated) for d in (-1, 0, 1)]
     for w, n, gates in cases:
         cfg = w.cfg
         candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
@@ -359,6 +366,36 @@ def test_server_row_order_follows_candidate_order():
                                      1, 4, req.accel if gates else None)
             assert same_bits(resp.latents[i], fp16_roundtrip(solo)[0]), \
                 (n, gates, i)
+
+
+def _rows_per_cross_chunk(w):
+    return MAP_CHUNK_BYTES // (4 * w.cfg.tokens * w.cfg.token_capacity)
+
+
+def test_server_rows_under_pivot_reuse_follow_pair_runs():
+    # with reuse on, row r's output depends only on its own prompt and the
+    # pivot's: it equals row 1 of the two-row run [pivot, r], and the pivot
+    # row equals its one-row run, whatever N and the chunking
+    gates = dict(cache_point=2, skip_point=3, refresh_period=4, reuse=True,
+                 pivot_index=2)
+    chunk = _rows_per_cross_chunk(TOY_W)
+    for w, n in [(W, 5), (W, 7), (W, chunk - 1), (W, chunk), (W, chunk + 1),
+                 (TOY_W, chunk + 1)]:
+        cfg = w.cfg
+        candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
+        req = _request(switch_point=4, candidates=candidates, **gates)
+        resp = Server({"toy": w}).handle_request(req)
+        sched = req.schedule.build()
+        base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
+        texts = [embed_prompt(p, cfg) for p in candidates]
+        pivot = req.accel.pivot_index
+        pair_accel = dataclasses.replace(req.accel, pivot_index=0)
+        for i in range(n):
+            rows = [pivot] if i == pivot else [pivot, i]
+            run = run_denoise_steps(np.stack([base] * len(rows)),
+                                    [texts[r] for r in rows], sched, w, 1, 4,
+                                    pair_accel)
+            assert same_bits(resp.latents[i], fp16_roundtrip(run)[-1]), (n, i)
 
 
 def test_server_rejects_k_beyond_schedule():
@@ -711,6 +748,49 @@ def test_daemon_survives_a_peer_that_resets_before_its_reply(monkeypatch):
         conn.close()
 
     _session_after(reset_after_sending, _session(k=3, seed=5), monkeypatch)
+
+
+def test_daemon_drops_a_peer_that_stalls_inside_a_frame(monkeypatch, caplog):
+    monkeypatch.setattr(oblix.protocol, "FRAME_READ_TIMEOUT_S", 0.2)
+
+    def stall_in_header(addr):
+        conn = socket.create_connection(addr, timeout=30)
+        try:
+            conn.sendall(encode_frame(_request())[:9])  # of 10 header bytes
+            start = time.monotonic()
+            assert conn.recv(1) == b""
+            assert time.monotonic() - start < 10
+        finally:
+            conn.close()
+
+    with caplog.at_level("WARNING", logger="oblix.protocol"):
+        _session_after(stall_in_header, _session(k=3, seed=5), monkeypatch)
+    logged = [r.getMessage() for r in caplog.records
+              if r.name == "oblix.protocol"]
+    assert len(logged) == 1 and "0.2 s" in logged[0], logged
+
+
+def test_daemon_waits_unbounded_between_frames(monkeypatch):
+    # a reused connection may idle past the in-frame limit between sessions
+    monkeypatch.setattr(oblix.protocol, "FRAME_READ_TIMEOUT_S", 0.2)
+    cfg = _session(k=3, seed=5)
+
+    def two_sessions(addr):
+        transport = SocketTransport(addr[0], addr[1])
+        try:
+            first = client_run_session("portrait of a man", cfg, transport,
+                                       W, LEX)
+            time.sleep(0.5)
+            return first, client_run_session("portrait of a man", cfg,
+                                             transport, W, LEX)
+        finally:
+            transport.close()
+
+    in_process = client_run_session("portrait of a man", cfg,
+                                    SimulatedTransport(_server()), W, LEX)
+    for result in _with_daemon(two_sessions):
+        assert same_bits(result.image, in_process.image)
+        assert result.transcript == in_process.transcript
 
 
 def test_two_concurrent_clients_complete_independently():

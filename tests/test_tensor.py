@@ -78,6 +78,16 @@ def test_matmul_bias_has_the_bits_of_a_separate_add():
     assert same_bits(matmul(a, b, bias), (a @ b) + bias[None, :])
 
 
+def test_matmul_scale_has_the_bits_of_a_separate_multiply():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 5)).astype(np.float32)
+    b = rng.normal(size=(4, 5)).astype(np.float32)
+    factor = 1.0 / np.sqrt(5.0)
+    want = scale(matmul(a, b.T), factor)
+    assert same_bits(matmul(a, b.T, scale=factor), want)
+    assert same_bits(matmul(a, b.T, scale=factor), (a @ b.T) * np.float32(factor))
+
+
 def test_matmul_bias_counts_2mnp_plus_mp_in_the_active_bucket():
     counter = FlopsCounter()
     with use_flops_counter(counter), counter.step(1), flops_tag("site/proj"):
@@ -87,10 +97,39 @@ def test_matmul_bias_counts_2mnp_plus_mp_in_the_active_bucket():
     assert counter.tagged == {(1, "site/proj"): 2 * 3 * 4 * 2 + 3 * 2}
 
 
+def test_matmul_scale_counts_2mnp_plus_mp_in_the_active_bucket():
+    counter = FlopsCounter()
+    with use_flops_counter(counter), counter.step(1), flops_tag("site/map"):
+        matmul(np.ones((3, 4), np.float32), np.ones((4, 2), np.float32),
+               scale=0.5)
+    assert counter.total == 2 * 3 * 4 * 2 + 3 * 2
+    assert counter.tagged == {(1, "site/map"): 2 * 3 * 4 * 2 + 3 * 2}
+
+
 def test_matmul_refuses_a_bias_that_does_not_fit():
     for bias in (T([1.0, 2.0, 3.0]), T([[1.0, 2.0]])):
         with pytest.raises(ShapeError):
             matmul(T([[1.0, 2.0]]), T([[1.0, 2.0], [3.0, 4.0]]), bias)
+
+
+def test_matmul_into_a_slice_leaves_the_check_to_the_caller():
+    # the caller fills a buffer slice by slice and checks it once, so a
+    # product made in place is neither checked nor read-only yet
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 5)).astype(np.float32)
+    b = rng.normal(size=(4, 5)).astype(np.float32)
+    buf = np.zeros((9, 4), np.float32)
+    counter = FlopsCounter()
+    with use_flops_counter(counter):
+        got = matmul(a, b.T, scale=0.25, out=buf[3:6])
+    assert np.shares_memory(got, buf) and got.flags.writeable
+    assert same_bits(buf[3:6], matmul(a, b.T, scale=0.25))
+    assert not buf[:3].any() and not buf[6:].any()
+    assert counter.total == 2 * 3 * 5 * 4 + 3 * 4
+    with np.errstate(over="ignore"):
+        matmul(BIG, T([[10.0], [0.0]]), out=np.empty((1, 1), np.float32))
+    with pytest.raises(ShapeError):
+        matmul(a, b.T, out=buf[:4])
 
 
 # --- softmax ----------------------------------------------------------------
@@ -124,6 +163,51 @@ def test_softmax_rows_sum_to_one(rows):
     out = softmax_rows(T(rows))
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(out >= 0.0)
+
+
+def _softmax_by_max(a):
+    """The max-based formula `softmax_rows` used before it read the row max
+    at argmax."""
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True, dtype=np.float32)
+    return e
+
+
+_ANY = st.floats(width=32)  # NaN and the infinities included
+_SMALL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-30, -1e-30, 88.0])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(_SMALL, _ANY), min_size=cols, max_size=cols),
+    min_size=1, max_size=5)))
+def test_softmax_matches_the_max_based_formula_bitwise(rows):
+    # ties (a small pool of values), +0 beside -0 in one row, magnitudes
+    # across float32's range, NaN and the infinities, one-column rows
+    a = T(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _softmax_by_max(a.copy())
+        if np.isfinite(want).all():
+            assert same_bits(softmax_rows(a), want)
+        else:
+            with pytest.raises(InternalError):
+                softmax_rows(a)
+
+
+def test_softmax_ties_of_signed_zeros_keep_their_bits():
+    a = T([[0.0, -0.0, -1.0], [-0.0, 0.0, -0.0], [-0.0, -3.0, 0.0],
+           [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+    assert same_bits(softmax_rows(a), _softmax_by_max(a.copy()))
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [0.0, np.nan], [np.inf, 1.0],
+                                 [1.0, np.inf], [-np.inf, -np.inf],
+                                 [np.nan, np.inf]])
+def test_softmax_refuses_nan_and_infinite_rows(row):
+    a = T([[0.5, 0.25], row, [1.0, 2.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(InternalError):
+        softmax_rows(a)
 
 
 def test_softmax_requires_columns():
@@ -211,7 +295,9 @@ NON_FINITE = {
     # overflow in the product, and in the bias add on a finite product
     "matmul bias product": lambda: matmul(BIG, T([[10.0], [0.0]]), T([0.0])),
     "matmul bias add": lambda: matmul(BIG, T([[1.0], [0.0]]), T([3e38])),
+    "matmul scale": lambda: matmul(BIG, T([[1.0], [0.0]]), scale=10.0),
     "softmax_rows": lambda: softmax_rows(T([[np.nan, 0.0]])),
+    "softmax_rows inf": lambda: softmax_rows(T([[0.0, np.inf]])),
     "add": lambda: add(BIG, BIG),
     "sub": lambda: sub(BIG, -BIG),
     "add_rowvec": lambda: add_rowvec(BIG, T([3e38, 0.0])),
@@ -224,7 +310,7 @@ def test_tensor_rejects_non_finite():
     passed = []
     for name, op in NON_FINITE.items():
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 op()
         except InternalError:
             continue
@@ -236,6 +322,7 @@ def test_tensor_is_immutable():
     x = T([[0.5, -1.0], [2.0, 0.25]])
     outputs = {
         "matmul": matmul(x, x), "matmul bias": matmul(x, x, x[0]),
+        "matmul scale": matmul(x, x, scale=0.5),
         "softmax_rows": softmax_rows(x),
         "add": add(x, x), "sub": sub(x, x),
         "add_rowvec": add_rowvec(x, x[0]), "scale": scale(x, 2.0),

@@ -5,10 +5,14 @@ not only in a traced benchmark run."""
 import importlib.util
 import inspect
 import pathlib
+import sys
+
+import numpy as np
 
 import oblix.accel
 import oblix.denoiser
 import oblix.security
+import oblix.tensor
 from oblix.oblivious import default_lexicon
 from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
 from oblix.tensor import Rng
@@ -79,3 +83,42 @@ def test_tracer_sees_every_product_of_an_ungated_forward():
         oblix.denoiser.unet_forward(Rng(1).gaussian((1, 4, 16, 16)), [text],
                                     1, w)
     assert [span[2] for span in tracer.spans].count("tensor.matmul") == 43
+
+
+def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
+    # at N=30 the attention maps run in chunks of rows, and each product is
+    # still one 2-D call through a matmul name the tracer wraps: the spans'
+    # 2mnp sum to what tensor.matmul counts, less the m*p of each fused bias
+    # or scale, which the tracer leaves out
+    tracing = _tracing()
+    cfg = oblix.denoiser.ModelConfig()
+    w = oblix.denoiser.ModelWeights.build(cfg, 1001)
+    n, s, t, d, c = 30, cfg.tokens, cfg.token_capacity, cfg.width, cfg.channels
+    texts = [oblix.denoiser.embed_prompt(f"candidate {i} of a calm forest", cfg)
+             for i in range(n)]
+    latents = np.stack([Rng(i).gaussian((c, cfg.res, cfg.res))
+                        for i in range(n)])
+    counted = []
+    count = oblix.tensor._count
+
+    def spy(flops):
+        if sys._getframe(1).f_code is oblix.tensor.matmul.__code__:
+            counted.append(flops)
+        count(flops)
+
+    monkeypatch.setattr(oblix.tensor, "_count", spy)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        oblix.denoiser.unet_forward(latents, texts, 1, w)
+    spans = [span for span in tracer.spans if span[2] == "tensor.matmul"]
+    # 7 trunk products; per site the value and output projections, a query
+    # and a key projection per chunk, a score and a value product per row
+    chunks = {kv: -(-n // max(1, oblix.accel.MAP_CHUNK_BYTES // (4 * s * kv)))
+              for kv in (s, t)}
+    assert chunks == {s: 30, t: 2}
+    products = 7 + 3 * sum(2 + 2 * chunks[kv] + 2 * n for kv in (s, t))
+    assert len(spans) == len(counted) == products
+    # the 11 biased layers (w_in, w_down, w_mid, w_up, w_out and six wo) and
+    # the scale of each (row, site) score product
+    fused = n * s * (10 * d + c) + n * 3 * s * (s + t)
+    assert sum(span[6] for span in spans) == sum(counted) - fused
