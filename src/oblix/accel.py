@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SessionError
+from .errors import ConfigError, InternalError
 from .tensor import _checked, flops_tag, matmul, row_blocks, softmax_rows
 
 # bytes of float32 attention maps that one chunk of rows makes at once
@@ -147,7 +147,7 @@ class AccelState:
 
     def load_attention(self, site: str) -> np.ndarray:
         if site not in self.cached_attention:
-            raise SessionError(f"no cached attention output for site {site!r}")
+            raise InternalError(f"no cached attention output for site {site!r}")
         return self.cached_attention[site]
 
 

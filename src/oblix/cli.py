@@ -62,7 +62,6 @@ class RunConfig:
     cloud_weights: ModelWeights
     device_weights: ModelWeights
     session: SessionConfig
-    transport_mode: str
     host: str
     port: int
     out_path: str
@@ -182,7 +181,6 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         cloud_weights=cloud,
         device_weights=device,
         session=session,
-        transport_mode=transport_sec.get("mode", "simulated"),
         host=transport_sec.get("host", "127.0.0.1"),
         port=_typed(transport_sec, "port", int, 7410),
         out_path=run_sec.get("out", "oblix_out.ppm"),
@@ -201,14 +199,6 @@ def write_ppm(image: np.ndarray, path: str) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(pixels.transpose(1, 2, 0).tobytes())
-
-
-def _make_transport(rc: RunConfig):
-    if rc.transport_mode == "simulated":
-        return SimulatedTransport(Server({rc.model_id: rc.cloud_weights}))
-    if rc.transport_mode == "socket":
-        return SocketTransport(rc.host, rc.port)
-    raise ConfigError(f"unknown transport mode {rc.transport_mode!r}")
 
 
 def _run_and_report(rc: RunConfig, prompt: str, transport,
@@ -231,11 +221,8 @@ def _run_and_report(rc: RunConfig, prompt: str, transport,
 
 def cmd_generate(args) -> int:
     rc = load_run_config(args.config, args.seed)
-    transport = _make_transport(rc)
-    try:
-        return _run_and_report(rc, args.prompt, transport, args.out)
-    finally:
-        transport.close()
+    transport = SimulatedTransport(Server({rc.model_id: rc.cloud_weights}))
+    return _run_and_report(rc, args.prompt, transport, args.out)
 
 
 def cmd_client(args) -> int:
@@ -468,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OblixError as exc:
+    except (OblixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,8 @@
-"""Exception taxonomy shared by all oblix modules."""
+"""Exception taxonomy shared by all oblix modules.
+
+Every refusal in the package raises one of the six subclasses below;
+callers that do not tell them apart catch `OblixError`.
+"""
 
 
 class OblixError(Exception):
@@ -13,24 +17,16 @@ class RangeError(OblixError):
     """Value exceeds a representable range (e.g. binary16 overflow)."""
 
 
-class StepError(OblixError):
-    """Step index outside the schedule, or non-monotone step pair."""
-
-
 class ConfigError(OblixError):
-    """Invalid configuration parameter."""
+    """Invalid configuration parameter or step index."""
 
 
 class InputError(OblixError):
-    """Invalid user-facing input (e.g. empty prompt)."""
-
-
-class SessionError(OblixError):
-    """State object used outside the session that owns it."""
+    """Invalid user-facing input (e.g. empty prompt, unusable template)."""
 
 
 class ProtocolError(OblixError):
-    """Malformed or inconsistent wire traffic.
+    """A frame that cannot be sent, was not received whole, or is malformed.
 
     ``offset`` points at the first offending byte when known.
     """
@@ -38,14 +34,6 @@ class ProtocolError(OblixError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
-
-
-class FrameError(OblixError):
-    """Message cannot be framed (oversize payload, invalid contents)."""
-
-
-class TemplateError(OblixError):
-    """Prompt template references an unknown placeholder."""
 
 
 class InternalError(OblixError):

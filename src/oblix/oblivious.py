@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, InternalError, ProtocolError, TemplateError
+from .errors import ConfigError, InputError, InternalError, ProtocolError
 
 log = logging.getLogger("oblix.oblivious")
 
@@ -314,7 +314,7 @@ def load_templates(path: str) -> tuple[str, ...]:
         lines = [ln.strip() for ln in f.read().splitlines()]
     templates = tuple(ln for ln in lines if ln and not ln.startswith("#"))
     if not templates:
-        raise TemplateError(f"no templates found in {path}")
+        raise InputError(f"no templates found in {path}")
     return templates
 
 
@@ -327,9 +327,9 @@ def fill_template(template: str, assignment: dict[str, str],
         if core.startswith("$"):
             name = core[1:]
             if name not in {c.name for c in lex.classes}:
-                raise TemplateError(f"unknown placeholder ${name}")
+                raise InputError(f"unknown placeholder ${name}")
             if name not in assignment:
-                raise TemplateError(f"no value assigned for ${name}")
+                raise InputError(f"no value assigned for ${name}")
             out_tokens.append(prefix + assignment[name] + suffix)
         else:
             out_tokens.append(token)
@@ -343,7 +343,7 @@ def template_classes(template: str, lex: AttributeLexicon) -> list[str]:
         if core.startswith("$"):
             name = core[1:]
             if name not in {c.name for c in lex.classes}:
-                raise TemplateError(f"unknown placeholder ${name}")
+                raise InputError(f"unknown placeholder ${name}")
             if name not in names:
                 names.append(name)
     return names

@@ -44,14 +44,7 @@ import numpy as np
 
 from .accel import AccelConfig, step_gates
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
-from .errors import (
-    ConfigError,
-    FrameError,
-    InputError,
-    ProtocolError,
-    RangeError,
-    SessionError,
-)
+from .errors import ConfigError, InputError, ProtocolError, RangeError
 from .oblivious import (
     AttributeLexicon,
     CandidateSet,
@@ -113,7 +106,7 @@ class ScheduleParams:
         object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
         object.__setattr__(self, "beta_end", float(np.float32(self.beta_end)))
         if self.spacing not in _SPACINGS:
-            raise FrameError(f"unknown spacing {self.spacing!r}")
+            raise ConfigError(f"unknown spacing {self.spacing!r}")
 
     def build(self) -> NoiseSchedule:
         return build_schedule(self.steps, self.beta_start, self.beta_end,
@@ -154,7 +147,7 @@ class ChannelModel:
 def simulate_transfer(bytes_count: int, ch: ChannelModel) -> float:
     """Modeled seconds to move ``bytes_count`` over the channel."""
     if bytes_count < 0:
-        raise FrameError("byte count must be >= 0")
+        raise ConfigError("byte count must be >= 0")
     return ch.rtt_s + bytes_count * 8.0 / ch.bandwidth_bps
 
 
@@ -171,13 +164,13 @@ def _pack_str(s: str) -> bytes:
 def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
     if isinstance(msg, GenerateRequest):
         if not msg.candidates:
-            raise FrameError("request needs at least one candidate prompt")
+            raise ProtocolError("request needs at least one candidate prompt")
         if len(msg.candidates) > MAX_CANDIDATES:
-            raise FrameError(f"{len(msg.candidates)} candidates exceed the "
-                             f"cap of {MAX_CANDIDATES}")
+            raise ProtocolError(f"{len(msg.candidates)} candidates exceed the "
+                                f"cap of {MAX_CANDIDATES}")
         if msg.schedule.steps > MAX_SCHEDULE_STEPS:
-            raise FrameError(f"{msg.schedule.steps} schedule steps exceed the "
-                             f"cap of {MAX_SCHEDULE_STEPS}")
+            raise ProtocolError(f"{msg.schedule.steps} schedule steps exceed "
+                                f"the cap of {MAX_SCHEDULE_STEPS}")
         body = bytearray()
         body += struct.pack("<I", len(msg.candidates))
         for prompt in msg.candidates:
@@ -194,7 +187,7 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
     elif isinstance(msg, GenerateResponse):
         shape = msg.latents.shape
         if len(shape) != 4:
-            raise FrameError(f"latent batch must be 4-d, got {shape}")
+            raise ProtocolError(f"latent batch must be 4-d, got {shape}")
         body = bytearray()
         body += struct.pack("<IIII", msg.step_reached, shape[0], shape[1], shape[2])
         body += encode_f16(msg.latents)
@@ -206,10 +199,10 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
             body += struct.pack("<IQB", sc.index, sc.flops, flags)
         frame_type = TYPE_RESPONSE
     else:
-        raise FrameError(f"cannot frame object of type {type(msg).__name__}")
+        raise ProtocolError(f"cannot frame object of type {type(msg).__name__}")
     if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"payload of {len(body)} bytes exceeds the "
-                         f"{MAX_FRAME_BYTES}-byte cap")
+        raise ProtocolError(f"payload of {len(body)} bytes exceeds the "
+                            f"{MAX_FRAME_BYTES}-byte cap")
     return _HEADER.pack(MAGIC, frame_type, PROTOCOL_VERSION, len(body)) \
         + bytes(body)
 
@@ -433,9 +426,19 @@ class SocketTransport:
         return self._sock
 
     def roundtrip(self, request: bytes) -> bytes:
-        sock = self._connect()
-        sock.sendall(request)
-        return read_frame(sock)
+        """One request frame out, one frame back.
+
+        Any failure leaves the connection in an unknown state (the daemon
+        closes it on every refusal), so it is dropped and the next call
+        reconnects.
+        """
+        try:
+            sock = self._connect()
+            sock.sendall(request)
+            return read_frame(sock)
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
         if self._sock is not None:
@@ -547,8 +550,14 @@ class SessionConfig:
     dt_shift: int = 0
     channel: ChannelModel = field(default_factory=ChannelModel)
 
+    def __post_init__(self):
+        if self.device_steps is not None and self.device_steps < 1:
+            raise ConfigError(
+                f"device_steps must be >= 1, got {self.device_steps}")
+
     def device_schedule(self) -> ScheduleParams:
-        steps = self.device_steps or self.cloud_schedule.steps
+        steps = self.cloud_schedule.steps if self.device_steps is None \
+            else self.device_steps
         cs = self.cloud_schedule
         return ScheduleParams(steps, cs.beta_start, cs.beta_end, cs.spacing)
 
@@ -649,7 +658,7 @@ def client_run_session(prompt: str, cfg: SessionConfig, transport,
         resp_bytes = transport.roundtrip(req_bytes)
     except OSError as exc:
         # the server is stateless, so the caller may simply retry
-        raise SessionError(f"transport failure: {exc}") from exc
+        raise ProtocolError(f"transport failure: {exc}") from exc
     transcript.append(("received", resp_bytes))
     resp = decode_frame(resp_bytes)
     if not isinstance(resp, GenerateResponse):

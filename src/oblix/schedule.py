@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepError
+from .errors import ConfigError, ShapeError
 from .tensor import add, scale, sub
 
 DEFAULT_BETA_START = 0.00085
@@ -41,7 +41,7 @@ class NoiseSchedule:
 
     def _check(self, t: int) -> None:
         if not 1 <= t <= self.steps:
-            raise StepError(f"step index {t} outside [1, {self.steps}]")
+            raise ConfigError(f"step index {t} outside [1, {self.steps}]")
 
     def beta_at(self, t: int) -> float:
         self._check(t)
@@ -102,9 +102,9 @@ def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
     x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps
     """
     if x0.shape != eps.shape:
-        raise StepError(f"x0 shape {x0.shape} differs from eps shape {eps.shape}")
+        raise ShapeError(f"x0 shape {x0.shape} differs from eps shape {eps.shape}")
     if t < 1:
-        raise StepError(f"step index {t} outside [1, {s.steps}]")
+        raise ConfigError(f"step index {t} outside [1, {s.steps}]")
     bar = s.alpha_bar_at(t)
     return add(scale(x0, math.sqrt(bar)), scale(eps, math.sqrt(1.0 - bar)))
 
@@ -120,7 +120,7 @@ def reverse_step_eq1(x_t: np.ndarray, eps_pred: np.ndarray, t: int,
     deterministic mean.
     """
     if x_t.shape != eps_pred.shape or x_t.shape != z.shape:
-        raise StepError(
+        raise ShapeError(
             f"shapes differ: x {x_t.shape}, eps {eps_pred.shape}, z {z.shape}"
         )
     beta = s.beta_at(t)
@@ -142,9 +142,9 @@ def ddim_step(x_t: np.ndarray, eps_pred: np.ndarray, t: int, t_prev: int,
     out = sqrt(alpha_bar_prev) * x0 + sqrt(1 - alpha_bar_prev) * eps
     """
     if x_t.shape != eps_pred.shape:
-        raise StepError(f"x shape {x_t.shape} differs from eps {eps_pred.shape}")
+        raise ShapeError(f"x shape {x_t.shape} differs from eps {eps_pred.shape}")
     if not t > t_prev >= 0:
-        raise StepError(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
+        raise ConfigError(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
     bar_t = s.alpha_bar_at(t)
     bar_prev = s.alpha_bar_at(t_prev)
     x0_pred = scale(
@@ -178,7 +178,7 @@ def map_timestep(t_cloud: int, m: StepIndexMap) -> tuple[int, bool]:
     misaligned values.
     """
     if not 1 <= t_cloud <= m.cloud_steps:
-        raise StepError(f"cloud step {t_cloud} outside [1, {m.cloud_steps}]")
+        raise ConfigError(f"cloud step {t_cloud} outside [1, {m.cloud_steps}]")
     raw = t_cloud + m.shift
     mapped = min(max(raw, 1), m.device_steps)
     return mapped, mapped != raw

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+from .errors import ConfigError
 from .oblivious import (
     AttributeLexicon,
     detect_attributes,
@@ -151,7 +152,7 @@ def distinguisher_experiment(lex: AttributeLexicon, cfg: SessionConfig,
     of band and must score 1.0; it proves the harness can detect a leak.
     """
     if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+        raise ConfigError(f"need at least 100 trials, got {trials}")
     if templates is None:
         from .oblivious import DEFAULT_TEMPLATES
         templates = DEFAULT_TEMPLATES

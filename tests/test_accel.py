@@ -19,7 +19,7 @@ from oblix.accel import (
     step_gates,
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
-from oblix.errors import ConfigError, InternalError, SessionError, ShapeError
+from oblix.errors import ConfigError, InternalError, ShapeError
 from oblix.tensor import Rng, row_blocks
 
 from bitwise import WriteLog, same_bits
@@ -255,7 +255,7 @@ def test_fresh_state_has_no_cache_to_serve():
     # a state starts empty, so a step that serves the cache before any
     # recompute wrote it is refused, never served stale data
     state = AccelState(AccelConfig(cache_point=2, skip_point=never(25)))
-    with pytest.raises(SessionError):
+    with pytest.raises(InternalError):
         unet_forward(_latents(2), _texts(2), 3, W, state)
 
 

@@ -55,7 +55,7 @@ def test_readme_config_sample_loads(tmp_path):
     accel = rc.session.accel
     assert (accel.switch_point, accel.cache_point, accel.skip_point,
             accel.reuse) == (10, 4, 6, True)
-    assert (rc.transport_mode, rc.session.seed) == ("simulated", 42)
+    assert rc.session.seed == 42
 
 
 def test_missing_config_is_an_error(tmp_path):
@@ -74,6 +74,14 @@ def test_switch_point_beyond_schedule_is_rejected(tmp_path):
     path = _write_config(tmp_path, accel={"switch_point": "9"})
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_device_steps_below_one_is_rejected(tmp_path, value):
+    path = _write_config(tmp_path, schedule={"device_steps": value})
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert "device_steps" in str(err.value)
 
 
 def test_non_integer_seed_is_a_config_error(tmp_path):
@@ -407,6 +415,7 @@ def test_attest_single_prompt_with_distinguisher(tmp_path, capsys):
     ('{"text": "portrait of a man"}\n', []),     # no "prompt"
     ('{"prompt": 7}\n', []),                     # "prompt" not a string
     ('["portrait of a man"]\n', []),             # not an object
+    ('{"prompt": "portrait of a man"}\n', ["--trials", "50"]),
 ])
 def test_attest_refuses_bad_input_with_exit_2(tmp_path, capsys, corpus, argv):
     path = _write_config(tmp_path)
@@ -426,6 +435,22 @@ def test_attest_refuses_a_missing_corpus_with_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert missing in err
+
+
+@pytest.mark.parametrize("section,key,target", [
+    ("run", "lexicon", "missing.txt"),
+    ("run", "templates", "missing.txt"),
+    ("model", "cloud_path", "."),            # a directory
+])
+def test_unreadable_file_named_by_the_config_exits_2(tmp_path, capsys,
+                                                     section, key, target):
+    target = str(tmp_path / target)
+    path = _write_config(tmp_path, **{section: {key: target}})
+    code = main(["generate", "--config", path, "--prompt", "a red bicycle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and target in err
+    assert len(err.splitlines()) == 1
 
 
 def test_attest_refuses_zero_seeds_for_a_single_prompt(tmp_path, capsys):

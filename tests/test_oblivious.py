@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oblix.errors import ConfigError, ProtocolError, TemplateError
+from oblix.errors import ConfigError, InputError, ProtocolError
 from oblix.oblivious import (
     AttributeLexicon,
     CandidateSet,
@@ -319,7 +319,7 @@ def test_template_fill_and_unknown_placeholder():
     out = fill_template("photo of a $age $gender", {
         "age": "young", "gender": "male"}, LEX)
     assert out == "photo of a young male"
-    with pytest.raises(TemplateError) as err:
+    with pytest.raises(InputError) as err:
         fill_template("photo of a $species", {}, LEX)
     assert "$species" in str(err.value)
 
@@ -369,5 +369,5 @@ def test_load_templates_skips_comments(tmp_path):
     assert load_templates(str(path)) == ("photo of a $age $gender",)
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
-    with pytest.raises(TemplateError):
+    with pytest.raises(InputError):
         load_templates(str(empty))

@@ -15,7 +15,7 @@ import oblix.denoiser
 import oblix.protocol
 from oblix.accel import MAP_CHUNK_BYTES, AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
-from oblix.errors import FrameError, InternalError, ProtocolError, ShapeError
+from oblix.errors import InternalError, ProtocolError, ShapeError
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
 from oblix.protocol import (
     ChannelModel,
@@ -132,7 +132,7 @@ def test_request_roundtrip_property(cands, seed, k, cache, skip, reuse,
 
 
 def test_empty_candidates_cannot_be_framed():
-    with pytest.raises(FrameError):
+    with pytest.raises(ProtocolError):
         encode_frame(_request(candidates=()))
 
 
@@ -270,14 +270,12 @@ def test_equivalence_class_members_produce_identical_request_bytes():
                    for f in fields if f != "pivot_index")
 
 
-def test_transport_failure_surfaces_as_session_error():
-    from oblix.errors import SessionError
-
+def test_transport_failure_surfaces_as_protocol_error():
     class BrokenTransport:
         def roundtrip(self, data):
             raise ConnectionResetError("peer vanished")
 
-    with pytest.raises(SessionError):
+    with pytest.raises(ProtocolError):
         client_run_session("portrait of a man", _session(k=1),
                            BrokenTransport(), W, LEX)
 
@@ -793,6 +791,30 @@ def test_daemon_waits_unbounded_between_frames(monkeypatch):
         assert result.transcript == in_process.transcript
 
 
+def test_socket_transport_reconnects_after_a_refused_session():
+    # the daemon closes the connection on a refusal, so the next session on
+    # the same transport must run over a new one
+    cfg = _session(k=3, seed=5)
+
+    def refused_then_valid(addr):
+        transport = SocketTransport(addr[0], addr[1])
+        try:
+            with pytest.raises(ProtocolError):
+                client_run_session("portrait of a man",
+                                   dataclasses.replace(cfg, model_id="nope"),
+                                   transport, W, LEX)
+            return client_run_session("portrait of a man", cfg, transport,
+                                      W, LEX)
+        finally:
+            transport.close()
+
+    over_socket = _with_daemon(refused_then_valid)
+    in_process = client_run_session("portrait of a man", cfg,
+                                    SimulatedTransport(_server()), W, LEX)
+    assert same_bits(over_socket.image, in_process.image)
+    assert over_socket.transcript == in_process.transcript
+
+
 def test_two_concurrent_clients_complete_independently():
     # three clients on two cores with wide candidate sets and a short
     # switch interval, so the handler threads interleave inside the denoiser
@@ -874,7 +896,7 @@ def test_read_frame_refuses_length_above_cap_before_reading_payload():
 
 
 def test_encode_refuses_payload_above_cap():
-    with pytest.raises(FrameError):
+    with pytest.raises(ProtocolError):
         encode_frame(_request(candidates=("x" * MAX_FRAME_BYTES,)))
 
 
@@ -909,7 +931,7 @@ def test_decode_refuses_counts_above_caps_before_reading_them():
 
 
 def test_encode_refuses_counts_above_caps():
-    with pytest.raises(FrameError):
+    with pytest.raises(ProtocolError):
         encode_frame(_request(candidates=("x",) * (MAX_CANDIDATES + 1)))
-    with pytest.raises(FrameError):
+    with pytest.raises(ProtocolError):
         encode_frame(_request(schedule=ScheduleParams(MAX_SCHEDULE_STEPS + 1)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblix.errors import ConfigError, StepError
+from oblix.errors import ConfigError
 from oblix.schedule import (
     StepIndexMap,
     build_schedule,
@@ -100,9 +100,9 @@ def test_forward_diffuse_zero_signal():
 def test_forward_diffuse_bounds():
     s = build_schedule(5)
     x = np.zeros((2,), np.float32)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         forward_diffuse(x, 6, x, s)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         forward_diffuse(x, 0, x, s)
 
 
@@ -231,9 +231,9 @@ def test_ddim_chain_with_oracle_noise_recovers_x0(steps):
 def test_ddim_rejects_non_monotone_indices():
     s = build_schedule(5)
     x = np.zeros((2,), np.float32)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         ddim_step(x, x, 3, 3, s)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         ddim_step(x, x, 2, -1, s)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import oblix.protocol
 from oblix.accel import AccelConfig, never
+from oblix.errors import ConfigError
 from oblix.oblivious import (
     CandidateSet,
     DEFAULT_TEMPLATES,
@@ -128,7 +129,7 @@ def test_adversaries_are_deterministic_functions_of_bytes():
 
 
 def test_distinguisher_requires_enough_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         distinguisher_experiment(LEX, _cfg(), 99)
 
 
