@@ -162,11 +162,13 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
     rows, or once on block ``pivot`` whose map every row then shares: one
     query and one key product per chunk, each row's scaled scores into one
     (rows*S, T) buffer, one check of it (softmax would hide a -inf score)
-    and one softmax.  Each numpy call releases and retakes the interpreter
-    lock, so fewer calls per row let concurrent requests overlap, and the
-    budget keeps a chunk's maps in cache: one self-site row or 16
-    cross-site rows of the default model.  Each row's map-times-value
-    product goes into its slice of one (n*S, width) output, checked once.
+    and one softmax in place on that buffer.  Each numpy call releases and
+    retakes the interpreter lock, so fewer calls per row let concurrent
+    requests overlap, and the budget keeps a chunk's maps in cache: one
+    self-site row or 16 cross-site rows of the default model.  A chunk's
+    maps die before the next chunk's are made, so one map buffer is alive
+    at a time.  Each row's map-times-value product goes into its slice of
+    one (n*S, width) output, checked once.
     Every row keeps the bits of a one-row call, whatever the chunk.  The
     output projection is applied by the caller, so the result is exactly
     what the attention cache stores.
@@ -187,7 +189,10 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
                                           row_blocks(k_proj, r1 - r0),
                                           row_blocks(scores, r1 - r0)):
                 matmul(q_row, k_row.T, scale=scale, out=into)
-            return softmax_rows(_checked(scores))
+            # checked before softmax, which would hide a -inf score, and
+            # left writeable so the softmax can run in place on it
+            _checked(scores, freeze=False)
+            return softmax_rows(scores, out=scores)
 
     with flops_tag(value_tag):
         values = row_blocks(matmul(kv, params.wv), n)
@@ -203,4 +208,6 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
             for attn_map, value, into in zip(chunk, values[r0:r1],
                                              out_rows[r0:r1]):
                 matmul(attn_map, value, out=into)
+        # attn_map views the maps too: drop both so they die here
+        del chunk, attn_map
     return _checked(out)

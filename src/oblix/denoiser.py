@@ -44,6 +44,7 @@ from .tensor import (
     gaussian_rows,
     matmul,
     readonly,
+    row_blocks,
     tanh_map,
 )
 
@@ -327,6 +328,7 @@ def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
             accel.cached_attention[site] = out
     with flops_tag(f"{site}/proj"):
         projected = matmul(out, params.wo, params.bo)
+    del out  # a state's cache may still hold it
     return add(h, projected)
 
 
@@ -346,9 +348,12 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     Batch composition never changes a row's bits: each output row equals
     a one-row run of that row, bit for bit.  That holds because every op
     here treats rows independently and BLAS gives each row of a stacked
-    product the bits of that block's own product; the golden SHA, the
+    trunk product the bits of that block's own product.  The output
+    projection (width to channels) is the one shape where it does not at
+    every height, so it runs once per batch row.  The golden SHA, the
     duplicated-row and permutation tests in ``tests/test_denoiser.py`` and
-    the solo-row oracle at N up to 30 in ``tests/test_protocol.py`` pin it.
+    the solo-row oracle at N up to ``MAX_CANDIDATES`` in
+    ``tests/test_protocol.py`` pin it.
     """
     cfg = w.cfg
     n = latents.shape[0]
@@ -365,31 +370,40 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
 
     s, c = cfg.tokens, cfg.channels
     text = np.concatenate([te.matrix for te in texts])
+    # each array dies at its last reader: h is rebound block by block, so
+    # no block's output outlives the next block's
     tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
     base = add_rowvec(matmul(tokens, w["w_in"], w["b_in"]), time_vector(t, cfg))
+    del tokens
 
     if skip:
         if accel.mid_features is None:
             raise InternalError("skip gate fired with no cached mid features")
         mid = accel.mid_features
     else:
-        down = tanh_map(
+        h = tanh_map(
             matmul(_mix(w["mix_down"], base, n), w["w_down"], w["b_down"]))
-        down = _attn_block(down, down, w, "down.self", n, *route)
-        down = _attn_block(down, text, w, "down.cross", n, *route)
+        h = _attn_block(h, h, w, "down.self", n, *route)
+        h = _attn_block(h, text, w, "down.cross", n, *route)
 
-        mid = tanh_map(matmul(down, w["w_mid"], w["b_mid"]))
-        mid = _attn_block(mid, mid, w, "mid.self", n, *route)
-        mid = _attn_block(mid, text, w, "mid.cross", n, *route)
+        h = tanh_map(matmul(h, w["w_mid"], w["b_mid"]))
+        h = _attn_block(h, h, w, "mid.self", n, *route)
+        mid = _attn_block(h, text, w, "mid.cross", n, *route)
         if accel is not None:
             accel.mid_features = mid
 
-    up = tanh_map(
-        matmul(_mix(w["mix_up"], add(base, mid), n), w["w_up"], w["b_up"]))
-    up = _attn_block(up, up, w, "up.self", n, *route)
-    up = _attn_block(up, text, w, "up.cross", n, *route)
+    h = add(base, mid)
+    del base, mid  # a state keeps mid as its mid_features when skips need it
+    h = tanh_map(matmul(_mix(w["mix_up"], h, n), w["w_up"], w["b_up"]))
+    h = _attn_block(h, h, w, "up.self", n, *route)
+    h = _attn_block(h, text, w, "up.cross", n, *route)
 
-    eps = matmul(up, w["w_out"], w["b_out"])
+    # one product per batch row: OpenBLAS 0.3.31 gives a (M, 32) @ (32, 4)
+    # product other bits than its 256-row blocks from M = 7,936 (N = 31)
+    eps = np.empty((n * s, c), dtype=np.float32)
+    for row, into in zip(row_blocks(h, n), row_blocks(eps, n)):
+        matmul(row, w["w_out"], w["b_out"], out=into)
+    _checked(eps)
     return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
                     .reshape(latents.shape))
 

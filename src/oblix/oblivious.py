@@ -114,8 +114,7 @@ class AttributeLexicon:
 
     @classmethod
     def load(cls, path: str) -> "AttributeLexicon":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+        return cls.from_text(_read_text(path))
 
 
 DEFAULT_LEXICON_TEXT = """\
@@ -308,10 +307,19 @@ DEFAULT_TEMPLATES = (
 )
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; any other bytes are an InputError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text ({exc.reason} at "
+                             f"byte {exc.start})") from None
+
+
 def load_templates(path: str) -> tuple[str, ...]:
     """One template per line; blank lines and # comments ignored."""
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f.read().splitlines()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     templates = tuple(ln for ln in lines if ln and not ln.startswith("#"))
     if not templates:
         raise InputError(f"no templates found in {path}")
@@ -383,12 +391,18 @@ def read_corpus(path: str) -> list[dict]:
     """A corpus file's records: JSON objects, each with a string "prompt"."""
     records = []
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, "rb")
     except OSError as exc:
         raise InputError(f"corpus {path!r} cannot be read ({exc.strerror})") \
             from None
     with f:
-        for lineno, line in enumerate(f, 1):
+        # decoded line by line, so a bad byte is named by its own line
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: not UTF-8 text "
+                                 f"({exc.reason})") from None
             if not line.strip():
                 continue
             try:

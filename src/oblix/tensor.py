@@ -150,17 +150,19 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
+def _checked(a: np.ndarray, *, freeze: bool = True) -> np.ndarray:
     """Return a computed array read-only, refusing a non-finite value.
 
     Every counted primitive returns through here, so each value the
     arithmetic makes is checked once, where it is made; views, reshapes
-    and stacking of checked arrays need no second look.
+    and stacking of checked arrays need no second look.  With ``freeze``
+    false the array stays writeable, for a buffer that a primitive then
+    overwrites in place (``softmax_rows(..., out=)``).
     """
     # the ufunc reduce itself: ndarray.all adds a Python-level wrapper call
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise InternalError(f"computed {a.shape} array holds non-finite values")
-    return readonly(a)
+    return readonly(a) if freeze else a
 
 
 def row_blocks(a: np.ndarray, n: int) -> np.ndarray:
@@ -211,20 +213,26 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
     return _checked(prod) if out is None else prod
 
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
+def softmax_rows(a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Row softmax with max subtraction for stability.
 
     The row max is read at ``argmax``, which numpy finds faster than
     ``max`` along a short row, with the same values: the max is exact, a
     tie of +0 and -0 gives the same bits after ``exp``, and a row holding
     a NaN or +inf, or only -inf, turns NaN, which the output check refuses.
+    With ``out``, a writeable C-order buffer of ``a``'s shape that the
+    caller owns (``a`` itself, say), the softmax runs there with the bits
+    of a fresh result, so no second map-sized buffer is made.
     """
     if a.ndim != 2 or a.shape[1] < 1:
         raise ShapeError(f"softmax_rows needs a matrix with columns, got {a.shape}")
+    if out is not None and out.shape != a.shape:
+        raise ShapeError(f"softmax_rows output {out.shape} does not fit {a.shape}")
     m, n = a.shape
     _count(SOFTMAX_FLOPS_PER_ELEM * m * n)
-    # a - max is a fresh buffer, so exp and divide may run in place on it
-    e = a - a[np.arange(m), a.argmax(axis=1)][:, None]
+    # the gathered max is a copy, so the subtract may overwrite a itself;
+    # exp and divide then run in place on the subtract's result
+    e = np.subtract(a, a[np.arange(m), a.argmax(axis=1)][:, None], out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True, dtype=np.float32)
     return _checked(e)

@@ -427,6 +427,17 @@ def test_attest_refuses_bad_input_with_exit_2(tmp_path, capsys, corpus, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_attest_refuses_a_corpus_line_that_is_not_utf8(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(b'{"prompt": "portrait of a man"}\n\xff\n')
+    code = main(["attest", "--config", path, "--corpus", str(corpus_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{corpus_path}:2:" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_attest_refuses_a_missing_corpus_with_exit_2(tmp_path, capsys):
     path = _write_config(tmp_path)
     missing = str(tmp_path / "missing.jsonl")
@@ -450,6 +461,18 @@ def test_unreadable_file_named_by_the_config_exits_2(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and target in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["lexicon", "templates"])
+def test_non_utf8_file_named_by_the_config_exits_2(tmp_path, capsys, key):
+    target = tmp_path / "utf16.txt"
+    target.write_bytes(b"\xff\xfe[gender]\n")     # a UTF-16 byte-order mark
+    path = _write_config(tmp_path, run={key: str(target)})
+    code = main(["generate", "--config", path, "--prompt", "a red bicycle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(target) in err
     assert len(err.splitlines()) == 1
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,35 @@ def test_default_session_flops_ledger():
         assert counter.steps == steps
         assert counter.total == sum(s.flops for s in steps)
     assert (server.total, device.total) == (1296470016, 718464000)
+
+
+def test_an_ungated_n30_run_holds_few_hidden_states_at_its_peak():
+    # the working set of a bulk server request: each array dies at its last
+    # reader and attention softmax runs in place on its score buffer, so a
+    # 2-step N=30 run of the default model peaks at about 4.6 row-stacked
+    # (N*S, width) hidden states above what it was given, and 7.6 when
+    # block outputs outlive their last reader; keeping the input embedding
+    # and mid features alive through the up block alone crosses 5.5
+    w = ModelWeights.build(ModelConfig(), 1001)
+    n, cfg = 30, w.cfg
+    texts = [embed_prompt(f"candidate {i} of a calm forest", cfg)
+             for i in range(n)]
+    x = np.stack([Rng(i).gaussian((cfg.channels, cfg.res, cfg.res))
+                  for i in range(n)])
+    sched = build_schedule(25)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_denoise_steps(x, texts, sched, w, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    hidden = n * cfg.tokens * cfg.width * 4
+    assert peak <= 5.5 * hidden, peak / hidden
 
 
 def test_run_denoise_steps_range_validation():

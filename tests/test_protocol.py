@@ -339,9 +339,9 @@ def test_server_is_stateless_and_deterministic():
 
 def test_server_row_order_follows_candidate_order():
     # oracle: each row must equal the single-candidate run of that prompt.
-    # The batch runs as one row-stacked matrix, so N=30 at the default
-    # model's shapes checks that BLAS gives every row of a tall product
-    # the bits of that row's own product.
+    # The batch runs as one row-stacked matrix, so N up to MAX_CANDIDATES
+    # at the default model's shapes checks that every row of a tall
+    # product keeps the bits of that row's own product.
     # odd N and N around a chunk's row count (16 for this W's self sites and
     # the default model's cross sites) give ragged last chunks
     gated = dict(cache_point=2, skip_point=3, refresh_period=4, reuse=False)
@@ -351,17 +351,23 @@ def test_server_row_order_follows_candidate_order():
              (TOY_W, 30, {}), (TOY_W, 30, gated)]
     cases += [(w, chunk + d, {}) for w in (W, TOY_W) for d in (-1, 0, 1)]
     cases += [(W, chunk + d, gated) for d in (-1, 0, 1)]
-    for w, n, gates in cases:
+    # from N = 31 (7,936 stacked rows) OpenBLAS gives the default model's
+    # output projection other bits than its row blocks' own products
+    cases += [(TOY_W, 31, {})]
+    checks = [(w, n, gates, 4, range(n)) for w, n, gates in cases]
+    checks += [(TOY_W, MAX_CANDIDATES, {}, 1,
+                (0, MAX_CANDIDATES // 2, MAX_CANDIDATES - 1))]
+    for w, n, gates, steps, rows in checks:
         cfg = w.cfg
         candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
-        req = _request(switch_point=4, candidates=candidates, **gates)
+        req = _request(switch_point=steps, candidates=candidates, **gates)
         resp = Server({"toy": w}).handle_request(req)
         sched = req.schedule.build()
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
-        for i, prompt in enumerate(candidates):
+        for i in rows:
             solo = run_denoise_steps(np.stack([base]),
-                                     [embed_prompt(prompt, cfg)], sched, w,
-                                     1, 4, req.accel if gates else None)
+                                     [embed_prompt(candidates[i], cfg)], sched,
+                                     w, 1, steps, req.accel if gates else None)
             assert same_bits(resp.latents[i], fp16_roundtrip(solo)[0]), \
                 (n, gates, i)
 

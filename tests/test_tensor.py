@@ -184,15 +184,20 @@ _SMALL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-30, -1e-30, 88.0])
     min_size=1, max_size=5)))
 def test_softmax_matches_the_max_based_formula_bitwise(rows):
     # ties (a small pool of values), +0 beside -0 in one row, magnitudes
-    # across float32's range, NaN and the infinities, one-column rows
+    # across float32's range, NaN and the infinities, one-column rows; the
+    # fresh path, in place on the input's own buffer, and into another one
     a = T(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _softmax_by_max(a.copy())
-        if np.isfinite(want).all():
-            assert same_bits(softmax_rows(a), want)
-        else:
-            with pytest.raises(InternalError):
-                softmax_rows(a)
+        for src, out in ((a, None), (a.copy(),) * 2, (a, a.copy())):
+            if np.isfinite(want).all():
+                got = softmax_rows(src, out=out)
+                assert same_bits(got, want)
+                assert not got.flags.writeable
+                assert out is None or np.shares_memory(got, out)
+            else:
+                with pytest.raises(InternalError):
+                    softmax_rows(src, out=out)
 
 
 def test_softmax_ties_of_signed_zeros_keep_their_bits():
@@ -208,11 +213,20 @@ def test_softmax_refuses_nan_and_infinite_rows(row):
     a = T([[0.5, 0.25], row, [1.0, 2.0]])
     with np.errstate(invalid="ignore"), pytest.raises(InternalError):
         softmax_rows(a)
+    with np.errstate(invalid="ignore"), pytest.raises(InternalError):
+        softmax_rows(a, out=a)
 
 
 def test_softmax_requires_columns():
     with pytest.raises(ShapeError):
         softmax_rows(T([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (2, 3), (6,)])
+def test_softmax_refuses_a_misshapen_out(shape):
+    a = T([[0.5, 0.25], [1.0, 2.0], [0.0, -1.0]])
+    with pytest.raises(ShapeError):
+        softmax_rows(a, out=np.empty(shape, dtype=np.float32))
 
 
 # --- binary16 ---------------------------------------------------------------

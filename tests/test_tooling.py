@@ -111,12 +111,13 @@ def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
     with tracing.patched(tracer):
         oblix.denoiser.unet_forward(latents, texts, 1, w)
     spans = [span for span in tracer.spans if span[2] == "tensor.matmul"]
-    # 7 trunk products; per site the value and output projections, a query
-    # and a key projection per chunk, a score and a value product per row
+    # 6 trunk products and an output projection per row; per site the value
+    # and output projections, a query and a key projection per chunk, a
+    # score and a value product per row
     chunks = {kv: -(-n // max(1, oblix.accel.MAP_CHUNK_BYTES // (4 * s * kv)))
               for kv in (s, t)}
     assert chunks == {s: 30, t: 2}
-    products = 7 + 3 * sum(2 + 2 * chunks[kv] + 2 * n for kv in (s, t))
+    products = 6 + n + 3 * sum(2 + 2 * chunks[kv] + 2 * n for kv in (s, t))
     assert len(spans) == len(counted) == products
     # the 11 biased layers (w_in, w_down, w_mid, w_up, w_out and six wo) and
     # the scale of each (row, site) score product
