@@ -7,8 +7,6 @@ from .accel import (
     should_skip_blocks,
 )
 from .costmodel import (
-    CostReport,
-    counted_flops_report,
     estimate_device_flops,
     estimate_server_flops,
     transmission_bytes,
@@ -16,7 +14,6 @@ from .costmodel import (
 from .denoiser import (
     ModelConfig,
     ModelWeights,
-    TextEmbedding,
     decode_latent,
     embed_prompt,
     unet_forward,

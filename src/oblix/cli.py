@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accel import AccelConfig
-from .costmodel import counted_flops_report
 from .denoiser import ModelConfig, ModelWeights
 from .errors import ConfigError, InputError, OblixError
 from .oblivious import (
@@ -70,18 +69,25 @@ class RunConfig:
     templates: tuple[str, ...]
 
 
-def _typed(sec: configparser.SectionProxy, key: str, kind: type, default):
-    """``sec[key]`` converted to ``kind``; a missing or empty key gives
-    ``default`` and a value that does not convert is a ConfigError naming
-    its section and key."""
-    if not sec.get(key):
-        return default
-    getter = {int: sec.getint, float: sec.getfloat, bool: sec.getboolean}[kind]
-    try:
-        return getter(key)
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a "
-                          f"valid {kind.__name__}") from None
+def _typed(sec: configparser.SectionProxy, kinds: dict[str, type]) -> dict:
+    """The keys of ``kinds`` that ``sec`` sets, each converted to its type.
+
+    A key left out or set empty is absent from the result, so the dataclass
+    it feeds keeps its own default; a value that does not convert is a
+    ConfigError naming its section and key.
+    """
+    getters = {int: sec.getint, float: sec.getfloat, bool: sec.getboolean,
+               str: sec.get}
+    out = {}
+    for key, kind in kinds.items():
+        if not sec.get(key):
+            continue
+        try:
+            out[key] = getters[kind](key)
+        except ValueError:
+            raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a "
+                              f"valid {kind.__name__}") from None
+    return out
 
 
 def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
@@ -91,7 +97,7 @@ def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
         if not os.path.exists(path):
             raise ConfigError(f"{path_key} points at missing file {path!r}")
         return ModelWeights.load(path)
-    seed = _typed(section, seed_key, int, None)
+    seed = _typed(section, {seed_key: int}).get(seed_key)
     if seed is None:
         raise ConfigError(f"[model] needs {path_key} or {seed_key}")
     return ModelWeights.build(model_cfg, seed)
@@ -99,7 +105,8 @@ def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Parse and fully validate a run config; all referenced files must
-    exist and parse before any computation starts."""
+    exist and parse before any computation starts.  A key left out keeps
+    its dataclass's default."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
@@ -112,62 +119,48 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             from None
 
     model_sec = parser["model"]
-    model_cfg = ModelConfig(
-        channels=_typed(model_sec, "channels", int, 4),
-        res=_typed(model_sec, "res", int, 16),
-        d_text=_typed(model_sec, "d_text", int, 32),
-        width=_typed(model_sec, "width", int, 32),
-        token_capacity=_typed(model_sec, "token_capacity", int, 16),
-        heads=_typed(model_sec, "heads", int, 1),
-    )
+    model_cfg = ModelConfig(**_typed(model_sec, {
+        "channels": int, "res": int, "d_text": int, "width": int,
+        "token_capacity": int, "heads": int}))
     cloud = _weights_from(model_sec, "cloud", model_cfg)
     device = _weights_from(model_sec, "device", model_cfg)
+    # the device finishes the cloud's latents; width, d_text and token
+    # capacity may differ, as with a smaller device model
+    c, d = cloud.cfg, device.cfg
+    if (c.channels, c.res) != (d.channels, d.res):
+        raise ConfigError(
+            f"cloud weights make latents of {c.channels} channels at res "
+            f"{c.res}, device weights take {d.channels} at res {d.res}")
 
     sched_sec = parser["schedule"]
-    schedule = ScheduleParams(
-        steps=_typed(sched_sec, "steps", int, 25),
-        beta_start=_typed(sched_sec, "beta_start", float, 0.00085),
-        beta_end=_typed(sched_sec, "beta_end", float, 0.012),
-        spacing=sched_sec.get("spacing", "scaled-linear"),
-    )
+    schedule = ScheduleParams(**_typed(sched_sec, {
+        "steps": int, "beta_start": float, "beta_end": float,
+        "spacing": str}))
     schedule.build()  # validate early
 
-    accel_sec = parser["accel"]
-    default_never = schedule.steps + 1
-    accel = AccelConfig(
-        switch_point=_typed(accel_sec, "switch_point", int, 0),
-        cache_point=_typed(accel_sec, "cache_point", int, default_never),
-        skip_point=_typed(accel_sec, "skip_point", int, default_never),
-        reuse=_typed(accel_sec, "reuse", bool, False),
-        refresh_period=_typed(accel_sec, "refresh_period", int, 5),
-        pivot_index=_typed(accel_sec, "pivot_index", int, 0),
-    )
+    accel_keys = _typed(parser["accel"], {
+        "switch_point": int, "cache_point": int, "skip_point": int,
+        "reuse": bool, "refresh_period": int, "pivot_index": int})
+    off = schedule.steps + 1  # README: "steps + 1 means never"
+    accel = AccelConfig(**{"cache_point": off, "skip_point": off, **accel_keys})
     if accel.switch_point > schedule.steps:
         raise ConfigError(
             f"switch_point {accel.switch_point} exceeds {schedule.steps} steps")
 
-    chan_sec = parser["channel"]
     try:
-        channel = ChannelModel(
-            bandwidth_bps=_typed(chan_sec, "bandwidth_bps", float, 18.88e6),
-            rtt_s=_typed(chan_sec, "rtt_s", float, 0.0),
-        )
+        channel = ChannelModel(**_typed(
+            parser["channel"], {"bandwidth_bps": float, "rtt_s": float}))
     except ConfigError as exc:
         raise ConfigError(f"[channel] {exc}") from None
 
     run_sec = parser["run"]
-    seed = seed_override if seed_override is not None \
-        else _typed(run_sec, "seed", int, 0)
-
-    session = SessionConfig(
-        model_id=model_sec.get("id", "toy"),
-        seed=seed,
-        accel=accel,
-        cloud_schedule=schedule,
-        device_steps=_typed(sched_sec, "device_steps", int, None),
-        dt_shift=_typed(sched_sec, "dt_shift", int, 0),
-        channel=channel,
-    )
+    session_keys = {**_typed(sched_sec, {"device_steps": int, "dt_shift": int}),
+                    **_typed(run_sec, {"seed": int})}
+    if seed_override is not None:
+        session_keys["seed"] = seed_override
+    session = SessionConfig(model_id=model_sec.get("id", "toy"), accel=accel,
+                            cloud_schedule=schedule, channel=channel,
+                            **session_keys)
 
     lex_path = run_sec.get("lexicon")
     lexicon = AttributeLexicon.load(lex_path) if lex_path else default_lexicon()
@@ -182,7 +175,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         device_weights=device,
         session=session,
         host=transport_sec.get("host", "127.0.0.1"),
-        port=_typed(transport_sec, "port", int, 7410),
+        port=_typed(transport_sec, {"port": int}).get("port", 7410),
         out_path=run_sec.get("out", "oblix_out.ppm"),
         report_path=run_sec.get("report", "oblix_report.jsonl"),
         lexicon=lexicon,
@@ -205,15 +198,14 @@ def _run_and_report(rc: RunConfig, prompt: str, transport,
                     out_path: str | None) -> int:
     result = client_run_session(prompt, rc.session, transport,
                                 rc.device_weights, rc.lexicon)
-    report = counted_flops_report(result, rc.session.channel)
     out = out_path or rc.out_path
     write_ppm(result.image, out)
     with open(rc.report_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(report.to_lines()) + "\n")
+        f.write("\n".join(result.report_lines()) + "\n")
     print(f"candidates N={result.candidates.size}")
     for note in result.notes:
         print(f"note: {note}")
-    print(report.summary_table())
+    print(result.summary_table())
     print(f"image -> {out}")
     print(f"report -> {rc.report_path}")
     return 0
@@ -316,15 +308,14 @@ def cmd_bench(args) -> int:
                         result = client_run_session(
                             BENCH_PROMPTS[n], session, transport,
                             rc.device_weights, rc.lexicon)
-                        report = counted_flops_report(result, session.channel)
                         records.append({
                             "k": k, "r": r, "s": s, "reuse": reuse, "N": n,
-                            "server_flops": report.server_flops,
-                            "device_flops": report.device_flops,
-                            "bytes_sent": report.bytes_sent,
-                            "bytes_received": report.bytes_received,
+                            "server_flops": result.server_flops,
+                            "device_flops": result.device_counter.total,
+                            "bytes_sent": result.bytes_sent,
+                            "bytes_received": result.bytes_received,
                             "modeled_transfer_s": round(
-                                report.modeled_transfer_s, 6),
+                                result.modeled_transfer_s, 6),
                         })
     out = args.out or "oblix_bench.jsonl"
     with open(out, "w", encoding="utf-8") as f:

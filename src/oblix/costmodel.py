@@ -1,4 +1,4 @@
-"""Cost accounting: closed-form estimators and instrumented reports.
+"""Cost accounting in closed form; counted costs live on the session record.
 
 Two tiers, deliberately separate:
 
@@ -12,13 +12,8 @@ Two tiers, deliberately separate:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .denoiser import ModelConfig
 from .errors import ConfigError
-from .protocol import ChannelModel, SessionResult, simulate_transfer
-from .tensor import StepCost
 
 
 def estimate_server_flops(full_per_image: float, k: int, total_steps: int,
@@ -150,82 +145,3 @@ def expected_run_flops(cfg: ModelConfig, batch: int, accel, first_iter: int,
                 skip=accel_mod.should_skip_blocks(t, accel),
             )
     return total
-
-
-# ---------------------------------------------------------------------------
-# Instrumented session report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CostReport:
-    server_flops: int
-    device_flops: int
-    server_steps: list[StepCost] = field(default_factory=list)
-    device_steps: list[StepCost] = field(default_factory=list)
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    modeled_transfer_s: float = 0.0
-    notes: list[str] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if self.server_flops != sum(s.flops for s in self.server_steps):
-            raise ConfigError("server total diverges from its step series")
-        if self.device_flops != sum(s.flops for s in self.device_steps):
-            raise ConfigError("device total diverges from its step series")
-
-    def to_lines(self) -> list[str]:
-        head = {
-            "server_flops": self.server_flops,
-            "device_flops": self.device_flops,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "modeled_transfer_s": round(self.modeled_transfer_s, 6),
-            "notes": self.notes,
-        }
-        lines = [json.dumps({"record": "summary", **head}, sort_keys=True)]
-        for side, series in (("server", self.server_steps),
-                             ("device", self.device_steps)):
-            for sc in series:
-                lines.append(json.dumps({
-                    "record": "step", "side": side, "step": sc.index,
-                    "flops": sc.flops, "recompute": sc.recompute,
-                    "skip": sc.skip, "reuse": sc.reuse,
-                }, sort_keys=True))
-        return lines
-
-    def summary_table(self) -> str:
-        rows = [f"{'side':<8}{'step':>6}{'flops':>14}  gates"]
-        for side, series in (("server", self.server_steps),
-                             ("device", self.device_steps)):
-            for sc in series:
-                gates = "".join([
-                    "C" if not sc.recompute else "-",
-                    "S" if sc.skip else "-",
-                    "R" if sc.reuse else "-",
-                ])
-                rows.append(f"{side:<8}{sc.index:>6}{sc.flops:>14}  {gates}")
-        rows.append(f"{'total':<8}{'':>6}"
-                    f"{self.server_flops + self.device_flops:>14}")
-        return "\n".join(rows)
-
-
-def counted_flops_report(result: SessionResult,
-                         channel: ChannelModel | None = None) -> CostReport:
-    """Assemble the cost report for a completed client session."""
-    modeled = 0.0
-    if channel is not None and result.transcript:
-        total_bytes = result.bytes_sent + result.bytes_received
-        modeled = simulate_transfer(total_bytes, channel)
-    report = CostReport(
-        server_flops=result.server_flops,
-        device_flops=result.device_counter.total,
-        server_steps=list(result.server_steps),
-        device_steps=list(result.device_counter.steps),
-        bytes_sent=result.bytes_sent,
-        bytes_received=result.bytes_received,
-        modeled_transfer_s=modeled,
-        notes=list(result.notes),
-    )
-    report.validate()
-    return report

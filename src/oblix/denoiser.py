@@ -78,14 +78,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class TextEmbedding:
-    """Token vectors padded to the model's token capacity."""
-
-    matrix: np.ndarray
-    count: int
-
-
-@dataclass(frozen=True)
 class AttnSite:
     wq: np.ndarray
     wk: np.ndarray
@@ -266,9 +258,10 @@ class ModelWeights:
 _PAD_SEED_TAG = b"\x00oblix-pad\x00"
 
 
-def embed_prompt(prompt: str, cfg: ModelConfig) -> TextEmbedding:
+def embed_prompt(prompt: str, cfg: ModelConfig) -> np.ndarray:
     """Hash each whitespace token into a seed and expand it to a vector.
 
+    Returns the read-only ``(token_capacity, d_text)`` token matrix.
     Deterministic, order-preserving, truncated at the token capacity and
     padded with a fixed vector, so prompts differing in one token differ
     in exactly that embedding row.
@@ -279,7 +272,7 @@ def embed_prompt(prompt: str, cfg: ModelConfig) -> TextEmbedding:
     tokens = tokens[:cfg.token_capacity]
     seeds = [fnv1a64(tok.encode("utf-8")) for tok in tokens]
     seeds += [fnv1a64(_PAD_SEED_TAG)] * (cfg.token_capacity - len(tokens))
-    return TextEmbedding(gaussian_rows(seeds, cfg.d_text), len(tokens))
+    return gaussian_rows(seeds, cfg.d_text)
 
 
 def time_vector(t: int, cfg: ModelConfig) -> np.ndarray:
@@ -332,7 +325,7 @@ def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
     return add(h, projected)
 
 
-def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
+def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
                  w: ModelWeights, accel: AccelState | None = None) -> np.ndarray:
     """Predict per-row noise for a batch of latents at iteration t.
 
@@ -369,7 +362,7 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
     route = (accel, recompute, accel.cfg.pivot_index if reuse else None)
 
     s, c = cfg.tokens, cfg.channels
-    text = np.concatenate([te.matrix for te in texts])
+    text = np.concatenate(texts)
     # each array dies at its last reader: h is rebound block by block, so
     # no block's output outlives the next block's
     tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
@@ -408,7 +401,7 @@ def unet_forward(latents: np.ndarray, texts: list[TextEmbedding], t: int,
                     .reshape(latents.shape))
 
 
-def run_denoise_steps(latents: np.ndarray, texts: list[TextEmbedding],
+def run_denoise_steps(latents: np.ndarray, texts: list[np.ndarray],
                       sched: NoiseSchedule, w: ModelWeights,
                       first_iter: int, last_iter: int,
                       accel: AccelConfig | None = None) -> np.ndarray:

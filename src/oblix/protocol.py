@@ -19,7 +19,7 @@ Request payload, fields in declared order:
 Response payload:
 
     u32 step reached (schedule index of the returned latents)
-    u32 batch | u32 channels | u32 res
+    u32 batch | u32 channels | u32 res (none of them 0)
     batch*channels*res*res values as binary16
     u64 server FLOPs total
     u32 step count, then per step u32 index | u64 flops | u8 gate flags
@@ -31,6 +31,7 @@ that is the content of the transcript-equality checks in `oblix.security`.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import socket
@@ -52,6 +53,7 @@ from .oblivious import (
     expand_candidates,
     extract_latent,
 )
+from . import schedule as schedule_mod
 from .schedule import NoiseSchedule, StepIndexMap, build_schedule, map_timestep
 from .tensor import (
     FlopsCounter,
@@ -95,10 +97,10 @@ _SPACINGS = ("linear", "scaled-linear")
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    steps: int = 25
-    beta_start: float = 0.00085
-    beta_end: float = 0.012
-    spacing: str = "scaled-linear"
+    steps: int = schedule_mod.DEFAULT_STEPS
+    beta_start: float = schedule_mod.DEFAULT_BETA_START
+    beta_end: float = schedule_mod.DEFAULT_BETA_END
+    spacing: str = schedule_mod.DEFAULT_SPACING
 
     def __post_init__(self):
         # betas travel as binary32; canonicalize here so client and server
@@ -188,6 +190,8 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
         shape = msg.latents.shape
         if len(shape) != 4:
             raise ProtocolError(f"latent batch must be 4-d, got {shape}")
+        if 0 in shape:
+            raise ProtocolError(f"latent batch {shape} has a zero extent")
         body = bytearray()
         body += struct.pack("<IIII", msg.step_reached, shape[0], shape[1], shape[2])
         body += encode_f16(msg.latents)
@@ -288,7 +292,14 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
             ScheduleParams(steps, beta_start, beta_end, _SPACINGS[spacing_idx]),
             model_id)
     if frame_type == TYPE_RESPONSE:
-        step_reached, batch, channels, res = r.take("<IIII")
+        step_reached, *extents = r.take("<IIII")
+        # with one extent 0 the block is empty whatever the others say, so
+        # the length check below could not bound them
+        for i, name in enumerate(("batch", "channels", "res")):
+            if extents[i] == 0:
+                raise ProtocolError(f"response latent {name} is 0",
+                                    offset=r.off - 12 + 4 * i)
+        batch, channels, res = extents
         n_vals = batch * channels * res * res
         if r.off + 2 * n_vals > len(raw):
             raise ProtocolError(
@@ -564,6 +575,8 @@ class SessionConfig:
 
 @dataclass
 class SessionResult:
+    """One client session: its output, its wire bytes, both FLOPs ledgers."""
+
     image: np.ndarray
     candidates: CandidateSet
     final_latent: np.ndarray
@@ -573,6 +586,7 @@ class SessionResult:
     device_counter: FlopsCounter
     transcript: list[tuple[str, bytes]]
     notes: list[str]
+    modeled_transfer_s: float
 
     @property
     def bytes_sent(self) -> int:
@@ -589,6 +603,45 @@ class SessionResult:
     @property
     def server_steps(self) -> tuple[StepCost, ...]:
         return self.response.step_costs if self.response else ()
+
+    def _series(self):
+        return (("server", self.server_steps),
+                ("device", self.device_counter.steps))
+
+    def report_lines(self) -> list[str]:
+        """The JSON-lines cost report: a summary, then one line per step."""
+        head = {
+            "server_flops": self.server_flops,
+            "device_flops": self.device_counter.total,
+            "bytes_sent": self.bytes_sent,
+            "bytes_received": self.bytes_received,
+            "modeled_transfer_s": round(self.modeled_transfer_s, 6),
+            "notes": self.notes,
+        }
+        lines = [json.dumps({"record": "summary", **head}, sort_keys=True)]
+        for side, series in self._series():
+            for sc in series:
+                lines.append(json.dumps({
+                    "record": "step", "side": side, "step": sc.index,
+                    "flops": sc.flops, "recompute": sc.recompute,
+                    "skip": sc.skip, "reuse": sc.reuse,
+                }, sort_keys=True))
+        return lines
+
+    def summary_table(self) -> str:
+        """Per-step FLOPs and gate flags (C cached, S skipped, R reused)."""
+        rows = [f"{'side':<8}{'step':>6}{'flops':>14}  gates"]
+        for side, series in self._series():
+            for sc in series:
+                gates = "".join([
+                    "C" if not sc.recompute else "-",
+                    "S" if sc.skip else "-",
+                    "R" if sc.reuse else "-",
+                ])
+                rows.append(f"{side:<8}{sc.index:>6}{sc.flops:>14}  {gates}")
+        rows.append(f"{'total':<8}{'':>6}"
+                    f"{self.server_flops + self.device_counter.total:>14}")
+        return "\n".join(rows)
 
 
 def build_request(prompt: str, cfg: SessionConfig, lex: AttributeLexicon,
@@ -629,64 +682,68 @@ def client_run_session(prompt: str, cfg: SessionConfig, transport,
                        lex: AttributeLexicon) -> SessionResult:
     """Full oblivious hybrid generation from the client's point of view.
 
-    With a zero switch point there is nothing to hand off, so the session
-    degenerates to device-only generation and never touches the transport.
+    With a zero switch point there is nothing to hand off, so the device
+    starts from the seed's noise and the transport is never touched.
     """
     notes: list[str] = []
     transcript: list[tuple[str, bytes]] = []
-    device_counter = FlopsCounter()
-    dev_params = cfg.device_schedule()
-    dev_sched = dev_params.build()
+    dev_sched = cfg.device_schedule().build()
     k = cfg.accel.switch_point
     dcfg = device_weights.cfg
+    req = resp = boundary = None
+    modeled = 0.0
 
     if k == 0:
-        detections = detect_attributes(prompt, lex)
-        cset = expand_candidates(prompt, detections, lex)
+        cset = expand_candidates(prompt, detect_attributes(prompt, lex), lex)
         notes.append("device-only: switch point 0, no cloud hand-off")
-        z = Rng(cfg.seed).gaussian((dcfg.channels, dcfg.res, dcfg.res))
-        final = run_device_steps(z, cset.real_prompt, dev_sched,
-                                 device_weights, 1, device_counter)
-        image = decode_latent(final, device_weights)
-        return SessionResult(image, cset, final, None, None, None,
-                             device_counter, transcript, notes)
+        start = Rng(cfg.seed).gaussian((dcfg.channels, dcfg.res, dcfg.res))
+        resume_after = 0
+    else:
+        req, cset = build_request(prompt, cfg, lex)
+        req_bytes = encode_frame(req)
+        transcript.append(("sent", req_bytes))
+        try:
+            resp_bytes = transport.roundtrip(req_bytes)
+        except OSError as exc:
+            # the server is stateless, so the caller may simply retry
+            raise ProtocolError(f"transport failure: {exc}") from exc
+        transcript.append(("received", resp_bytes))
+        modeled = simulate_transfer(len(req_bytes) + len(resp_bytes),
+                                    cfg.channel)
+        resp = decode_frame(resp_bytes)
+        if not isinstance(resp, GenerateResponse):
+            raise ProtocolError("expected a response frame")
+        if resp.latents.shape[0] != cset.size:
+            raise ProtocolError(
+                f"response carries {resp.latents.shape[0]} rows for "
+                f"{cset.size} candidates")
+        if resp.latents.shape[1:] != (dcfg.channels, dcfg.res, dcfg.res):
+            raise ProtocolError(
+                f"response latent geometry {resp.latents.shape[1:]} does not "
+                f"match the device model")
+        expected_step = cfg.cloud_schedule.steps - k
+        if resp.step_reached != expected_step:
+            raise ProtocolError(
+                f"server stopped at schedule index {resp.step_reached}, "
+                f"expected {expected_step}")
+        step_sum = sum(sc.flops for sc in resp.step_costs)
+        if resp.flops_total != step_sum:
+            raise ProtocolError(
+                f"server FLOPs total {resp.flops_total} differs from the "
+                f"sum of its steps {step_sum}")
 
-    req, cset = build_request(prompt, cfg, lex)
-    req_bytes = encode_frame(req)
-    transcript.append(("sent", req_bytes))
-    try:
-        resp_bytes = transport.roundtrip(req_bytes)
-    except OSError as exc:
-        # the server is stateless, so the caller may simply retry
-        raise ProtocolError(f"transport failure: {exc}") from exc
-    transcript.append(("received", resp_bytes))
-    resp = decode_frame(resp_bytes)
-    if not isinstance(resp, GenerateResponse):
-        raise ProtocolError("expected a response frame")
-    if resp.latents.shape[0] != cset.size:
-        raise ProtocolError(
-            f"response carries {resp.latents.shape[0]} rows for "
-            f"{cset.size} candidates")
-    if resp.latents.shape[1:] != (dcfg.channels, dcfg.res, dcfg.res):
-        raise ProtocolError(
-            f"response latent geometry {resp.latents.shape[1:]} does not "
-            f"match the device model")
-    expected_step = cfg.cloud_schedule.steps - k
-    if resp.step_reached != expected_step:
-        raise ProtocolError(
-            f"server stopped at schedule index {resp.step_reached}, "
-            f"expected {expected_step}")
+        start = boundary = extract_latent(resp.latents, cset)
+        index_map = StepIndexMap(cfg.cloud_schedule.steps, dev_sched.steps,
+                                 cfg.dt_shift)
+        resume_after, clamped = map_timestep(k, index_map)
+        if clamped:
+            notes.append(
+                f"timestep shift clamped: cloud step {k} mapped to device "
+                f"step {resume_after}")
 
-    boundary = extract_latent(resp.latents, cset)
-    index_map = StepIndexMap(cfg.cloud_schedule.steps, dev_sched.steps,
-                             cfg.dt_shift)
-    resume_after, clamped = map_timestep(k, index_map)
-    if clamped:
-        notes.append(
-            f"timestep shift clamped: cloud step {k} mapped to device "
-            f"step {resume_after}")
-    final = run_device_steps(boundary, cset.real_prompt, dev_sched,
+    device_counter = FlopsCounter()
+    final = run_device_steps(start, cset.real_prompt, dev_sched,
                              device_weights, resume_after + 1, device_counter)
     image = decode_latent(final, device_weights)
     return SessionResult(image, cset, final, boundary, req, resp,
-                         device_counter, transcript, notes)
+                         device_counter, transcript, notes, modeled)

@@ -24,6 +24,7 @@ from .tensor import add, scale, sub
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
 DEFAULT_STEPS = 25
+DEFAULT_SPACING = "scaled-linear"
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class NoiseSchedule:
 def build_schedule(steps: int = DEFAULT_STEPS,
                    beta_start: float = DEFAULT_BETA_START,
                    beta_end: float = DEFAULT_BETA_END,
-                   spacing: str = "scaled-linear") -> NoiseSchedule:
+                   spacing: str = DEFAULT_SPACING) -> NoiseSchedule:
     """Interpolate beta over ``steps`` and accumulate the alpha products.
 
     ``linear`` interpolates beta directly, ``scaled-linear`` interpolates

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import sys
@@ -6,6 +7,8 @@ import threading
 import numpy as np
 import pytest
 
+import oblix.cli
+from oblix.accel import AccelConfig
 from oblix.cli import (
     BENCH_PROMPTS,
     build_parser,
@@ -15,9 +18,9 @@ from oblix.cli import (
     write_ppm,
 )
 from oblix.costmodel import attention_map_flops, expected_run_flops, step_flops
-from oblix.denoiser import ModelConfig
+from oblix.denoiser import ModelConfig, ModelWeights
 from oblix.errors import ConfigError
-from oblix.protocol import Daemon, Server
+from oblix.protocol import Daemon, ScheduleParams, Server, SessionConfig
 
 
 def _write_config(tmp_path, **overrides):
@@ -56,6 +59,24 @@ def test_readme_config_sample_loads(tmp_path):
     assert (accel.switch_point, accel.cache_point, accel.skip_point,
             accel.reuse) == (10, 4, 6, True)
     assert rc.session.seed == 42
+
+
+def test_a_config_of_only_weight_seeds_takes_every_dataclass_default(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[model]\ncloud_seed = 1\ndevice_seed = 2\n")
+    rc = load_run_config(str(path))
+    assert rc.model == ModelConfig()
+    never = ScheduleParams().steps + 1  # the config's "never" gate default
+    assert rc.session == SessionConfig(
+        accel=AccelConfig(cache_point=never, skip_point=never))
+    assert (rc.host, rc.port, rc.out_path, rc.report_path) == (
+        "127.0.0.1", 7410, "oblix_out.ppm", "oblix_report.jsonl")
+
+
+def test_empty_spacing_means_the_default(tmp_path):
+    path = _write_config(tmp_path, schedule={"spacing": ""})
+    assert load_run_config(path).session.cloud_schedule.spacing == \
+        ScheduleParams().spacing
 
 
 def test_missing_config_is_an_error(tmp_path):
@@ -172,6 +193,27 @@ def test_weights_paths_are_loaded(tmp_path):
         "cloud_seed": "", "device_seed": ""})
     rc = load_run_config(path)
     assert rc.cloud_weights.fingerprint() == rc.device_weights.fingerprint()
+
+
+def test_cloud_and_device_latent_geometry_must_match(tmp_path, capsys,
+                                                     monkeypatch):
+    # width, d_text and token capacity may differ; channels and res may not
+    small = ModelConfig(res=8, width=8, d_text=8, token_capacity=4)
+    wpath = tmp_path / "cloud.oblw"
+    ModelWeights.build(small, 5).save(str(wpath))
+    load_run_config(_write_config(tmp_path, model={
+        "cloud_path": str(wpath), "cloud_seed": ""}))
+
+    ModelWeights.build(dataclasses.replace(small, res=4), 5).save(str(wpath))
+    path = _write_config(tmp_path, model={"cloud_path": str(wpath),
+                                          "cloud_seed": ""})
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert "cloud" in str(err.value) and "device" in str(err.value)
+    monkeypatch.setattr(oblix.cli, "client_run_session", None)  # no compute
+    assert main(["generate", "--config", path,
+                 "--prompt", "portrait of a man"]) == 2
+    assert "error: cloud weights" in capsys.readouterr().err
 
 
 def test_generate_writes_image_and_report(tmp_path, capsys):

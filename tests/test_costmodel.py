@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,10 +7,8 @@ import pytest
 
 from oblix.accel import AccelConfig, never
 from oblix.costmodel import (
-    CostReport,
     attention_map_flops,
     attention_value_flops,
-    counted_flops_report,
     estimate_device_flops,
     estimate_server_flops,
     expected_run_flops,
@@ -17,7 +16,7 @@ from oblix.costmodel import (
     transmission_bytes,
 )
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
-from oblix.errors import ConfigError
+from oblix.errors import ConfigError, ProtocolError
 from oblix.oblivious import default_lexicon
 from oblix.protocol import (
     ScheduleParams,
@@ -25,6 +24,8 @@ from oblix.protocol import (
     SessionConfig,
     SimulatedTransport,
     client_run_session,
+    decode_frame,
+    encode_frame,
 )
 from oblix.tensor import FlopsCounter, Rng, use_flops_counter
 
@@ -208,36 +209,45 @@ def _session_result(k=4, n_prompt="portrait of a man", steps=8, seed=3):
 
 def test_report_totals_match_step_series():
     cfg, result = _session_result()
-    report = counted_flops_report(result, cfg.channel)
-    report.validate()
-    assert report.server_flops == sum(s.flops for s in report.server_steps)
-    assert report.device_flops == sum(s.flops for s in report.device_steps)
-    assert report.server_flops == expected_run_flops(
+    device = result.device_counter
+    assert result.server_flops == sum(s.flops for s in result.server_steps)
+    assert device.total == sum(s.flops for s in device.steps)
+    assert result.server_flops == expected_run_flops(
         CFG, result.candidates.size, cfg.accel, 1, 4)
-    assert report.device_flops == expected_run_flops(CFG, 1, None, 5, 8)
+    assert device.total == expected_run_flops(CFG, 1, None, 5, 8)
 
 
 def test_report_transfer_uses_channel_model():
     cfg, result = _session_result()
-    report = counted_flops_report(result, cfg.channel)
-    total = report.bytes_sent + report.bytes_received
-    assert math.isclose(report.modeled_transfer_s,
+    total = result.bytes_sent + result.bytes_received
+    assert math.isclose(result.modeled_transfer_s,
                         total * 8.0 / cfg.channel.bandwidth_bps)
 
 
 def test_report_lines_and_table_render():
     cfg, result = _session_result()
-    report = counted_flops_report(result, cfg.channel)
-    lines = report.to_lines()
+    lines = result.report_lines()
     summary = json.loads(lines[0])
     assert summary["record"] == "summary"
-    assert summary["server_flops"] == report.server_flops
-    assert len(lines) == 1 + len(report.server_steps) + len(report.device_steps)
-    table = report.summary_table()
+    assert summary["server_flops"] == result.server_flops
+    assert len(lines) == 1 + len(result.server_steps) \
+        + len(result.device_counter.steps)
+    table = result.summary_table()
     assert "server" in table and "device" in table
 
 
-def test_report_validate_rejects_inconsistent_totals():
-    report = CostReport(server_flops=5, device_flops=0)
-    with pytest.raises(ConfigError):
-        report.validate()
+def test_session_refuses_a_response_whose_flops_total_is_not_its_steps():
+    class OffByOneLedger(SimulatedTransport):
+        def roundtrip(self, request):
+            resp = decode_frame(super().roundtrip(request))
+            return encode_frame(dataclasses.replace(
+                resp, flops_total=resp.flops_total + 1))
+
+    accel = AccelConfig(switch_point=4, cache_point=never(8),
+                        skip_point=never(8))
+    cfg = SessionConfig(model_id="toy", seed=3, accel=accel,
+                        cloud_schedule=ScheduleParams(8))
+    with pytest.raises(ProtocolError) as err:
+        client_run_session("portrait of a man", cfg,
+                           OffByOneLedger(Server({"toy": CW})), CW, LEX)
+    assert "FLOPs total" in str(err.value)

@@ -33,21 +33,20 @@ W = ModelWeights.build(CFG, 7)
 def test_embed_is_deterministic():
     a = embed_prompt("a portrait of a fox", CFG)
     b = embed_prompt("a portrait of a fox", CFG)
-    assert same_bits(a.matrix, b.matrix)
-    assert a.count == 5
+    assert same_bits(a, b)
 
 
 def test_embed_single_token_locality():
-    a = embed_prompt("a portrait of a fox", CFG).matrix
-    b = embed_prompt("a portrait of a cat", CFG).matrix
+    a = embed_prompt("a portrait of a fox", CFG)
+    b = embed_prompt("a portrait of a cat", CFG)
     differs = [i for i in range(CFG.token_capacity)
                if not np.array_equal(a[i], b[i])]
     assert differs == [4]
 
 
 def test_embed_token_swap_permutes_rows():
-    ab = embed_prompt("alpha beta", CFG).matrix
-    ba = embed_prompt("beta alpha", CFG).matrix
+    ab = embed_prompt("alpha beta", CFG)
+    ba = embed_prompt("beta alpha", CFG)
     assert np.array_equal(ab[0], ba[1])
     assert np.array_equal(ab[1], ba[0])
     assert np.array_equal(ab[2:], ba[2:])  # shared pad rows
@@ -56,8 +55,7 @@ def test_embed_token_swap_permutes_rows():
 def test_embed_truncates_at_capacity():
     long_prompt = " ".join(f"tok{i}" for i in range(40))
     e = embed_prompt(long_prompt, CFG)
-    assert e.count == CFG.token_capacity
-    assert e.matrix.shape == (CFG.token_capacity, CFG.d_text)
+    assert e.shape == (CFG.token_capacity, CFG.d_text)
 
 
 def test_embed_rejects_empty_prompt():
@@ -105,9 +103,8 @@ def test_embed_matches_per_token_oracle():
                  for k in (1, cap - 1, cap, cap + 1, 3 * cap) if k > 0]
         for prompt in prompts + edges:
             got = embed_prompt(prompt, cfg)
-            assert got.count == min(len(prompt.split()), cap)
-            assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
-            assert same_bits(got.matrix, _embed_oracle(prompt, cfg)), (cfg, prompt)
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert same_bits(got, _embed_oracle(prompt, cfg)), (cfg, prompt)
 
 
 # --- attention -----------------------------------------------------------------

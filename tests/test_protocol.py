@@ -242,6 +242,44 @@ def test_decode_rejects_non_finite_latent_payload():
     assert "non-finite" in str(err.value)
 
 
+U32_MAX = 2**32 - 1
+# (batch, channels, res) of a response header, and the offset of the first
+# zero among them: the header is 10 bytes, then step reached and batch
+ZERO_EXTENTS = {(0, 4, U32_MAX): 14, (0, U32_MAX, U32_MAX): 14, (1, 1, 0): 22}
+
+
+def _response_frame(batch: int, channels: int, res: int) -> bytes:
+    """A response frame whose latent block is empty: no values, a zero
+    FLOPs total and no steps."""
+    payload = struct.pack("<IIIIQI", 5, batch, channels, res, 0, 0)
+    return struct.pack("<4sBBI", MAGIC, 2, 1, len(payload)) + payload
+
+
+@pytest.mark.parametrize("extents,offset", ZERO_EXTENTS.items())
+def test_decode_refuses_a_response_with_a_zero_extent(extents, offset):
+    with pytest.raises(ProtocolError) as err:
+        decode_frame(_response_frame(*extents))
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 8, 8), (1, 1, 0, 0)])
+def test_encode_refuses_a_response_with_a_zero_extent(shape):
+    with pytest.raises(ProtocolError):
+        encode_frame(GenerateResponse(5, np.zeros(shape, np.float32), 0, ()))
+
+
+def test_daemon_refuses_a_zero_extent_response_with_one_warning(monkeypatch,
+                                                                caplog):
+    frame = _response_frame(0, 4, U32_MAX)
+    with caplog.at_level("WARNING", logger="oblix.protocol"):
+        _session_after(lambda addr: _refused(addr, frame),
+                       _session(k=3, seed=5), monkeypatch)
+    logged = [(r.levelname, r.getMessage()) for r in caplog.records
+              if r.name == "oblix.protocol"]
+    assert len(logged) == 1 and logged[0][0] == "WARNING", logged
+    assert "response latent batch is 0" in logged[0][1]
+
+
 def test_decode_truncation_cites_lengths():
     raw = encode_frame(_request())
     with pytest.raises(ProtocolError) as err:
