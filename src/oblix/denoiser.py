@@ -13,10 +13,10 @@ one row-stacked (N*res*res, width) matrix):
     up   = (h0 + mid features), mix, projection + tanh, both attentions
     eps  = up @ w_out + b_out
 
-Attention sites follow the gates in `oblix.accel` when a run is given an
-AccelConfig; with ``accel=None`` every step runs the neutral gates (every
-site recomputes, nothing is skipped or shared or cached), which is the
-reference path the equivalence tests compare against.
+Attention sites follow the gates of the run's `oblix.accel.run_plan` when
+a run is given an AccelConfig; with ``accel=None`` every step runs the
+neutral gates (every site recomputes, nothing is skipped or shared or
+cached), which is the reference path the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel as accel_mod
-from .accel import AccelConfig, AccelState, gates_fire
+from .accel import SITES, AccelConfig, AccelState, StepPlan
 from .errors import ConfigError, InputError, InternalError, ProtocolError
 from .schedule import NoiseSchedule, ddim_step
 from .tensor import (
@@ -47,8 +47,6 @@ from .tensor import (
     row_blocks,
     tanh_map,
 )
-
-SITES = ("down.self", "down.cross", "mid.self", "mid.cross", "up.self", "up.cross")
 
 WEIGHTS_MAGIC = b"OBLW"
 WEIGHTS_VERSION = 1
@@ -305,20 +303,19 @@ def _mix(mix: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 
 
 def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
-                n: int, accel: AccelState | None, recompute: bool,
-                pivot: int | None) -> np.ndarray:
+                n: int, step: StepPlan, state: AccelState | None) -> np.ndarray:
     """One attention site plus its output projection and residual.
 
     When not recomputing, the site serves its cached output; otherwise it
-    attends and, with a state, caches the result for later steps.
+    attends and caches the result when the step keeps it for a later one.
     """
     params = w.attn(site)
-    if not recompute:
-        out = accel.load_attention(site)
+    if not step.gates.recompute:
+        out = state.load_attention(site)
     else:
-        out = accel_mod.attend(h, kv, params, site, n, pivot)
-        if accel is not None:
-            accel.cached_attention[site] = out
+        out = accel_mod.attend(h, kv, params, site, n, step.pivot)
+        if site in step.keep:
+            state.cached_attention[site] = out
     with flops_tag(f"{site}/proj"):
         projected = matmul(out, params.wo, params.bo)
     del out  # a state's cache may still hold it
@@ -326,7 +323,8 @@ def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
 
 
 def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
-                 w: ModelWeights, accel: AccelState | None = None) -> np.ndarray:
+                 w: ModelWeights, step: StepPlan = StepPlan(),
+                 state: AccelState | None = None) -> np.ndarray:
     """Predict per-row noise for a batch of latents at iteration t.
 
     ``latents`` is (N, channels, res, res) with one text embedding per row.
@@ -334,9 +332,9 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     block r holds the S = res*res tokens of batch row r, so every
     projection, bias, tanh and residual runs once per step for the whole
     batch; only the attention maps run per row (`oblix.accel.attend`).
-    The gates of iteration t come from `oblix.accel.step_gates`.  When the
-    skip gate fires, down and mid blocks are not executed and the cached
-    mid features feed the up block.
+    ``step`` is iteration t's `oblix.accel.StepPlan`: its gates, and what
+    ``state`` keeps for later steps.  When the skip gate fires, down and mid
+    blocks are not executed and the state's mid features feed the up block.
 
     Batch composition never changes a row's bits: each output row equals
     a one-row run of that row, bit for bit.  That holds because every op
@@ -357,9 +355,6 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
             f"latent shape {latents.shape[1:]} does not match config "
             f"({cfg.channels}, {cfg.res}, {cfg.res})"
         )
-    recompute, skip, reuse = accel_mod.step_gates(
-        t, None if accel is None else accel.cfg, n)
-    route = (accel, recompute, accel.cfg.pivot_index if reuse else None)
 
     s, c = cfg.tokens, cfg.channels
     text = np.concatenate(texts)
@@ -369,27 +364,27 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     base = add_rowvec(matmul(tokens, w["w_in"], w["b_in"]), time_vector(t, cfg))
     del tokens
 
-    if skip:
-        if accel.mid_features is None:
+    if step.gates.skip:
+        mid = state.mid_features
+        if mid is None:
             raise InternalError("skip gate fired with no cached mid features")
-        mid = accel.mid_features
     else:
         h = tanh_map(
             matmul(_mix(w["mix_down"], base, n), w["w_down"], w["b_down"]))
-        h = _attn_block(h, h, w, "down.self", n, *route)
-        h = _attn_block(h, text, w, "down.cross", n, *route)
+        h = _attn_block(h, h, w, "down.self", n, step, state)
+        h = _attn_block(h, text, w, "down.cross", n, step, state)
 
         h = tanh_map(matmul(h, w["w_mid"], w["b_mid"]))
-        h = _attn_block(h, h, w, "mid.self", n, *route)
-        mid = _attn_block(h, text, w, "mid.cross", n, *route)
-        if accel is not None:
-            accel.mid_features = mid
+        h = _attn_block(h, h, w, "mid.self", n, step, state)
+        mid = _attn_block(h, text, w, "mid.cross", n, step, state)
+        if step.keep_mid:
+            state.mid_features = mid
 
     h = add(base, mid)
     del base, mid  # a state keeps mid as its mid_features when skips need it
     h = tanh_map(matmul(_mix(w["mix_up"], h, n), w["w_up"], w["b_up"]))
-    h = _attn_block(h, h, w, "up.self", n, *route)
-    h = _attn_block(h, text, w, "up.cross", n, *route)
+    h = _attn_block(h, h, w, "up.self", n, step, state)
+    h = _attn_block(h, text, w, "up.cross", n, step, state)
 
     # one product per batch row: OpenBLAS 0.3.31 gives a (M, 32) @ (32, 4)
     # product other bits than its 256-row blocks from M = 7,936 (N = 31)
@@ -409,30 +404,24 @@ def run_denoise_steps(latents: np.ndarray, texts: list[np.ndarray],
 
     Iteration i moves the batch from schedule index T-i+1 to T-i.  The
     active FLOPs counter (if any) gets one step bucket per iteration with
-    the gate flags that were in force.  A run whose gates can fire makes
-    its own AccelState and drops it on return; since its caches start
-    empty, such a run must start at iteration 1.  A run whose gates cannot
-    fire keeps no caches, with the same bits and step flags.
+    the gate flags that were in force.  The run's `oblix.accel.run_plan`
+    decides every step's gates once; a run whose plan keeps an output for
+    a later step makes its own AccelState and drops it on return.
     """
     total = sched.steps
     if not 1 <= first_iter <= last_iter <= total:
         raise ConfigError(
             f"iteration range [{first_iter}, {last_iter}] outside [1, {total}]"
         )
-    n = latents.shape[0]
-    state = None
-    if accel is not None and gates_fire(accel, last_iter, n):
-        if first_iter != 1:
-            raise ConfigError(
-                f"a gated run starts at iteration 1, not {first_iter}")
-        state = AccelState(accel)
+    plan = accel_mod.run_plan(accel, first_iter, last_iter, latents.shape[0])
+    keeps = any(step.keep or step.keep_mid for step in plan.values())
+    state = AccelState() if keeps else None
     counter = active_counter()
     x = latents
-    for i in range(first_iter, last_iter + 1):
-        gates = accel_mod.step_gates(i, accel, n)
-        with nullcontext() if counter is None else counter.step(i, *gates):
+    for i, step in plan.items():
+        with nullcontext() if counter is None else counter.step(i, *step.gates):
             # no name keeps eps alive through the next step's forward
-            x = ddim_step(x, unet_forward(x, texts, i, w, state),
+            x = ddim_step(x, unet_forward(x, texts, i, w, step, state),
                           total - i + 1, total - i, sched)
     return x
 

@@ -188,8 +188,8 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
         frame_type = TYPE_REQUEST
     elif isinstance(msg, GenerateResponse):
         shape = msg.latents.shape
-        if len(shape) != 4:
-            raise ProtocolError(f"latent batch must be 4-d, got {shape}")
+        if len(shape) != 4 or shape[2] != shape[3]:  # a frame has one res
+            raise ProtocolError(f"latent batch {shape} is not (N, C, res, res)")
         if 0 in shape:
             raise ProtocolError(f"latent batch {shape} has a zero extent")
         body = bytearray()

@@ -4,25 +4,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oblix.accel
+import oblix.denoiser
 from oblix.accel import (
     MAP_CHUNK_BYTES,
     AccelConfig,
     AccelState,
+    StepPlan,
     attend,
-    gates_fire,
     never,
     reuse_active,
+    run_plan,
     should_recompute_attention,
     should_skip_blocks,
     step_gates,
 )
-from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, unet_forward
+from oblix.denoiser import (
+    ModelConfig,
+    ModelWeights,
+    embed_prompt,
+    run_denoise_steps,
+    unet_forward,
+)
 from oblix.errors import ConfigError, InternalError, ShapeError
+from oblix.schedule import build_schedule
 from oblix.tensor import Rng, row_blocks
 
-from bitwise import WriteLog, same_bits
+from bitwise import WriteLog, same_bits, spy_attend, spy_states
 
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -89,22 +100,47 @@ def test_gate_totality():
         assert reuse_active(t, cfg, 1) is False   # one row has no map to share
 
 
-def test_gates_fire_matches_the_per_step_gates():
+def test_run_plan_matches_the_per_step_gates():
     for cache, skip, refresh, reuse, steps, batch in itertools.product(
             (1, 2, 4, 8), (2, 4, 8, 9), (1, 3, 5), (False, True),
             (1, 4, 8), (1, 2)):
         cfg = AccelConfig(cache_point=cache, skip_point=skip,
-                          refresh_period=refresh, reuse=reuse)
-        for t in range(1, steps + 1):
-            assert step_gates(t, cfg, batch) == (
+                          refresh_period=refresh, reuse=reuse, pivot_index=1)
+        plan = run_plan(cfg, 1, steps, batch)
+        assert list(plan) == list(range(1, steps + 1))
+        for t, step in plan.items():
+            assert step.gates == step_gates(t, cfg, batch) == (
                 should_recompute_attention(t, cfg), should_skip_blocks(t, cfg),
                 reuse_active(t, cfg, batch)), (cfg, t, batch)
+            assert step.pivot == (1 if step.gates.reuse else None)
             assert step_gates(t, None, batch) == (True, False, False)
-        fires = any(not should_recompute_attention(t, cfg)
-                    or should_skip_blocks(t, cfg)
-                    or reuse_active(t, cfg, batch)
-                    for t in range(1, steps + 1))
-        assert gates_fire(cfg, steps, batch) == fires, (cfg, steps, batch)
+        # a run that reads a cache keeps what it reads, and only such a run
+        reads = any(not should_recompute_attention(t, cfg)
+                    or should_skip_blocks(t, cfg) for t in range(1, steps + 1))
+        keeps = any(step.keep or step.keep_mid for step in plan.values())
+        assert keeps == reads, (cfg, steps, batch)
+    assert list(run_plan(None, 3, 9, 2).values()) == [StepPlan()] * 7
+
+
+def test_paper_default_plan_keeps_the_step_five_up_sites_and_mid():
+    cfg = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
+                      reuse=True, refresh_period=5)
+    plan = run_plan(cfg, 1, 10, 30)
+    kept = {t: (sorted(step.keep), step.keep_mid)
+            for t, step in plan.items() if step.keep or step.keep_mid}
+    assert kept == {5: (["up.cross", "up.self"], True)}
+
+
+def test_run_that_reads_before_it_writes_is_refused():
+    # a run's caches start empty: a late start that serves the cache or
+    # skips first is refused, one whose first read follows a write is not
+    cfg = AccelConfig(cache_point=2, skip_point=7, refresh_period=5)
+    for first in (3, 4, 7):
+        with pytest.raises(ConfigError, match="reads a cache it never wrote"):
+            run_plan(cfg, first, 9, 2)
+    late = run_plan(cfg, 5, 9, 2)
+    assert len(late[5].keep) == 6 and late[6].keep_mid
+    assert run_plan(AccelConfig(reuse=True), 4, 9, 2)[4].pivot == 0
 
 
 def test_config_validation():
@@ -251,51 +287,64 @@ def test_a_non_finite_score_in_any_row_of_a_chunk_is_refused(site, n, row,
 
 # --- state and refresh ------------------------------------------------------------
 
+def _forward_steps(cfg, steps, state, x=None):
+    """Run iterations ``steps`` of ``cfg``'s 25-step plan through one state."""
+    plan = run_plan(cfg, 1, 25, 2)
+    x = _latents(2) if x is None else x
+    for t in steps:
+        x = oblix.denoiser.unet_forward(x, _texts(2), t, W, plan[t], state)
+    return x
+
+
 def test_fresh_state_has_no_cache_to_serve():
     # a state starts empty, so a step that serves the cache before any
     # recompute wrote it is refused, never served stale data
-    state = AccelState(AccelConfig(cache_point=2, skip_point=never(25)))
+    state = AccelState()
     with pytest.raises(InternalError):
-        unet_forward(_latents(2), _texts(2), 3, W, state)
+        _forward_steps(AccelConfig(cache_point=2, skip_point=never(25)), [3],
+                       state)
 
 
-def test_cache_refresh_overwrites_every_fifth_step():
+def test_cache_refresh_overwrites_every_fifth_step(monkeypatch):
+    # every recompute step attends at all six sites; only a step whose
+    # next step serves the cache keeps them: 3, then each refresh but 25
     cfg = AccelConfig(cache_point=3, skip_point=never(25), refresh_period=5)
-    state = AccelState(cfg)
+    attended = spy_attend(monkeypatch)
+    state = AccelState()
     state.cached_attention = writes = WriteLog()
-    x = _latents(2)
-    for t in range(1, 26):
-        writes.step = t
-        x = unet_forward(x, _texts(2), t, W, state)
-    recompute_steps = {t for t in range(1, 26) if t <= 3 or t % 5 == 0}
+    _forward_steps(cfg, range(1, 26), state)
     sites = {"down.self", "down.cross", "mid.self", "mid.cross",
              "up.self", "up.cross"}
-    written = {}
-    for t, site, _ in writes.log:
-        written.setdefault(t, []).append(site)
-    assert set(written) == recompute_steps
-    assert all(sorted(v) == sorted(sites) for v in written.values())
+    for log, want in ((attended, {t for t in range(1, 26)
+                                  if t <= 3 or t % 5 == 0}),
+                      (writes.log, {3, 5, 10, 15, 20})):
+        by_step = {}
+        for t, site, _ in log:
+            by_step.setdefault(t, []).append(site)
+        assert set(by_step) == want
+        assert all(sorted(v) == sorted(sites) for v in by_step.values())
+    # a kept write is the very output its step attended
+    outputs = {(t, site): out for t, site, out in attended}
+    assert all(outputs[t, site] is out for t, site, out in writes.log)
 
 
 def test_cached_output_is_served_between_refreshes():
     cfg = AccelConfig(cache_point=2, skip_point=never(25))
-    state = AccelState(cfg)
-    x = _latents(2)
-    for t in (1, 2):
-        x = unet_forward(x, _texts(2), t, W, state)
+    state = AccelState()
+    x = _forward_steps(cfg, (1, 2), state)
     cached = {site: out.tobytes()
               for site, out in state.cached_attention.items()}
-    unet_forward(x, _texts(2), 3, W, state)  # t=3 > r, not a refresh step
+    assert len(cached) == 6
+    _forward_steps(cfg, [3], state, x)  # t=3 > r, not a refresh step
     after = {site: out.tobytes()
              for site, out in state.cached_attention.items()}
     assert cached == after
 
 
 def test_cached_arrays_are_read_only():
-    state = AccelState(AccelConfig(cache_point=2, skip_point=3))
-    x = _latents(2)
-    for t in (1, 2):
-        x = unet_forward(x, _texts(2), t, W, state)
+    state = AccelState()
+    _forward_steps(AccelConfig(cache_point=2, skip_point=3), (1, 2), state)
+    assert sorted(state.cached_attention) == ["up.cross", "up.self"]
     for out in (*state.cached_attention.values(), state.mid_features):
         with pytest.raises(ValueError):
             out[0, 0] = 0.0
@@ -304,9 +353,75 @@ def test_cached_arrays_are_read_only():
 def test_disabled_gates_match_accel_free_path_bitwise():
     neutral = AccelConfig(cache_point=never(25), skip_point=never(25),
                           reuse=False)
-    state = AccelState(neutral)
+    step = run_plan(neutral, 1, 25, 3)[4]
     x = _latents(3, seed=77)
     texts = _texts(3)
-    with_accel = unet_forward(x, texts, 4, W, state)
-    without = unet_forward(x, texts, 4, W, None)
+    with_accel = unet_forward(x, texts, 4, W, step, AccelState())
+    without = unet_forward(x, texts, 4, W)
     assert same_bits(with_accel, without)
+
+
+class _Ledger(AccelState):
+    """An AccelState that logs (iteration, key, array) of every cache read,
+    and every mid-feature write next to its attention writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def load_attention(self, site):
+        out = super().load_attention(site)
+        self.reads.append((self.cached_attention.step, site, out))
+        return out
+
+    @property
+    def mid_features(self):
+        mid = self.__dict__.get("mid")
+        self.reads.append((self.cached_attention.step, "mid", mid))
+        return mid
+
+    @mid_features.setter
+    def mid_features(self, mid):
+        if mid is not None:
+            log = self.cached_attention.log
+            log.append((self.cached_attention.step, "mid", mid))
+        self.__dict__["mid"] = mid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 26), st.integers(2, 26), st.integers(1, 6),
+       st.booleans(), st.integers(1, 25), st.sampled_from([1, 2, 6]))
+@example(26, 26, 5, True, 25, 1)      # neutral: reuse on one row
+@example(4, 6, 5, True, 10, 6)        # the paper's default gates
+def test_a_run_caches_exactly_what_later_steps_read(cache, skip, refresh,
+                                                     reuse, k, n):
+    cfg = AccelConfig(switch_point=k, cache_point=cache, skip_point=skip,
+                      refresh_period=refresh, reuse=reuse)
+    x, texts, sched = _latents(n), _texts(n), build_schedule(25)
+    decided, real_gates = [], oblix.accel.step_gates
+    with pytest.MonkeyPatch.context() as m:
+        attended = spy_attend(m)
+        made = spy_states(m, _Ledger)
+        m.setattr(oblix.accel, "step_gates",
+                  lambda t, *rest: decided.append(t) or real_gates(t, *rest))
+        out = run_denoise_steps(x, texts, sched, W, 1, k, cfg)
+    assert decided == list(range(1, k + 1))  # each step's gates, once
+    plan = run_plan(cfg, 1, k, n)
+    assert len(made) == any(s.keep or s.keep_mid for s in plan.values())
+    writes = made[0].cached_attention.log if made else []
+    reads = made[0].reads if made else []
+    assert sorted((t, site) for t, site, _ in writes if site != "mid") == \
+        sorted((t, site) for t, step in plan.items() for site in step.keep)
+    # every read finds the output of its site's last recompute (the last
+    # mid features), as a run that cached every output would serve it
+    for t, key, got in reads:
+        source = writes if key == "mid" else attended
+        assert got is [out for u, site, out in source
+                       if u < t and site == key][-1], (t, key)
+    # every kept write is read at least once
+    for t, key, out in writes:
+        assert any(u > t and site == key and got is out
+                   for u, site, got in reads), (t, key)
+    if all(step.gates == StepPlan().gates for step in plan.values()):
+        assert made == []
+        assert same_bits(out, run_denoise_steps(x, texts, sched, W, 1, k))

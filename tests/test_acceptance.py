@@ -10,7 +10,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import oblix.denoiser
 import oblix.protocol
 from oblix.accel import AccelConfig, never, reuse_active, \
     should_recompute_attention, should_skip_blocks
@@ -52,7 +51,7 @@ from oblix.security import check_indistinguishability, distinguisher_experiment
 from oblix.tensor import FlopsCounter, Rng, fp16_roundtrip, row_blocks, \
     use_flops_counter
 
-from bitwise import follow_steps, same_bits, spy_states
+from bitwise import same_bits, spy_attend, spy_states
 
 LEX = default_lexicon()
 TOY = ModelConfig()                       # 4 channels, res 16, width 32
@@ -154,35 +153,41 @@ def test_criterion_04_candidate_cardinalities():
 def test_criterion_05_accel_off_equivalence(monkeypatch):
     def body():
         # neutral gates (k=12, cache and skip never, reuse off) run with no
-        # AccelState; forcing the gate machinery on must give the same bits
+        # AccelState and must give the bits of a server run with no gate
+        # config at all, at every (step, site) and in the image
         prompt = "portrait of a young male"
-        seen = []
+        seen, gate_free = [], [False]
         real = oblix.protocol.run_denoise_steps
 
         def spy(latents, texts, sched, w, first, last, accel=None):
             seen.append(accel)
-            return real(latents, texts, sched, w, first, last, accel)
+            return real(latents, texts, sched, w, first, last,
+                        None if gate_free[0] else accel)
 
         monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
         made = spy_states(monkeypatch)
-        follow_steps(monkeypatch)
+        attended = spy_attend(monkeypatch)
         every_site = [(t, site) for t in range(1, 13) for site in SITES]
         transport = SimulatedTransport(Server({"toy": TOY_W}))
         for seed in range(5):
             cfg = _session(k=12, seed=seed)
-            seen.clear()
-            made.clear()
-            gate_free = client_run_session(prompt, cfg, transport, TOY_W, LEX)
-            # server, then device; only the server's run carries the gates
-            assert seen == [cfg.accel, None] and made == [], seed
-            with monkeypatch.context() as m:
-                m.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
-                gated = client_run_session(prompt, cfg, transport, TOY_W, LEX)
-            assert seen[2:] == [cfg.accel, None] and len(made) == 1, seed
-            written = [(t, site)
-                       for t, site, _ in made[0].cached_attention.log]
-            assert written == every_site, seed  # 72 writes
-            assert same_bits(gated.image, gate_free.image), seed
+            runs = []
+            for free in (False, True):
+                gate_free[0] = free
+                seen.clear()
+                attended.clear()
+                image = client_run_session(prompt, cfg, transport, TOY_W,
+                                           LEX).image
+                # server, then device; only the server's run carries gates
+                assert seen == [cfg.accel, None] and made == [], seed
+                server = [(t, site, out) for t, site, out in attended
+                          if t <= 12]
+                assert [(t, site) for t, site, _ in server] == every_site
+                runs.append((image, server))  # 72 site outputs each
+            (gated, gated_sites), (free, free_sites) = runs
+            for (t, site, a), (_, _, b) in zip(gated_sites, free_sites):
+                assert same_bits(a, b), (seed, t, site)
+            assert same_bits(gated, free), seed
 
     _report(5, "neutral gates match the accel-free pipeline bitwise over "
                "5 seeds", body)
@@ -190,11 +195,7 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
 
 def test_criterion_06_pivot_invariance(monkeypatch):
     def body():
-        follow_steps(monkeypatch)
-        made = spy_states(monkeypatch)
-        # the base config is gate-neutral at k=25; both runs keep a state so
-        # every recompute is logged
-        monkeypatch.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
+        attended = spy_attend(monkeypatch)
         sched = build_schedule(25)
         for n in (2, 6):
             rows = [Rng(500).gaussian((TOY.channels, TOY.res, TOY.res))] * n
@@ -208,23 +209,22 @@ def test_criterion_06_pivot_invariance(monkeypatch):
                 with_reuse = AccelConfig(switch_point=k,
                                          cache_point=cache_point,
                                          skip_point=skip_point, reuse=True)
-                made.clear()
+                attended.clear()
                 out_a = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
                                           base)
+                logs = attended[:], []
+                attended.clear()
                 out_b = run_denoise_steps(latents, texts, sched, TOY_W, 1, k,
                                           with_reuse)
-                state_a, state_b = made
-                assert (state_a.cfg, state_b.cfg) == (base, with_reuse)
-                writes_a = state_a.cached_attention
-                writes_b = state_b.cached_attention
-                # both write at every recomputed (step, site), in order
+                logs[1].extend(attended)
+                # both attend at every recomputed (step, site), in order
                 want = [(t, site) for t in range(1, k + 1)
                         if should_recompute_attention(t, base)
                         for site in SITES if site.startswith("up")
                         or not should_skip_blocks(t, base)]
-                for writes in (writes_a, writes_b):
-                    assert [(t, site) for t, site, _ in writes.log] == want
-                for (t, site, a), (_, _, b) in zip(writes_a.log, writes_b.log):
+                for log in logs:
+                    assert [(t, site) for t, site, _ in log] == want
+                for (t, site, a), (_, _, b) in zip(*logs):
                     assert same_bits(row_blocks(a, n)[0],
                                      row_blocks(b, n)[0]), (t, site)
                 assert same_bits(out_a[0], out_b[0])

@@ -79,6 +79,26 @@ def test_empty_spacing_means_the_default(tmp_path):
         ScheduleParams().spacing
 
 
+# (section, key) -> the RunConfig value it sets and that value's default
+EMPTY_MEANS_DEFAULT = {
+    ("model", "id"): (lambda rc: (rc.model_id, rc.session.model_id),
+                      ("toy", "toy")),
+    ("transport", "host"): (lambda rc: rc.host, "127.0.0.1"),
+    ("run", "out"): (lambda rc: rc.out_path, "oblix_out.ppm"),
+    ("run", "report"): (lambda rc: rc.report_path, "oblix_report.jsonl"),
+}
+
+
+@pytest.mark.parametrize("section,key", EMPTY_MEANS_DEFAULT,
+                         ids=[f"{s}.{k}" for s, k in EMPTY_MEANS_DEFAULT])
+def test_an_empty_string_key_means_its_default(tmp_path, section, key):
+    # an empty value is refused at load or taken as the default, never
+    # carried into a session that fails only once it has run
+    read, default = EMPTY_MEANS_DEFAULT[section, key]
+    path = _write_config(tmp_path, **{section: {key: ""}})
+    assert read(load_run_config(path)) == default
+
+
 def test_missing_config_is_an_error(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(str(tmp_path / "nope.ini"))

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oblix.denoiser
 import oblix.protocol
 from oblix.accel import MAP_CHUNK_BYTES, AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
@@ -265,6 +264,13 @@ def test_decode_refuses_a_response_with_a_zero_extent(extents, offset):
 @pytest.mark.parametrize("shape", [(0, 4, 8, 8), (1, 1, 0, 0)])
 def test_encode_refuses_a_response_with_a_zero_extent(shape):
     with pytest.raises(ProtocolError):
+        encode_frame(GenerateResponse(5, np.zeros(shape, np.float32), 0, ()))
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 8, 4), (2, 4, 4, 8)])
+def test_encode_refuses_a_non_square_latent_batch(shape):
+    # a response frame carries one res for both spatial axes
+    with pytest.raises(ProtocolError, match=r"is not \(N, C, res, res\)"):
         encode_frame(GenerateResponse(5, np.zeros(shape, np.float32), 0, ()))
 
 
@@ -548,17 +554,15 @@ def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
     got = encode_frame(_server().handle_request(req))
     assert seen == [req.accel] and made == []
 
-    # the same bytes and step flags as a direct run forced to carry a state
+    # the same bytes and step flags as a direct run with no gate config
     sched = req.schedule.build()
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     counter = FlopsCounter()
-    monkeypatch.setattr(oblix.denoiser, "gates_fire", lambda *args: True)
     with use_flops_counter(counter):
         latents = run_denoise_steps(
             np.stack([base] * len(req.candidates)),
-            [embed_prompt(p, CFG) for p in req.candidates], sched, W, 1, 6,
-            req.accel)
-    assert len(made) == 1
+            [embed_prompt(p, CFG) for p in req.candidates], sched, W, 1, 6)
+    assert made == []
     want = GenerateResponse(sched.steps - 6, fp16_roundtrip(latents),
                             counter.total, tuple(counter.steps))
     assert got == encode_frame(want)
@@ -567,7 +571,8 @@ def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
 @pytest.mark.parametrize("fields", [
     dict(cache_point=5),          # iteration 6 serves the cache
     dict(skip_point=6),           # iteration 6 skips
-    dict(reuse=True),             # three rows share a map
+    # even iterations refresh, odd ones serve; rows share maps at 1
+    dict(cache_point=1, refresh_period=2, reuse=True),
 ])
 def test_request_whose_gates_fire_gets_accel_state(fields, monkeypatch):
     req = _request(switch_point=6, candidates=("one prompt", "two", "three"),
@@ -576,7 +581,17 @@ def test_request_whose_gates_fire_gets_accel_state(fields, monkeypatch):
     made = spy_states(monkeypatch)
     _server().handle_request(req)
     assert seen == [req.accel]
-    assert len(made) == 1 and made[0].cfg == req.accel
+    assert len(made) == 1
+
+
+def test_reuse_alone_shares_maps_without_a_state(monkeypatch):
+    # reuse shapes how a site recomputes and caches nothing, so a request
+    # whose only gate is reuse keeps no state
+    req = _request(switch_point=6, candidates=("one prompt", "two", "three"),
+                   reuse=True)
+    made = spy_states(monkeypatch)
+    resp = _server().handle_request(req)
+    assert made == [] and all(step.reuse for step in resp.step_costs)
 
 
 def test_server_refuses_latents_beyond_binary16_at_hand_off():
