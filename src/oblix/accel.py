@@ -125,6 +125,17 @@ def step_gates(t: int, cfg: AccelConfig | None, batch: int) -> StepGates:
                      should_skip_blocks(t, cfg), reuse_active(t, cfg, batch))
 
 
+def check_run(cfg: AccelConfig, steps: int, n: int | None = None) -> None:
+    """Refuse cloud steps beyond a ``steps``-step schedule and, on n rows, a
+    pivot outside the batch when reuse fires at iteration 1, where runs start."""
+    k = cfg.switch_point
+    if k > steps:
+        raise ConfigError(f"switch_point {k} exceeds schedule of {steps} steps")
+    if n is not None and k > 0 and reuse_active(1, cfg, n) \
+            and cfg.pivot_index >= n:
+        raise ConfigError(f"pivot_index {cfg.pivot_index} outside {n} candidates")
+
+
 class StepPlan(NamedTuple):
     """One iteration of a run: its gates, the site outputs and mid features
     it keeps because a later iteration reads them, and the shared-map row."""

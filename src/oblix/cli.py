@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import logging
 import os
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accel import AccelConfig
+from .accel import AccelConfig, check_run
 from .denoiser import ModelConfig, ModelWeights
 from .errors import ConfigError, InputError, OblixError
 from .oblivious import (
@@ -136,16 +137,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     schedule = ScheduleParams(**_typed(sched_sec, {
         "steps": int, "beta_start": float, "beta_end": float,
         "spacing": str}))
-    schedule.build()  # validate early
 
     accel_keys = _typed(parser["accel"], {
         "switch_point": int, "cache_point": int, "skip_point": int,
         "reuse": bool, "refresh_period": int, "pivot_index": int})
     off = schedule.steps + 1  # README: "steps + 1 means never"
     accel = AccelConfig(**{"cache_point": off, "skip_point": off, **accel_keys})
-    if accel.switch_point > schedule.steps:
-        raise ConfigError(
-            f"switch_point {accel.switch_point} exceeds {schedule.steps} steps")
 
     try:
         channel = ChannelModel(**_typed(
@@ -281,41 +278,34 @@ def cmd_bench(args) -> int:
     total_steps = rc.session.cloud_schedule.steps
     never = total_steps + 1
     base = rc.session.accel
-    ks = axes.get("k", [base.switch_point])
-    rs = axes.get("r", [base.cache_point])
-    ss = axes.get("s", [base.skip_point])
-    reuses = axes.get("reuse", [base.reuse])
-    batches = axes.get("N", [2])
-    for n in batches:  # before any grid point runs
+    grid = itertools.product(*(axes.get(axis, [default]) for axis, default in (
+        ("N", 2), ("k", base.switch_point), ("r", base.cache_point),
+        ("s", base.skip_point), ("reuse", base.reuse))))
+    points = []  # every grid point's session is made before any runs
+    for n, k, r, s, reuse in grid:
         if n not in BENCH_PROMPTS:
             raise ConfigError(
                 f"no bench prompt for N={n}; choose from "
                 f"{sorted(BENCH_PROMPTS)}")
+        accel = replace(base, switch_point=k, cache_point=min(r, never),
+                        skip_point=min(s, never), reuse=reuse)
+        check_run(accel, total_steps, n)  # n is the prompt's class size
+        points.append(({"k": k, "r": r, "s": s, "reuse": reuse, "N": n},
+                       replace(rc.session, accel=accel)))
 
+    transport = SimulatedTransport(Server({rc.model_id: rc.cloud_weights}))
     records = []
-    for n in batches:
-        for k in ks:
-            for r in rs:
-                for s in ss:
-                    for reuse in reuses:
-                        accel = replace(base, switch_point=k,
-                                        cache_point=min(r, never),
-                                        skip_point=min(s, never), reuse=reuse)
-                        session = replace(rc.session, accel=accel)
-                        transport = SimulatedTransport(
-                            Server({rc.model_id: rc.cloud_weights}))
-                        result = client_run_session(
-                            BENCH_PROMPTS[n], session, transport,
-                            rc.device_weights, rc.lexicon)
-                        records.append({
-                            "k": k, "r": r, "s": s, "reuse": reuse, "N": n,
-                            "server_flops": result.server_flops,
-                            "device_flops": result.device_counter.total,
-                            "bytes_sent": result.bytes_sent,
-                            "bytes_received": result.bytes_received,
-                            "modeled_transfer_s": round(
-                                result.modeled_transfer_s, 6),
-                        })
+    for point, session in points:
+        result = client_run_session(BENCH_PROMPTS[point["N"]], session,
+                                    transport, rc.device_weights, rc.lexicon)
+        records.append({
+            **point,
+            "server_flops": result.server_flops,
+            "device_flops": result.device_counter.total,
+            "bytes_sent": result.bytes_sent,
+            "bytes_received": result.bytes_received,
+            "modeled_transfer_s": round(result.modeled_transfer_s, 6),
+        })
     out = args.out or "oblix_bench.jsonl"
     with open(out, "w", encoding="utf-8") as f:
         for rec in records:

@@ -25,6 +25,11 @@ Response payload:
     u32 step count, then per step u32 index | u64 flops | u8 gate flags
         (bit 0 recompute, bit 1 skip, bit 2 reuse; no other bit set)
 
+A request that cannot be served cannot be made: `GenerateRequest` checks
+every fact that depends on the request alone.  Decode checks only what
+guards reading and reports a refused build as ProtocolError; the server
+refuses only an unknown model id and latents that leave binary16.
+
 The request never carries anything derived from the real candidate index;
 that is the content of the transcript-equality checks in `oblix.security`.
 """
@@ -39,11 +44,11 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelConfig, step_gates
+from .accel import AccelConfig, check_run
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import ConfigError, InputError, ProtocolError, RangeError
 from .oblivious import (
@@ -54,7 +59,7 @@ from .oblivious import (
     extract_latent,
 )
 from . import schedule as schedule_mod
-from .schedule import NoiseSchedule, StepIndexMap, build_schedule, map_timestep
+from .schedule import SPACINGS, NoiseSchedule, StepIndexMap, map_timestep
 from .tensor import (
     FlopsCounter,
     Rng,
@@ -84,44 +89,55 @@ MAX_FRAME_BYTES = 16 * 2**20
 # client keeps its connection open between sessions
 FRAME_READ_TIMEOUT_S = 30.0
 # the peer chooses both u32 fields and the server allocates per candidate
-# and per schedule step, so both are refused above these at decode:
-# 8.5x the largest candidate class of 30 (an N=256 response of the default
-# model is 0.5 MB), and DDPM's T
+# and per schedule step, so no request holds more, and decode refuses both
+# before reading per item: 8.5x the largest candidate class of 30 (an N=256
+# response of the default model is 0.5 MB), and DDPM's T
 MAX_CANDIDATES = 256
 MAX_SCHEDULE_STEPS = 1000
-# ddim_step divides by sqrt(alpha_bar_T); below float32's smallest normal
-# the server's first step overflows or divides by zero
-_ALPHA_BAR_FLOOR = float(np.finfo(np.float32).tiny)
-_SPACINGS = ("linear", "scaled-linear")
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
+    """A schedule's wire fields; one that `build_schedule` refuses cannot be made."""
+
     steps: int = schedule_mod.DEFAULT_STEPS
     beta_start: float = schedule_mod.DEFAULT_BETA_START
     beta_end: float = schedule_mod.DEFAULT_BETA_END
     spacing: str = schedule_mod.DEFAULT_SPACING
+    _built: NoiseSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # betas travel as binary32; canonicalize here so client and server
         # build schedules from exactly the same values
         object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
         object.__setattr__(self, "beta_end", float(np.float32(self.beta_end)))
-        if self.spacing not in _SPACINGS:
-            raise ConfigError(f"unknown spacing {self.spacing!r}")
+        object.__setattr__(self, "_built", schedule_mod.build_schedule(
+            self.steps, self.beta_start, self.beta_end, self.spacing))
 
     def build(self) -> NoiseSchedule:
-        return build_schedule(self.steps, self.beta_start, self.beta_end,
-                              self.spacing)
+        return self._built
 
 
 @dataclass(frozen=True)
 class GenerateRequest:
+    """A request that any server holding ``model_id`` can serve."""
+
     candidates: tuple[str, ...]
     seed: int
     accel: AccelConfig         # accel.switch_point is the cloud step count
     schedule: ScheduleParams
     model_id: str
+
+    def __post_init__(self):
+        n = len(self.candidates)
+        if not 1 <= n <= MAX_CANDIDATES:
+            raise ConfigError(f"{n} candidates, need 1 to {MAX_CANDIDATES}")
+        if any(not p.strip() for p in self.candidates):
+            raise InputError("a candidate prompt is blank")
+        if self.schedule.steps > MAX_SCHEDULE_STEPS:
+            raise ConfigError(f"{self.schedule.steps} schedule steps exceed "
+                              f"the cap of {MAX_SCHEDULE_STEPS}")
+        check_run(self.accel, self.schedule.steps, n)
 
 
 @dataclass(frozen=True)
@@ -165,14 +181,6 @@ def _pack_str(s: str) -> bytes:
 
 def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
     if isinstance(msg, GenerateRequest):
-        if not msg.candidates:
-            raise ProtocolError("request needs at least one candidate prompt")
-        if len(msg.candidates) > MAX_CANDIDATES:
-            raise ProtocolError(f"{len(msg.candidates)} candidates exceed the "
-                                f"cap of {MAX_CANDIDATES}")
-        if msg.schedule.steps > MAX_SCHEDULE_STEPS:
-            raise ProtocolError(f"{msg.schedule.steps} schedule steps exceed "
-                                f"the cap of {MAX_SCHEDULE_STEPS}")
         body = bytearray()
         body += struct.pack("<I", len(msg.candidates))
         for prompt in msg.candidates:
@@ -183,7 +191,7 @@ def encode_frame(msg: GenerateRequest | GenerateResponse) -> bytes:
             a.refresh_period, a.pivot_index)
         body += struct.pack("<IffB", msg.schedule.steps,
                             msg.schedule.beta_start, msg.schedule.beta_end,
-                            _SPACINGS.index(msg.schedule.spacing))
+                            SPACINGS.index(msg.schedule.spacing))
         body += _pack_str(msg.model_id)
         frame_type = TYPE_REQUEST
     elif isinstance(msg, GenerateResponse):
@@ -259,8 +267,6 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
 
     if frame_type == TYPE_REQUEST:
         (count,) = r.take("<I")
-        if count < 1:
-            raise ProtocolError("request carries no candidates", offset=r.off - 4)
         if count > MAX_CANDIDATES:
             raise ProtocolError(f"{count} candidates exceed the cap of "
                                 f"{MAX_CANDIDATES}", offset=r.off - 4)
@@ -272,25 +278,28 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         if reuse > 1:  # one encoding per request: only 0 and 1 are booleans
             raise ProtocolError(f"reuse byte is {reuse}, not 0 or 1",
                                 offset=gates_at + _REUSE_OFFSET)
-        try:
-            accel = AccelConfig(k, cache_point, skip_point, bool(reuse),
-                                refresh, pivot)
-        except ConfigError as exc:
-            raise ProtocolError(f"invalid gate fields: {exc}",
-                                offset=gates_at) from None
         steps, beta_start, beta_end, spacing_idx = r.take("<IffB")
         if steps > MAX_SCHEDULE_STEPS:
             raise ProtocolError(f"{steps} schedule steps exceed the cap of "
                                 f"{MAX_SCHEDULE_STEPS}", offset=r.off - 13)
-        if spacing_idx >= len(_SPACINGS):
+        if spacing_idx >= len(SPACINGS):
             raise ProtocolError(f"unknown spacing code {spacing_idx}",
                                 offset=r.off - 1)
+        try:  # a refusal the gate fields take part in is reported at them
+            accel = AccelConfig(k, cache_point, skip_point, bool(reuse),
+                                refresh, pivot)
+            check_run(accel, steps, count)
+        except ConfigError as exc:
+            raise ProtocolError(f"invalid gate fields: {exc}",
+                                offset=gates_at) from None
         model_id = r.take_str()
         _expect_end(r)
-        return GenerateRequest(
-            candidates, seed, accel,
-            ScheduleParams(steps, beta_start, beta_end, _SPACINGS[spacing_idx]),
-            model_id)
+        try:
+            return GenerateRequest(candidates, seed, accel, ScheduleParams(
+                steps, beta_start, beta_end, SPACINGS[spacing_idx]), model_id)
+        except (ConfigError, InputError) as exc:
+            raise ProtocolError(f"invalid request: {exc}",
+                                offset=_HEADER.size) from None
     if frame_type == TYPE_RESPONSE:
         step_reached, *extents = r.take("<IIII")
         # with one extent 0 the block is empty whatever the others say, so
@@ -348,43 +357,25 @@ class Server:
     def handle_request(self, req: GenerateRequest) -> GenerateResponse:
         """Denoise the first ``accel.switch_point`` steps of each candidate.
 
-        A request that decodes but cannot run (a bad schedule, an empty
-        candidate, a pivot outside the batch) is refused with ProtocolError
-        before any compute starts; one whose latents leave binary16's range
-        is refused at the hand-off.  Gate fields were checked at decode.
+        Every request can run, so only what needs the server is refused: an
+        unknown model id before compute, latents beyond binary16 at hand-off.
         """
         if req.model_id not in self.weights:
             raise ProtocolError(f"unknown model id {req.model_id!r}")
         w = self.weights[req.model_id]
         cfg = w.cfg
-        n = len(req.candidates)
-        accel = req.accel
-        k = accel.switch_point
-        try:
-            sched = req.schedule.build()
-            texts = [embed_prompt(p, cfg) for p in req.candidates]
-        except (ConfigError, InputError) as exc:
-            raise ProtocolError(f"invalid request: {exc}") from None
-        if sched.alpha_bar[-1] < _ALPHA_BAR_FLOOR:
-            raise ProtocolError(
-                f"schedule ends at alpha_bar {sched.alpha_bar[-1]}, below "
-                f"float32's smallest normal {_ALPHA_BAR_FLOOR}")
-        if k > sched.steps:
-            raise ProtocolError(
-                f"switch point {k} exceeds schedule of {sched.steps} steps")
-        # every run starts at iteration 1, where reuse fires if it ever does
-        if k > 0 and step_gates(1, accel, n).reuse and accel.pivot_index >= n:
-            raise ProtocolError(
-                f"pivot_index {accel.pivot_index} outside {n} candidates")
+        k = req.accel.switch_point
+        sched = req.schedule.build()
+        texts = [embed_prompt(p, cfg) for p in req.candidates]
 
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
-        latents = np.stack([base] * n)
+        latents = np.stack([base] * len(req.candidates))
 
         counter = FlopsCounter()
         if k > 0:
             with use_flops_counter(counter):
                 latents = run_denoise_steps(latents, texts, sched, w, 1, k,
-                                            accel)
+                                            req.accel)
         try:
             latents = fp16_roundtrip(latents)
         except RangeError as exc:
@@ -560,17 +551,18 @@ class SessionConfig:
     device_steps: int | None = None          # defaults to the cloud step count
     dt_shift: int = 0
     channel: ChannelModel = field(default_factory=ChannelModel)
+    _device: ScheduleParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.device_steps is not None and self.device_steps < 1:
-            raise ConfigError(
-                f"device_steps must be >= 1, got {self.device_steps}")
+        cs, steps = self.cloud_schedule, self.device_steps
+        check_run(self.accel, cs.steps)
+        if steps is not None and steps < 1:
+            raise ConfigError(f"device_steps must be >= 1, got {steps}")
+        object.__setattr__(self, "_device", cs if steps in (None, cs.steps)
+                           else replace(cs, steps=steps))
 
     def device_schedule(self) -> ScheduleParams:
-        steps = self.cloud_schedule.steps if self.device_steps is None \
-            else self.device_steps
-        cs = self.cloud_schedule
-        return ScheduleParams(steps, cs.beta_start, cs.beta_end, cs.spacing)
+        return self._device
 
 
 @dataclass

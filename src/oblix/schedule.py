@@ -25,6 +25,10 @@ DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
 DEFAULT_STEPS = 25
 DEFAULT_SPACING = "scaled-linear"
+SPACINGS = ("linear", "scaled-linear")  # in wire-code order
+# ddim_step divides by sqrt(alpha_bar_T); below float32's smallest normal
+# a run's first step overflows or divides by zero
+ALPHA_BAR_FLOOR = float(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ def build_schedule(steps: int = DEFAULT_STEPS,
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
         )
-    if spacing not in ("linear", "scaled-linear"):
+    if spacing not in SPACINGS:
         raise ConfigError(f"unknown spacing {spacing!r}")
 
     if steps == 1:
@@ -93,6 +97,9 @@ def build_schedule(steps: int = DEFAULT_STEPS,
     for a in alphas:
         running *= a
         bars.append(running)
+    if running < ALPHA_BAR_FLOOR:
+        raise ConfigError(f"schedule ends at alpha_bar {running}, below "
+                          f"float32's smallest normal {ALPHA_BAR_FLOOR}")
     return NoiseSchedule(steps, tuple(betas), tuple(alphas), tuple(bars))
 
 

@@ -117,6 +117,30 @@ def test_switch_point_beyond_schedule_is_rejected(tmp_path):
         load_run_config(path)
 
 
+# betas whose alpha_bar falls below float32's smallest normal within the
+# steps the cloud or only the device runs; no cloud step runs in either
+ALPHA_BAR_BELOW_FLOOR = {
+    "cloud schedule": {"steps": "1000"},
+    "device schedule": {"steps": "25", "device_steps": "200"},
+}
+
+
+@pytest.mark.parametrize("schedule", ALPHA_BAR_BELOW_FLOOR.values(),
+                         ids=ALPHA_BAR_BELOW_FLOOR.keys())
+def test_a_schedule_below_the_alpha_bar_floor_is_refused_at_load(
+        tmp_path, capsys, monkeypatch, schedule):
+    path = _write_config(tmp_path, accel={"switch_point": "0"}, schedule={
+        "beta_start": "0.5", "beta_end": "0.999", "spacing": "linear",
+        **schedule})
+    with pytest.raises(ConfigError, match="alpha_bar"):
+        load_run_config(path)
+    monkeypatch.setattr(oblix.cli, "client_run_session", None)  # no compute
+    assert main(["generate", "--config", path, "--prompt", "a red bicycle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule ends at alpha_bar")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_device_steps_below_one_is_rejected(tmp_path, value):
     path = _write_config(tmp_path, schedule={"device_steps": value})
@@ -354,6 +378,24 @@ def test_bench_refuses_malformed_grid_axes(tmp_path, capsys, grid, names,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["k=2,4,9 N=1", "k=4 r=4,0 N=1",
+                                  "k=4 s=4,1 N=1", "N=1,2 k=4 reuse=0,1"])
+def test_bench_refuses_a_bad_grid_point_before_any_session_runs(
+        tmp_path, capsys, monkeypatch, grid):
+    # the last point of each grid is refused: k beyond the 8-step schedule,
+    # a cache point of 0, a skip point of 1, a pivot outside a class of 2
+    path = _write_config(tmp_path, accel={"pivot_index": "2"})
+    runs = []
+    real = oblix.cli.client_run_session
+    monkeypatch.setattr(oblix.cli, "client_run_session",
+                        lambda *args: runs.append(args) or real(*args))
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", "--config", path, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert runs == [] and not out.exists()
+
+
 def test_bench_reuse_axis_takes_configparser_boolean_words(tmp_path):
     path = _write_config(tmp_path)
     out = tmp_path / "bench.jsonl"
@@ -536,6 +578,19 @@ def test_non_utf8_file_named_by_the_config_exits_2(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(target) in err
     assert len(err.splitlines()) == 1
+
+
+def test_attest_refuses_a_config_no_server_would_take(tmp_path, capsys):
+    # reuse fires at iteration 1 and the pivot lies outside the class of 2,
+    # so no request of this config can be made, let alone attested
+    path = _write_config(tmp_path, accel={"reuse": "true", "cache_point": "4",
+                                          "pivot_index": "5"})
+    code = main(["attest", "--config", path,
+                 "--prompt", "portrait of a man in a garden"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pivot_index 5 outside 2 candidates\n"
+    assert "transcript equality" not in captured.out
 
 
 def test_attest_refuses_zero_seeds_for_a_single_prompt(tmp_path, capsys):

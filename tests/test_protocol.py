@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 import oblix.protocol
 from oblix.accel import MAP_CHUNK_BYTES, AccelConfig, never
 from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
-from oblix.errors import InternalError, ProtocolError, ShapeError
+from oblix.errors import (
+    ConfigError,
+    InputError,
+    InternalError,
+    ProtocolError,
+    ShapeError,
+)
 from oblix.oblivious import default_lexicon, detect_attributes, expand_candidates
 from oblix.protocol import (
     ChannelModel,
@@ -36,6 +42,12 @@ from oblix.protocol import (
     encode_frame,
     read_frame,
     simulate_transfer,
+)
+from oblix.schedule import (
+    DEFAULT_BETA_END,
+    DEFAULT_BETA_START,
+    DEFAULT_SPACING,
+    SPACINGS,
 )
 from oblix.tensor import (
     FlopsCounter,
@@ -65,15 +77,20 @@ def _session(k=4, steps=8, seed=11, **accel_kw) -> SessionConfig:
 
 _GATE_DEFAULTS = dict(switch_point=3, cache_point=9, skip_point=9,
                       reuse=False, refresh_period=5, pivot_index=0)
+_SCHEDULE_DEFAULTS = dict(steps=8, beta_start=DEFAULT_BETA_START,
+                          beta_end=DEFAULT_BETA_END, spacing=DEFAULT_SPACING)
+_OTHER_DEFAULTS = dict(candidates=("a prompt", "another prompt"), seed=7,
+                       model_id="toy")
 
 
 def _request(**kw) -> GenerateRequest:
-    """A request; AccelConfig field names set its gate fields."""
+    """A request; AccelConfig and ScheduleParams field names set its gate
+    and schedule fields, unless ``schedule`` is given whole."""
     gates = {f: kw.pop(f, v) for f, v in _GATE_DEFAULTS.items()}
-    base = dict(candidates=("a prompt", "another prompt"), seed=7,
-                accel=AccelConfig(**gates), schedule=ScheduleParams(8),
-                model_id="toy")
+    sched = {f: kw.pop(f, v) for f, v in _SCHEDULE_DEFAULTS.items()}
+    base = dict(_OTHER_DEFAULTS, accel=AccelConfig(**gates))
     base.update(kw)
+    base.setdefault("schedule", ScheduleParams(**sched))
     return GenerateRequest(**base)
 
 
@@ -83,16 +100,24 @@ def _gates_at(req: GenerateRequest) -> int:
     return 10 + 4 + sum(4 + len(c.encode()) for c in req.candidates) + 8
 
 
-def _gate_frame(**fields) -> bytes:
-    """The frame of `_request()` with its gate fields overwritten in place,
-    so they may hold values no AccelConfig can."""
-    req = _request()
-    g = {**dataclasses.asdict(req.accel), **fields}
-    raw = bytearray(encode_frame(req))
-    struct.pack_into("<IIIBII", raw, _gates_at(req), g["switch_point"],
-                     g["cache_point"], g["skip_point"], g["reuse"],
-                     g["refresh_period"], g["pivot_index"])
-    return bytes(raw)
+def _raw_frame(**fields) -> bytes:
+    """The frame of `_request(**fields)`, packed field by field, so it may
+    hold a request no GenerateRequest can."""
+    f = {**_OTHER_DEFAULTS, **_GATE_DEFAULTS, **_SCHEDULE_DEFAULTS, **fields}
+    body = struct.pack("<I", len(f["candidates"]))
+    body += b"".join(_packed_str(c) for c in f["candidates"])
+    body += struct.pack("<QIIIBII", f["seed"], f["switch_point"],
+                        f["cache_point"], f["skip_point"], f["reuse"],
+                        f["refresh_period"], f["pivot_index"])
+    body += struct.pack("<IffB", f["steps"], f["beta_start"], f["beta_end"],
+                        SPACINGS.index(f["spacing"]))
+    body += _packed_str(f["model_id"])
+    return struct.pack("<4sBBI", MAGIC, 1, 1, len(body)) + body
+
+
+def _packed_str(text: str) -> bytes:
+    raw = text.encode()
+    return struct.pack("<I", len(raw)) + raw
 
 
 # --- codec ------------------------------------------------------------------
@@ -124,15 +149,26 @@ def test_response_roundtrip():
        st.integers(0, 40))
 def test_request_roundtrip_property(cands, seed, k, cache, skip, reuse,
                                     refresh, pivot):
-    req = _request(candidates=tuple(cands), seed=seed, switch_point=k,
-                   cache_point=cache, skip_point=skip, reuse=reuse,
-                   refresh_period=refresh, pivot_index=pivot)
+    fields = dict(candidates=tuple(cands), seed=seed, switch_point=k,
+                  cache_point=cache, skip_point=skip, reuse=reuse,
+                  refresh_period=refresh, pivot_index=pivot)
+    # of 8 schedule steps; reuse fires at iteration 1 on two or more rows
+    live_pivot = k > 0 and reuse and len(cands) > 1
+    if k > 8 or (live_pivot and pivot >= len(cands)) \
+            or any(not c.strip() for c in cands):
+        with pytest.raises((ConfigError, InputError)):
+            _request(**fields)
+        with pytest.raises(ProtocolError):
+            decode_frame(_raw_frame(**fields))
+        return
+    req = _request(**fields)
+    assert encode_frame(req) == _raw_frame(**fields)
     assert decode_frame(encode_frame(req)) == req
 
 
 def test_empty_candidates_cannot_be_framed():
-    with pytest.raises(ProtocolError):
-        encode_frame(_request(candidates=()))
+    with pytest.raises(ConfigError, match="0 candidates"):
+        _request(candidates=())
 
 
 def test_decode_rejects_bad_magic():
@@ -201,10 +237,10 @@ def test_gate_byte_corruption_is_refused_only_as_protocol_error(pos, value):
 
 def test_decode_refuses_reuse_byte_other_than_0_or_1():
     at = _gates_at(_request())
-    assert decode_frame(_gate_frame(reuse=1)).accel.reuse
+    assert decode_frame(_raw_frame(reuse=1)).accel.reuse
     for value in (2, 255):
         with pytest.raises(ProtocolError) as err:
-            decode_frame(_gate_frame(reuse=value))
+            decode_frame(_raw_frame(reuse=value))
         assert err.value.offset == at + REUSE_BYTE, value
         assert "reuse" in str(err.value)
 
@@ -447,8 +483,10 @@ def test_server_rows_under_pivot_reuse_follow_pair_runs():
 
 
 def test_server_rejects_k_beyond_schedule():
-    with pytest.raises(ProtocolError):
-        _server().handle_request(_request(switch_point=9))
+    with pytest.raises(ConfigError, match="exceeds schedule of 8 steps"):
+        _request(switch_point=9)
+    with pytest.raises(ProtocolError, match="exceeds schedule of 8 steps"):
+        _server().handle_frame(_raw_frame(switch_point=9))
 
 
 def test_server_rejects_unknown_model():
@@ -456,13 +494,17 @@ def test_server_rejects_unknown_model():
         _server().handle_request(_request(model_id="giant"))
 
 
+# requests no server can run: each is refused when its GenerateRequest or
+# ScheduleParams is made, so these frames are packed raw
 INVALID_REQUESTS = {
     "pivot outside batch": dict(reuse=True, pivot_index=5),
     "whitespace candidate": dict(candidates=("a prompt", "   ")),
-    "zero schedule steps": dict(switch_point=0, schedule=ScheduleParams(0)),
+    "zero schedule steps": dict(switch_point=0, steps=0),
     # alpha_bar_T is exactly 0.0, so ddim_step would divide by zero
-    "alpha_bar_T underflows": dict(
-        switch_point=1, schedule=ScheduleParams(1000, 0.5, 0.999, "linear")),
+    "alpha_bar_T underflows": dict(switch_point=1, steps=1000, beta_start=0.5,
+                                   beta_end=0.999, spacing="linear"),
+    "switch point beyond schedule": dict(switch_point=9),
+    "no candidates": dict(candidates=()),
 }
 # gate fields no AccelConfig can hold, written into the frame; decode
 # refuses them even when no cloud step would run
@@ -474,28 +516,40 @@ INVALID_GATES = {
     "skip point 1, no cloud step": dict(skip_point=1, switch_point=0),
     "zero cache point": dict(cache_point=0),
 }
-INVALID_FRAMES = {
-    **{name: encode_frame(_request(**fields))
-       for name, fields in INVALID_REQUESTS.items()},
-    **{name: _gate_frame(**fields) for name, fields in INVALID_GATES.items()},
-}
+INVALID_FRAMES = {name: _raw_frame(**fields) for name, fields in
+                  {**INVALID_REQUESTS, **INVALID_GATES}.items()}
 # decodes and runs, but drives the latents to 3.3e8, past binary16
-HANDOFF_OVERFLOW = dict(switch_point=100,
-                        schedule=ScheduleParams(200, 0.3, 0.3, "linear"))
+HANDOFF_OVERFLOW = dict(switch_point=100, steps=200, beta_start=0.3,
+                        beta_end=0.3, spacing="linear")
 
 
-def test_gate_frame_rewrites_only_the_gate_fields():
-    assert _gate_frame() == encode_frame(_request())
+def test_raw_frame_packs_the_bytes_encode_frame_writes():
+    assert _raw_frame() == encode_frame(_request())
     valid = dict(switch_point=5, cache_point=2, skip_point=4, reuse=True,
                  refresh_period=3, pivot_index=1)
-    assert decode_frame(_gate_frame(**valid)) == _request(**valid)
+    assert decode_frame(_raw_frame(**valid)) == _request(**valid)
+    assert _raw_frame(**HANDOFF_OVERFLOW) == \
+        encode_frame(_request(**HANDOFF_OVERFLOW))
+
+
+@pytest.mark.parametrize("name", INVALID_REQUESTS)
+def test_invalid_request_cannot_be_made(name):
+    fields = INVALID_REQUESTS[name]
+    with pytest.raises((ConfigError, InputError)):
+        _request(**fields)
+    with pytest.raises(ProtocolError) as err:
+        decode_frame(_raw_frame(**fields))
+    # a refusal the gate fields take part in is reported at their offset,
+    # any other at the payload's start
+    at_gates = name in ("pivot outside batch", "switch point beyond schedule")
+    assert err.value.offset == (_gates_at(_request()) if at_gates else 10)
 
 
 @pytest.mark.parametrize("fields", INVALID_GATES.values(),
                          ids=INVALID_GATES.keys())
 def test_decode_refuses_invalid_gate_fields_at_their_offset(fields):
     with pytest.raises(ProtocolError) as err:
-        decode_frame(_gate_frame(**fields))
+        decode_frame(_raw_frame(**fields))
     assert err.value.offset == _gates_at(_request())
     assert "gate" in str(err.value)
 
@@ -850,6 +904,31 @@ def test_daemon_waits_unbounded_between_frames(monkeypatch):
         assert result.transcript == in_process.transcript
 
 
+def test_unservable_session_is_refused_before_the_daemon_sees_it(monkeypatch,
+                                                                 caplog):
+    # reuse fires at iteration 1 with the pivot outside a class of 2: the
+    # client refuses to make the request, so no byte reaches the daemon
+    cfg = _session(k=3, seed=5, cache_point=4, reuse=True, pivot_index=5)
+    frames = []
+    real = Server.handle_frame
+    monkeypatch.setattr(Server, "handle_frame",
+                        lambda self, raw: frames.append(raw) or real(self, raw))
+
+    def run(addr):
+        transport = SocketTransport(addr[0], addr[1])
+        try:
+            with pytest.raises(ConfigError, match="pivot_index 5 outside 2"):
+                client_run_session("portrait of a man in a garden", cfg,
+                                   transport, W, LEX)
+        finally:
+            transport.close()
+
+    with caplog.at_level("DEBUG", logger="oblix.protocol"):
+        _with_daemon(run)
+    assert frames == []
+    assert [r for r in caplog.records if r.name == "oblix.protocol"] == []
+
+
 def test_socket_transport_reconnects_after_a_refused_session():
     # the daemon closes the connection on a refusal, so the next session on
     # the same transport must run over a new one
@@ -990,7 +1069,8 @@ def test_decode_refuses_counts_above_caps_before_reading_them():
 
 
 def test_encode_refuses_counts_above_caps():
-    with pytest.raises(ProtocolError):
-        encode_frame(_request(candidates=("x",) * (MAX_CANDIDATES + 1)))
-    with pytest.raises(ProtocolError):
-        encode_frame(_request(schedule=ScheduleParams(MAX_SCHEDULE_STEPS + 1)))
+    # no request holds them, so none can be framed
+    with pytest.raises(ConfigError, match="candidates"):
+        _request(candidates=("x",) * (MAX_CANDIDATES + 1))
+    with pytest.raises(ConfigError, match="schedule steps exceed the cap"):
+        _request(schedule=ScheduleParams(MAX_SCHEDULE_STEPS + 1))
