@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +56,19 @@ BENCH_PROMPTS = {
 }
 
 
+def _drawn(source: ModelWeights | tuple[ModelConfig, int]) -> ModelWeights:
+    """A role's weights: loaded from a file, or drawn from (config, seed)."""
+    if isinstance(source, ModelWeights):
+        return source
+    return ModelWeights.build(*source)
+
+
 @dataclass
 class RunConfig:
     model_id: str
     model: ModelConfig
-    cloud_weights: ModelWeights
-    device_weights: ModelWeights
+    cloud: ModelWeights | tuple[ModelConfig, int]
+    device: ModelWeights | tuple[ModelConfig, int]
     session: SessionConfig
     lexicon: AttributeLexicon
     templates: tuple[str, ...]
@@ -68,6 +76,10 @@ class RunConfig:
     port: int = 7410
     out_path: str = "oblix_out.ppm"
     report_path: str = "oblix_report.jsonl"
+
+    # each drawn once, on its first read
+    cloud_weights = cached_property(lambda self: _drawn(self.cloud))
+    device_weights = cached_property(lambda self: _drawn(self.device))
 
 
 def _typed(sec: configparser.SectionProxy, kinds: dict[str, type]) -> dict:
@@ -91,7 +103,8 @@ def _typed(sec: configparser.SectionProxy, kinds: dict[str, type]) -> dict:
     return out
 
 
-def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
+def _weights_from(section, role: str,
+                  model_cfg: ModelConfig) -> ModelWeights | tuple:
     path_key, seed_key = f"{role}_path", f"{role}_seed"
     if section.get(path_key):
         path = section[path_key]
@@ -101,13 +114,14 @@ def _weights_from(section, role: str, model_cfg: ModelConfig) -> ModelWeights:
     seed = _typed(section, {seed_key: int}).get(seed_key)
     if seed is None:
         raise ConfigError(f"[model] needs {path_key} or {seed_key}")
-    return ModelWeights.build(model_cfg, seed)
+    return model_cfg, seed
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Parse and fully validate a run config; all referenced files must
     exist and parse before any computation starts.  A key left out keeps
-    its dataclass's default."""
+    its dataclass's default.  A weights file is loaded here; a seeded model
+    is drawn on the first read of its ``RunConfig`` attribute."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
@@ -127,7 +141,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     device = _weights_from(model_sec, "device", model_cfg)
     # the device finishes the cloud's latents; width, d_text and token
     # capacity may differ, as with a smaller device model
-    c, d = cloud.cfg, device.cfg
+    c, d = (s.cfg if isinstance(s, ModelWeights) else s[0]
+            for s in (cloud, device))
     if (c.channels, c.res) != (d.channels, d.res):
         raise ConfigError(
             f"cloud weights make latents of {c.channels} channels at res "
@@ -168,8 +183,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     return RunConfig(
         model_id=session.model_id,
         model=model_cfg,
-        cloud_weights=cloud,
-        device_weights=device,
+        cloud=cloud,
+        device=device,
         session=session,
         lexicon=lexicon,
         templates=templates,

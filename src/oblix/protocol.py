@@ -78,6 +78,9 @@ TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 _HEADER = struct.Struct("<4sBBI")
 _GATES = struct.Struct("<IIIBII")
+# the u32 gate fields; AccelConfig already refuses a negative one
+_U32_GATES = ("switch_point", "cache_point", "skip_point", "refresh_period",
+              "pivot_index")
 _REUSE_OFFSET = struct.calcsize("<III")  # of the reuse byte in the gates
 # payload bytes a frame may carry; far above any real frame (an N=30
 # response of the default toy model is about 61 KB), far below the 4 GiB
@@ -138,6 +141,14 @@ class GenerateRequest:
             raise ConfigError(f"{self.schedule.steps} schedule steps exceed "
                               f"the cap of {MAX_SCHEDULE_STEPS}")
         check_run(self.accel, self.schedule.steps, n)
+        # integer compares, not a trial pack: attest makes many requests
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed {self.seed} does not fit the wire's "
+                              "64 bits")
+        for name in _U32_GATES:
+            if getattr(self.accel, name) >= 1 << 32:
+                raise ConfigError(f"{name} {getattr(self.accel, name)} does "
+                                  "not fit the wire's 32 bits")
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,95 @@ def test_cloud_and_device_latent_geometry_must_match(tmp_path, capsys,
     assert "error: cloud weights" in capsys.readouterr().err
 
 
+# --- when a seeded model is drawn -------------------------------------------------
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (config, seed) of every model that ModelWeights.build draws."""
+    drawn = []
+    build = ModelWeights.build.__func__
+
+    def spy(cls, cfg, seed):
+        drawn.append((cfg, seed))
+        return build(cls, cfg, seed)
+
+    monkeypatch.setattr(ModelWeights, "build", classmethod(spy))
+    return drawn
+
+
+def test_a_seeded_model_is_drawn_once_on_its_first_read(tmp_path, draws):
+    path = _write_config(tmp_path, model={"device_seed": "2002"})
+    rc = load_run_config(path)
+    assert draws == []
+    cloud = rc.cloud_weights
+    assert draws == [(rc.model, 1001)]
+    assert rc.cloud_weights is cloud
+    device = rc.device_weights
+    assert draws == [(rc.model, 1001), (rc.model, 2002)]
+    assert rc.device_weights is device
+    assert cloud.fingerprint() == ModelWeights.build(rc.model, 1001).fingerprint()
+    assert device.fingerprint() == \
+        ModelWeights.build(rc.model, 2002).fingerprint()
+
+
+class _NoDaemon:
+    """Stands in for the daemon: binds nothing and stops at once."""
+
+    server_address = ("127.0.0.1", 0)
+
+    def __init__(self, address, server):
+        pass
+
+    def serve_forever(self):
+        raise KeyboardInterrupt
+
+    def shutdown(self):
+        pass
+
+
+def _no_session(prompt, session, transport, device_weights, lexicon):
+    raise ConfigError("no session in this test")
+
+
+# the seeds each command draws: cloud_seed 1001, device_seed 2002
+COMMAND_DRAWS = {
+    "attest": ([], []),
+    "generate": ([], [1001, 2002]),
+    "serve": ([], [1001]),
+    "client": (["--port", "1"], [2002]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_DRAWS)
+def test_each_command_draws_only_the_models_it_runs(tmp_path, monkeypatch,
+                                                    draws, command):
+    argv, seeds = COMMAND_DRAWS[command]
+    monkeypatch.setattr(oblix.cli, "Daemon", _NoDaemon)
+    if command == "client":  # the session reads the device model, then stops
+        monkeypatch.setattr(oblix.cli, "client_run_session", _no_session)
+    path = _write_config(tmp_path, model={"device_seed": "2002"})
+    prompt = [] if command == "serve" else ["--prompt", "portrait of a man"]
+    main([command, "--config", path, *prompt, *argv])
+    assert [seed for _, seed in draws] == seeds
+
+
+def test_refusals_at_load_draw_no_model(tmp_path, draws):
+    wrong_res = tmp_path / "res4.oblw"
+    ModelWeights.build(ModelConfig(res=4, width=16, d_text=16,
+                                   token_capacity=8), 5).save(str(wrong_res))
+    draws.clear()
+    refused = {
+        "device_seed": {"device_seed": ""},
+        "cloud_path": {"cloud_path": str(tmp_path / "missing.oblw")},
+        "cloud_seed": {"cloud_seed": "not-a-number"},
+        "device weights": {"cloud_path": str(wrong_res), "cloud_seed": ""},
+    }
+    for named, model in refused.items():
+        with pytest.raises(ConfigError, match=named):
+            load_run_config(_write_config(tmp_path, model=model))
+    assert draws == []
+
+
 def test_generate_writes_image_and_report(tmp_path, capsys):
     path = _write_config(tmp_path)
     code = main(["generate", "--config", path,
@@ -591,6 +680,26 @@ def test_attest_refuses_a_config_no_server_would_take(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: pivot_index 5 outside 2 candidates\n"
     assert "transcript equality" not in captured.out
+
+
+# request fields wider than the wire frames them
+TOO_WIDE = {
+    "seed -1": {"run": {"seed": "-1"}},
+    "seed 2^64": {"run": {"seed": str(2**64)}},
+    "cache_point 2^32+": {"accel": {"cache_point": "5000000000"}},
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "attest"])
+@pytest.mark.parametrize("name", TOO_WIDE)
+def test_a_field_wider_than_the_wire_exits_2_naming_it(tmp_path, capsys,
+                                                       command, name):
+    path = _write_config(tmp_path, **TOO_WIDE[name])
+    code = main([command, "--config", path, "--prompt", "portrait of a man"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name.split()[0]} ")
+    assert "wire" in err and len(err.splitlines()) == 1
 
 
 def test_attest_refuses_zero_seeds_for_a_single_prompt(tmp_path, capsys):

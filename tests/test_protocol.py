@@ -545,6 +545,29 @@ def test_invalid_request_cannot_be_made(name):
     assert err.value.offset == (_gates_at(_request()) if at_gates else 10)
 
 
+# one past what each field's wire width holds: u64 seed, u32 gate fields
+TOO_WIDE = {"seed": [-1, 2**64], "switch_point": [2**32],
+            "cache_point": [2**32], "skip_point": [2**32],
+            "refresh_period": [2**32], "pivot_index": [2**32]}
+
+
+@pytest.mark.parametrize("field,value", [(f, v) for f, vs in TOO_WIDE.items()
+                                         for v in vs])
+def test_a_field_wider_than_the_wire_cannot_be_made(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} {value} "):
+        _request(**{field: value})
+
+
+def test_the_widest_fields_the_wire_holds_still_frame():
+    widest = dict(seed=2**64 - 1, cache_point=2**32 - 1,
+                  skip_point=2**32 - 1, refresh_period=2**32 - 1,
+                  pivot_index=2**32 - 1)
+    for fields in (widest, dict(seed=0), dict(cache_point=10**9,
+                                              skip_point=10**9)):
+        req = _request(**fields)
+        assert decode_frame(encode_frame(req)) == req
+
+
 @pytest.mark.parametrize("fields", INVALID_GATES.values(),
                          ids=INVALID_GATES.keys())
 def test_decode_refuses_invalid_gate_fields_at_their_offset(fields):
