@@ -20,13 +20,12 @@ reuse shapes how a recomputation is performed.
 step reads, as DeepCache (Ma et al., arXiv 2312.00858) does: a site's output
 at t only when the next iteration that reaches the site serves the cache,
 the mid features of t only when iteration t+1 skips.  A paper-default run
-(k=10, cache 4, skip 6, refresh 5) at N=30 thus peaks at 6.6 row-stacked
+(k=10, cache 4, skip 6, refresh 5) at N=30 thus peaks at 6.9 row-stacked
 hidden states (traced), not the 11.7 of caching every output.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,7 +36,7 @@ from .errors import ConfigError, InternalError
 from .tensor import _checked, flops_tag, matmul, row_blocks, softmax_rows
 
 # bytes of float32 attention maps that one chunk of rows makes at once
-MAP_CHUNK_BYTES = 256 * 1024
+MAP_CHUNK_BYTES = 1024 * 1024
 
 # attention sites in forward order; a skip leaves only the up sites
 SITES = ("down.self", "down.cross", "mid.self", "mid.cross", "up.self", "up.cross")
@@ -194,21 +193,24 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
 
     ``q`` is (n*S, width) and ``kv`` is (n*T, kv width); row block r of
     each belongs to batch row r.  ``params`` exposes ``wq``/``wk``/``wv``
-    projections.  The value projection runs once on all of ``kv``.  The
-    map work runs per chunk of ``max(1, MAP_CHUNK_BYTES // (4*S*T))``
-    rows, or once on block ``pivot`` whose map every row then shares: one
-    query and one key product per chunk, each row's scaled scores into one
-    (rows*S, T) buffer, one check of it (softmax would hide a -inf score)
-    and one softmax in place on that buffer.  Each numpy call releases and
-    retakes the interpreter lock, so fewer calls per row let concurrent
-    requests overlap, and the budget keeps a chunk's maps in cache: one
-    self-site row or 16 cross-site rows of the default model.  A chunk's
-    maps die before the next chunk's are made, so one map buffer is alive
-    at a time.  Each row's map-times-value product goes into its slice of
-    one (n*S, width) output, checked once.
-    Every row keeps the bits of a one-row call, whatever the chunk.  The
-    output projection is applied by the caller, so the result is exactly
-    what the attention cache stores.
+    projections.  The work runs per chunk of ``max(1, MAP_CHUNK_BYTES //
+    (4*S*T))`` rows: one query, one key and one value projection per
+    chunk, each row's scaled scores into one (rows*S, T) buffer, one check
+    of it (softmax would hide a -inf score), one softmax in place on that
+    buffer, and one block product of the maps and the values into the
+    chunk's slice of one (n*S, width) output, checked once.  The score
+    products stay one per row: a row's keys enter as the transposed view
+    ``k.T``, which a row-stacked operand could hold only as a transposed
+    copy, whose product can have other bits.  With ``pivot``, block
+    ``pivot``'s map is made once and every row multiplies it by its own
+    values, one product per row.  Each numpy call releases and retakes
+    the interpreter lock, so fewer calls per row let concurrent requests
+    overlap, and the budget keeps a chunk's maps in cache: 4 self-site
+    rows or 64 cross-site rows of the default model.  A chunk's maps and
+    values die before the next chunk's are made, so one map buffer is
+    alive at a time.  Every row keeps the bits of a one-row call, whatever
+    the chunk.  The output projection is applied by the caller, so the
+    result is exactly what the attention cache stores.
     """
     if pivot is not None and not 0 <= pivot < n:
         raise ConfigError(f"pivot_index {pivot} outside batch of {n}")
@@ -231,20 +233,20 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
             _checked(scores, freeze=False)
             return softmax_rows(scores, out=scores)
 
-    with flops_tag(value_tag):
-        values = row_blocks(matmul(kv, params.wv), n)
     out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
-    out_rows = row_blocks(out, n)
     shared = None if pivot is None else maps(pivot, pivot + 1)
     rows = max(1, MAP_CHUNK_BYTES // (4 * s * t))
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        chunk = itertools.repeat(shared) if shared is not None else \
-            row_blocks(maps(r0, r1), r1 - r0)
+        attn_maps = maps(r0, r1) if shared is None else None
         with flops_tag(value_tag):
-            for attn_map, value, into in zip(chunk, values[r0:r1],
-                                             out_rows[r0:r1]):
-                matmul(attn_map, value, out=into)
-        # attn_map views the maps too: drop both so they die here
-        del chunk, attn_map
+            values = matmul(kv[r0 * t:r1 * t], params.wv)
+            into = out[r0 * s:r1 * s]
+            if shared is None:
+                matmul(attn_maps, values, out=into, blocks=r1 - r0)
+            else:
+                for value, row_out in zip(row_blocks(values, r1 - r0),
+                                          row_blocks(into, r1 - r0)):
+                    matmul(shared, value, out=row_out)
+        del attn_maps, values  # so they die before the next chunk's
     return _checked(out)

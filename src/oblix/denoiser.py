@@ -44,7 +44,6 @@ from .tensor import (
     gaussian_rows,
     matmul,
     readonly,
-    row_blocks,
     tanh_map,
 )
 
@@ -331,7 +330,7 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     The hidden state is one row-stacked (N*S, width) matrix whose row
     block r holds the S = res*res tokens of batch row r, so every
     projection, bias, tanh and residual runs once per step for the whole
-    batch; only the attention maps run per row (`oblix.accel.attend`).
+    batch; only attention runs per chunk of rows (`oblix.accel.attend`).
     ``step`` is iteration t's `oblix.accel.StepPlan`: its gates, and what
     ``state`` keeps for later steps.  When the skip gate fires, down and mid
     blocks are not executed and the state's mid features feed the up block.
@@ -341,7 +340,8 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     here treats rows independently and BLAS gives each row of a stacked
     trunk product the bits of that block's own product.  The output
     projection (width to channels) is the one shape where it does not at
-    every height, so it runs once per batch row.  The golden SHA, the
+    every height, so it runs as one block product (``matmul(...,
+    blocks=N)``), which makes one GEMM per batch row.  The golden SHA, the
     duplicated-row and permutation tests in ``tests/test_denoiser.py`` and
     the solo-row oracle at N up to ``MAX_CANDIDATES`` in
     ``tests/test_protocol.py`` pin it.
@@ -386,12 +386,10 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     h = _attn_block(h, h, w, "up.self", n, step, state)
     h = _attn_block(h, text, w, "up.cross", n, step, state)
 
-    # one product per batch row: OpenBLAS 0.3.31 gives a (M, 32) @ (32, 4)
-    # product other bits than its 256-row blocks from M = 7,936 (N = 31)
-    eps = np.empty((n * s, c), dtype=np.float32)
-    for row, into in zip(row_blocks(h, n), row_blocks(eps, n)):
-        matmul(row, w["w_out"], w["b_out"], out=into)
-    _checked(eps)
+    # one block product, a GEMM per batch row: OpenBLAS 0.3.31 gives a flat
+    # (M, 32) @ (32, 4) product other bits than its 256-row blocks from
+    # M = 7,936 (N = 31)
+    eps = matmul(h, w["w_out"], w["b_out"], blocks=n)
     return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
                     .reshape(latents.shape))
 

@@ -102,9 +102,6 @@ class FlopsCounter:
     def tag(self, name: str) -> _TagScope:
         return _TagScope(self, name)
 
-    def tag_total(self, tag: str) -> int:
-        return sum(v for (_, t), v in self.tagged.items() if t == tag)
-
 
 _ACTIVE_COUNTER: ContextVar[FlopsCounter | None] = ContextVar(
     "oblix_flops_counter", default=None
@@ -176,8 +173,8 @@ def row_blocks(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
-           scale: float | None = None,
-           out: np.ndarray | None = None) -> np.ndarray:
+           scale: float | None = None, out: np.ndarray | None = None,
+           blocks: int = 1) -> np.ndarray:
     """Matrix product, plus ``bias`` on every row or times ``scale``.
 
     Counts 2*m*n*p FLOPs, and m*p more for a bias or a scale, in the
@@ -187,19 +184,29 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
     C-order (m, p) slice of a caller's buffer, the product is made there
     and returned unchecked: the caller checks the filled buffer once,
     before anything reads it.
+
+    With ``blocks``, ``a`` is row-stacked, (blocks*m', n), and ``b`` is
+    either shared, (n, p), or row-stacked, (blocks*n, p): block r of the
+    (blocks*m', p) result is block r of ``a`` times ``b`` or its block r.
+    The blocks run as one stacked ``np.matmul``, which calls one GEMM per
+    block, so each keeps the bits of its own 2-D product where a flat
+    product of the stack may not.  The count is the same formula on the
+    stacked shapes, m = blocks*m'.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
-    m, n = a.shape
-    n2, p = b.shape
-    if n != n2:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    if out is None:
-        prod = a @ b
-    elif out.shape == (m, p):
-        prod = np.matmul(a, b, out=out)
-    else:
+    (m, n), p = a.shape, b.shape[1]
+    if out is not None and (out.shape != (m, p) or not out.flags.c_contiguous):
         raise ShapeError(f"matmul output {out.shape} does not fit {(m, p)}")
+    if blocks != 1:
+        a = row_blocks(a, blocks)
+        if b.shape[0] == blocks * n:
+            b = row_blocks(b, blocks)
+        if out is not None:
+            out = out.reshape(a.shape[:2] + (p,))
+    if b.shape[-2] != n:
+        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+    prod = np.matmul(a, b, out=out).reshape(m, p)
     flops = 2 * m * n * p
     if bias is not None:
         if bias.shape != (p,):
@@ -234,7 +241,7 @@ def softmax_rows(a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     # exp and divide then run in place on the subtract's result
     e = np.subtract(a, a[np.arange(m), a.argmax(axis=1)][:, None], out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True, dtype=np.float32)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
     return _checked(e)
 
 

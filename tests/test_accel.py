@@ -239,9 +239,9 @@ def _site_inputs(site, n, seed=40):
 @pytest.mark.parametrize("pivot", [None, 1])
 def test_attention_bits_do_not_depend_on_the_chunk_size(site, pivot,
                                                         monkeypatch):
-    # the self sites of this model take 16-row chunks, the cross sites 128
+    # the self sites of this model take 64-row chunks, the cross sites 512
     assert (_rows_per_chunk("down.self"), _rows_per_chunk("mid.cross")) \
-        == (16, 128)
+        == (64, 512)
     n = 7
     q, kv = _site_inputs(site, n)
     want = attend(q, kv, W.attn(site), site, n, pivot)
@@ -262,8 +262,10 @@ def _poisoned_site(site, sign):
 
 
 @pytest.mark.parametrize("site,n,row", [
-    ("down.self", 16, 15),   # the last row of a full 16-row chunk
-    ("down.self", 17, 16),   # the one-row chunk after it
+    ("down.self", 16, 15),   # the last row of a ragged 16-row chunk
+    ("down.self", 17, 16),   # the last row of an odd-height ragged chunk
+    ("down.self", 64, 63),   # the last row of a full 64-row chunk
+    ("down.self", 65, 64),   # the one-row chunk after it
     ("up.cross", 3, 2),      # the last row of a 3-row chunk
     ("up.cross", 1, 0),      # one row, as on the device
 ])

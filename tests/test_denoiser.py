@@ -303,11 +303,13 @@ def _traced_peak_in_hidden_states(run_accel, last):
 
 def test_an_ungated_n30_run_holds_few_hidden_states_at_its_peak():
     # the working set of a bulk server request: each array dies at its last
-    # reader and attention softmax runs in place on its score buffer, so a
-    # 2-step N=30 run of the default model peaks at about 4.6 row-stacked
-    # (N*S, width) hidden states above what it was given, and 7.6 when
-    # block outputs outlive their last reader; keeping the input embedding
-    # and mid features alive through the up block alone crosses 5.5
+    # reader, attention softmax runs in place on its score buffer and values
+    # are projected per chunk, so a 2-step N=30 run of the default model
+    # peaks at about 4.9 row-stacked (N*S, width) hidden states above what
+    # it was given, and 7.6 when block outputs outlive their last reader;
+    # keeping the input embedding and mid features alive through the up
+    # block alone crosses 5.5, and so does a 1 MiB map chunk with the
+    # values projected for the whole batch up front (5.8)
     peak = _traced_peak_in_hidden_states(None, 2)
     assert peak <= 5.5, peak
 
@@ -315,8 +317,9 @@ def test_an_ungated_n30_run_holds_few_hidden_states_at_its_peak():
 def test_a_paper_default_gated_run_caches_only_what_it_reads():
     # the paper's default gates (k=10, cache 4, skip 6, refresh 5, reuse)
     # keep the two up-site outputs and the mid features of iteration 5 and
-    # nothing else, so the run peaks at about 6.6 hidden states; caching
-    # every site output and the mid features at each recompute took 11.7
+    # nothing else, so the run peaks at about 6.9 hidden states; caching
+    # every site output and the mid features at each recompute took 11.7,
+    # and a 1 MiB map chunk with values projected up front 7.8
     accel = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
                         reuse=True, refresh_period=5)
     peak = _traced_peak_in_hidden_states(accel, 10)

@@ -422,11 +422,12 @@ def test_server_row_order_follows_candidate_order():
     # The batch runs as one row-stacked matrix, so N up to MAX_CANDIDATES
     # at the default model's shapes checks that every row of a tall
     # product keeps the bits of that row's own product.
-    # odd N and N around a chunk's row count (16 for this W's self sites and
-    # the default model's cross sites) give ragged last chunks
+    # odd N and N around a chunk's row count (64 for this W's self sites and
+    # the default model's cross sites, 4 for its self sites) give ragged
+    # last chunks
     gated = dict(cache_point=2, skip_point=3, refresh_period=4, reuse=False)
     chunk = _rows_per_cross_chunk(TOY_W)
-    assert chunk == MAP_CHUNK_BYTES // (4 * W.cfg.tokens ** 2) == 16
+    assert chunk == MAP_CHUNK_BYTES // (4 * W.cfg.tokens ** 2) == 64
     cases = [(W, 2, {}), (W, 5, {}), (W, 6, {}), (W, 7, {}), (W, 30, {}),
              (TOY_W, 30, {}), (TOY_W, 30, gated)]
     cases += [(w, chunk + d, {}) for w in (W, TOY_W) for d in (-1, 0, 1)]
@@ -434,7 +435,8 @@ def test_server_row_order_follows_candidate_order():
     # from N = 31 (7,936 stacked rows) OpenBLAS gives the default model's
     # output projection other bits than its row blocks' own products
     cases += [(TOY_W, 31, {})]
-    checks = [(w, n, gates, 4, range(n)) for w, n, gates in cases]
+    checks = [(w, n, gates, 4, _chunk_edges(n, chunk) if n >= chunk - 1
+               else range(n)) for w, n, gates in cases]
     checks += [(TOY_W, MAX_CANDIDATES, {}, 1,
                 (0, MAX_CANDIDATES // 2, MAX_CANDIDATES - 1))]
     for w, n, gates, steps, rows in checks:
@@ -454,6 +456,12 @@ def test_server_row_order_follows_candidate_order():
 
 def _rows_per_cross_chunk(w):
     return MAP_CHUNK_BYTES // (4 * w.cfg.tokens * w.cfg.token_capacity)
+
+
+def _chunk_edges(n, chunk):
+    """The first and last row of each chunk of n rows, the ragged tail's too."""
+    return sorted({r for r0 in range(0, n, chunk)
+                   for r in (r0, min(n, r0 + chunk) - 1)})
 
 
 def test_server_rows_under_pivot_reuse_follow_pair_runs():

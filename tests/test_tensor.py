@@ -132,6 +132,70 @@ def test_matmul_into_a_slice_leaves_the_check_to_the_caller():
         matmul(a, b.T, out=buf[:4])
 
 
+# --- block products ---------------------------------------------------------
+
+@pytest.mark.parametrize("blocks", [1, 2, 31, 256])
+def test_a_block_product_with_a_shared_b_keeps_each_blocks_bits(blocks):
+    # w_out's shape, where OpenBLAS 0.3.31 gives a flat (N*256, 32) @ (32, 4)
+    # product other bits than its 256-row blocks' own products from N = 31
+    a = Rng(60).gaussian((blocks * 256, 32))
+    b, bias = Rng(61).gaussian((32, 4)), Rng(62).gaussian((4,))
+    want = np.concatenate([matmul(block, b, bias)
+                           for block in np.split(a, blocks)])
+    got = matmul(a, b, bias, blocks=blocks)
+    assert same_bits(got, want) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("kv_tokens,blocks", [(256, 3), (256, 4), (16, 64)])
+def test_a_block_product_with_a_row_stacked_b_keeps_each_blocks_bits(
+        kv_tokens, blocks):
+    # attention's map-times-value shape: block r of the (rows*S, T) maps
+    # times block r of the (rows*T, width) values, into a buffer's slice
+    maps = Rng(63).gaussian((blocks * 256, kv_tokens))
+    values = Rng(64).gaussian((blocks * kv_tokens, 32))
+    want = np.concatenate([matmul(m, v) for m, v in
+                           zip(np.split(maps, blocks), np.split(values, blocks))])
+    buf = np.zeros(((blocks + 2) * 256, 32), np.float32)
+    got = matmul(maps, values, out=buf[256:-256], blocks=blocks)
+    assert np.shares_memory(got, buf) and got.flags.writeable
+    assert same_bits(buf[256:-256], want)
+    assert not buf[:256].any() and not buf[-256:].any()
+
+
+@pytest.mark.parametrize("fused", ["bias", "scale"])
+@pytest.mark.parametrize("stacked_b", [False, True])
+def test_a_block_product_counts_what_its_blocks_count(fused, stacked_b):
+    blocks, m, k, p = 3, 4, 5, 2
+    a = Rng(65).gaussian((blocks * m, k))
+    b = Rng(66).gaussian(((blocks if stacked_b else 1) * k, p))
+    extra = {"bias": {"bias": Rng(67).gaussian((p,))},
+             "scale": {"scale": 0.25}}[fused]
+    whole, parts = FlopsCounter(), FlopsCounter()
+    with use_flops_counter(whole), whole.step(1), flops_tag("site/value"):
+        matmul(a, b, blocks=blocks, **extra)
+    b_blocks = np.split(b, blocks) if stacked_b else [b] * blocks
+    with use_flops_counter(parts), parts.step(1), flops_tag("site/value"):
+        for a_block, b_block in zip(np.split(a, blocks), b_blocks):
+            matmul(a_block, b_block, **extra)
+    assert whole.total == parts.total == blocks * (2 * m * k * p + m * p)
+    assert whole.tagged == parts.tagged
+
+
+def test_a_block_product_refuses_operands_that_do_not_fit():
+    a, b = np.ones((6, 2), np.float32), np.ones((2, 3), np.float32)
+    for blocks in (0, 4):  # a's 6 rows do not split into 0 or 4 blocks
+        with pytest.raises(ShapeError):
+            matmul(a, b, blocks=blocks)
+    for rows in (3, 4, 8):  # b is neither (2, p) nor (3*2, p)
+        with pytest.raises(ShapeError):
+            matmul(a, np.ones((rows, 3), np.float32), blocks=3)
+    buf = np.zeros((6, 4), np.float32)
+    for out in (buf[:4, :3], buf[:, :3], np.zeros((3, 6), np.float32)):
+        # too few rows, a strided view, and the transposed shape
+        with pytest.raises(ShapeError):
+            matmul(a, b, out=out, blocks=3)
+
+
 # --- softmax ----------------------------------------------------------------
 
 def test_softmax_symmetry():
@@ -395,7 +459,7 @@ def test_counter_steps_and_tags():
     assert [s.flops for s in c.steps] == [16, 16]
     assert c.steps[0].reuse and not c.steps[1].reuse
     assert c.tagged[(1, "site/map")] == 16
-    assert c.tag_total("site/map") == 16
+    assert sum(v for (_, tag), v in c.tagged.items() if tag == "site/map") == 16
 
 
 def test_tag_scope_is_restored_after_an_error_inside_it():

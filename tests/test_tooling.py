@@ -86,10 +86,10 @@ def test_tracer_sees_every_product_of_an_ungated_forward():
 
 
 def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
-    # at N=30 the attention maps run in chunks of rows, and each product is
-    # still one 2-D call through a matmul name the tracer wraps: the spans'
-    # 2mnp sum to what tensor.matmul counts, less the m*p of each fused bias
-    # or scale, which the tracer leaves out
+    # at N=30 attention runs in chunks of rows, and each product, a block
+    # product too, is one call through a matmul name the tracer wraps: the
+    # spans' 2mnp, on the stacked shapes, sum to what tensor.matmul counts,
+    # less the m*p of each fused bias or scale, which the tracer leaves out
     tracing = _tracing()
     cfg = oblix.denoiser.ModelConfig()
     w = oblix.denoiser.ModelWeights.build(cfg, 1001)
@@ -111,13 +111,14 @@ def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
     with tracing.patched(tracer):
         oblix.denoiser.unet_forward(latents, texts, 1, w)
     spans = [span for span in tracer.spans if span[2] == "tensor.matmul"]
-    # 6 trunk products and an output projection per row; per site the value
-    # and output projections, a query and a key projection per chunk, a
-    # score and a value product per row
+    # 6 trunk products and one output projection; per site the output
+    # projection, a query, a key and a value projection and a map-times-value
+    # block product per chunk, and a score product per row
     chunks = {kv: -(-n // max(1, oblix.accel.MAP_CHUNK_BYTES // (4 * s * kv)))
               for kv in (s, t)}
-    assert chunks == {s: 30, t: 2}
-    products = 6 + n + 3 * sum(2 + 2 * chunks[kv] + 2 * n for kv in (s, t))
+    assert chunks == {s: 8, t: 1}
+    products = 6 + 1 + 3 * sum(1 + 4 * chunks[kv] + n for kv in (s, t))
+    assert products == 301
     assert len(spans) == len(counted) == products
     # the 11 biased layers (w_in, w_down, w_mid, w_up, w_out and six wo) and
     # the scale of each (row, site) score product
