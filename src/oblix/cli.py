@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accel import AccelConfig, check_run
+from .accel import AccelConfig, check_run, never
 from .denoiser import ModelConfig, ModelWeights
 from .errors import ConfigError, InputError, OblixError
 from .oblivious import (
@@ -156,7 +156,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     accel_keys = _typed(parser["accel"], {
         "switch_point": int, "cache_point": int, "skip_point": int,
         "reuse": bool, "refresh_period": int, "pivot_index": int})
-    off = schedule.steps + 1  # README: "steps + 1 means never"
+    off = never(schedule.steps)
     accel = AccelConfig(**{"cache_point": off, "skip_point": off, **accel_keys})
 
     try:
@@ -291,7 +291,7 @@ def cmd_bench(args) -> int:
     rc = load_run_config(args.config)
     axes = _parse_grid(args.grid)
     total_steps = rc.session.cloud_schedule.steps
-    never = total_steps + 1
+    off = never(total_steps)
     base = rc.session.accel
     grid = itertools.product(*(axes.get(axis, [default]) for axis, default in (
         ("N", 2), ("k", base.switch_point), ("r", base.cache_point),
@@ -302,8 +302,8 @@ def cmd_bench(args) -> int:
             raise ConfigError(
                 f"no bench prompt for N={n}; choose from "
                 f"{sorted(BENCH_PROMPTS)}")
-        accel = replace(base, switch_point=k, cache_point=min(r, never),
-                        skip_point=min(s, never), reuse=reuse)
+        accel = replace(base, switch_point=k, cache_point=min(r, off),
+                        skip_point=min(s, off), reuse=reuse)
         check_run(accel, total_steps, n)  # n is the prompt's class size
         points.append(({"k": k, "r": r, "s": s, "reuse": reuse, "N": n},
                        replace(rc.session, accel=accel)))

@@ -229,50 +229,48 @@ def expand_candidates(prompt: str, detections: list[Detection],
     tokens = normalize_prompt(prompt).split()
     if not tokens:
         raise InputError("prompt is empty")
-    if not detections:
-        return CandidateSet((" ".join(tokens),), 0)
-
     ordered = sorted(detections, key=lambda d: lex.class_order(d.attr_class))
-    spans = [(d.start, d.end) for d in ordered]
-    for (a_start, a_end), (b_start, b_end) in itertools.combinations(spans, 2):
-        if a_start < b_end and b_start < a_end:
-            raise InternalError("detection spans overlap")
-
     classes = [lex.class_named(d.attr_class) for d in ordered]
+    prompts = _substitute(tokens, [(d.start, d.end, c.values)
+                                   for d, c in zip(ordered, classes)])
+    if "" in prompts:
+        raise InternalError("substitution produced an empty prompt")
+    # the last class varies fastest: the real index is read in mixed radix
+    real_index = 0
+    for det, cls in zip(ordered, classes):
+        if det.value not in cls.values:
+            raise InternalError("real value combination missing from the product")
+        real_index = real_index * len(cls.values) + cls.values.index(det.value)
+    return CandidateSet(tuple(prompts), real_index)
 
-    # one slot template: the tokens with each span collapsed to a slot; a
-    # slot's fills keep the punctuation glued to its span's outermost tokens
+
+def _substitute(tokens: list[str], spans: list[tuple]) -> list[str]:
+    """Each prompt that puts one of its values in every (start, end, values)
+    span, in `itertools.product` order over ``spans``; one template has a slot
+    per span, whose fills keep the punctuation glued to its outer tokens."""
     template: list[str] = []
-    slots = [0] * len(ordered)              # template index, in class order
-    fills: list[tuple[str, ...]] = [()] * len(ordered)
-    real = [""] * len(ordered)
+    slots = [0] * len(spans)                # template index, in span order
+    fills: list[tuple[str, ...]] = [()] * len(spans)
     pos = 0
-    for i, det in sorted(enumerate(ordered), key=lambda p: p[1].start):
-        prefix = _split_token(tokens[det.start])[0]
-        suffix = _split_token(tokens[det.end - 1])[2]
-        fills[i] = tuple(prefix + v + suffix for v in classes[i].values)
-        real[i] = prefix + det.value + suffix
-        template += tokens[pos:det.start]
+    for i, (start, end, values) in sorted(enumerate(spans),
+                                          key=lambda p: p[1][0]):
+        if start < pos:
+            raise InternalError("detection spans overlap")
+        prefix = _split_token(tokens[start])[0]
+        suffix = _split_token(tokens[end - 1])[2]
+        fills[i] = tuple(prefix + v + suffix for v in values)
+        template += tokens[pos:start]
         slots[i] = len(template)
         template.append("")
-        pos = det.end
+        pos = end
     template += tokens[pos:]
-    real_fills = tuple(real)
 
     prompts: list[str] = []
-    real_index = -1
     for combo in itertools.product(*fills):
         for slot, fill in zip(slots, combo):
             template[slot] = fill
-        candidate = " ".join(template)
-        if not candidate:
-            raise InternalError("substitution produced an empty prompt")
-        if combo == real_fills:
-            real_index = len(prompts)
-        prompts.append(candidate)
-    if real_index < 0:
-        raise InternalError("real value combination missing from the product")
-    return CandidateSet(tuple(prompts), real_index)
+        prompts.append(" ".join(template))
+    return prompts
 
 
 def extract_latent(batch: np.ndarray, cset: CandidateSet) -> np.ndarray:
@@ -326,35 +324,32 @@ def load_templates(path: str) -> tuple[str, ...]:
     return templates
 
 
+def _parse_template(template: str, lex: AttributeLexicon) -> tuple[list, list]:
+    """A template's tokens and the (token index, class) of each $class."""
+    tokens = template.split()
+    slots = []
+    for i, token in enumerate(tokens):
+        core = _split_token(token)[1]
+        if core.startswith("$"):
+            if core[1:] not in lex._by_name:
+                raise InputError(f"unknown placeholder {core}")
+            slots.append((i, core[1:]))
+    return tokens, slots
+
+
 def fill_template(template: str, assignment: dict[str, str],
                   lex: AttributeLexicon) -> str:
     """Replace $class placeholders with canonical value surfaces."""
-    out_tokens: list[str] = []
-    for token in template.split():
-        prefix, core, suffix = _split_token(token)
-        if core.startswith("$"):
-            name = core[1:]
-            if name not in {c.name for c in lex.classes}:
-                raise InputError(f"unknown placeholder ${name}")
-            if name not in assignment:
-                raise InputError(f"no value assigned for ${name}")
-            out_tokens.append(prefix + assignment[name] + suffix)
-        else:
-            out_tokens.append(token)
-    return " ".join(out_tokens)
+    tokens, slots = _parse_template(template, lex)
+    for _, name in slots:
+        if name not in assignment:
+            raise InputError(f"no value assigned for ${name}")
+    return _substitute(tokens, [(i, i + 1, (assignment[name],))
+                                for i, name in slots])[0]
 
 
 def template_classes(template: str, lex: AttributeLexicon) -> list[str]:
-    names = []
-    for token in template.split():
-        core = _split_token(token)[1]
-        if core.startswith("$"):
-            name = core[1:]
-            if name not in {c.name for c in lex.classes}:
-                raise InputError(f"unknown placeholder ${name}")
-            if name not in names:
-                names.append(name)
-    return names
+    return list(dict.fromkeys(n for _, n in _parse_template(template, lex)[1]))
 
 
 def generate_corpus(templates: tuple[str, ...], lex: AttributeLexicon,
@@ -367,14 +362,14 @@ def generate_corpus(templates: tuple[str, ...], lex: AttributeLexicon,
     """
     records: list[dict] = []
     for template in templates:
-        names = template_classes(template, lex)
+        tokens, slots = _parse_template(template, lex)
+        names = list(dict.fromkeys(name for _, name in slots))
         spaces = [lex.class_named(n).values for n in names]
         for combo in itertools.product(*spaces):
             assignment = dict(zip(names, combo))
-            records.append({
-                "prompt": fill_template(template, assignment, lex),
-                "attributes": assignment,
-            })
+            prompt = _substitute(tokens, [(i, i + 1, (assignment[name],))
+                                          for i, name in slots])[0]
+            records.append({"prompt": prompt, "attributes": assignment})
     if count is not None and count < len(records):
         rng = random.Random(seed)
         records = rng.sample(records, count)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelConfig, check_run
+from .accel import AccelConfig, check_run, run_plan
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import ConfigError, InputError, ProtocolError, RangeError
 from .oblivious import (
@@ -101,7 +101,8 @@ MAX_SCHEDULE_STEPS = 1000
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """A schedule's wire fields; one that `build_schedule` refuses cannot be made."""
+    """A schedule's wire fields; one over the step cap or that
+    `build_schedule` refuses cannot be made."""
 
     steps: int = schedule_mod.DEFAULT_STEPS
     beta_start: float = schedule_mod.DEFAULT_BETA_START
@@ -110,6 +111,10 @@ class ScheduleParams:
     _built: NoiseSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # checked before the build, which makes three steps-long lists
+        if self.steps > MAX_SCHEDULE_STEPS:
+            raise ConfigError(f"{self.steps} schedule steps exceed the cap "
+                              f"of {MAX_SCHEDULE_STEPS}")
         # betas travel as binary32; canonicalize here so client and server
         # build schedules from exactly the same values
         object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
@@ -137,9 +142,6 @@ class GenerateRequest:
             raise ConfigError(f"{n} candidates, need 1 to {MAX_CANDIDATES}")
         if any(not p.strip() for p in self.candidates):
             raise InputError("a candidate prompt is blank")
-        if self.schedule.steps > MAX_SCHEDULE_STEPS:
-            raise ConfigError(f"{self.schedule.steps} schedule steps exceed "
-                              f"the cap of {MAX_SCHEDULE_STEPS}")
         check_run(self.accel, self.schedule.steps, n)
         # integer compares, not a trial pack: attest makes many requests
         if not 0 <= self.seed < 1 << 64:
@@ -734,6 +736,12 @@ def client_run_session(prompt: str, cfg: SessionConfig, transport,
             raise ProtocolError(
                 f"server FLOPs total {resp.flops_total} differs from the "
                 f"sum of its steps {step_sum}")
+        steps = [(sc.index, sc.recompute, sc.skip, sc.reuse)
+                 for sc in resp.step_costs]
+        plan = run_plan(cfg.accel, 1, k, cset.size)
+        if steps != [(t, *p.gates) for t, p in plan.items()]:
+            raise ProtocolError(f"response steps and gates differ from the "
+                                f"request's run of steps 1 to {k}")
 
         start = boundary = extract_latent(resp.latents, cset)
         index_map = StepIndexMap(cfg.cloud_schedule.steps, dev_sched.steps,

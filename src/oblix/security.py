@@ -93,8 +93,7 @@ def check_indistinguishability(prompt: str, lex: AttributeLexicon, seed: int,
     replay, which must make the check fail (the negative control).
     """
     cfg = _with_seed(cfg, seed)
-    detections = detect_attributes(prompt, lex)
-    cset = expand_candidates(prompt, detections, lex)
+    cset = expand_candidates(prompt, detect_attributes(prompt, lex), lex)
     reference: bytes | None = None
     for member in cset.prompts:
         view = server_view(member, seed, cfg, lex,
@@ -166,8 +165,7 @@ def distinguisher_experiment(lex: AttributeLexicon, cfg: SessionConfig,
     inverse_sizes: list[float] = []
     for _ in range(trials):
         prompt = _random_instance(rng, templates, lex, vary)
-        detections = detect_attributes(prompt, lex)
-        cset = expand_candidates(prompt, detections, lex)
+        cset = expand_candidates(prompt, detect_attributes(prompt, lex), lex)
         real = rng.randrange(cset.size)
         view = server_view(cset.prompts[real], rng.getrandbits(63), cfg,
                            lex).sent_bytes()
@@ -193,10 +191,7 @@ def _random_instance(rng: random.Random, templates, lex: AttributeLexicon,
     """Instantiate a random template; classes outside ``vary`` get fills
     that no lexicon synonym matches, so they never enter the class."""
     template = rng.choice(templates)
-    assignment = {}
-    for name in template_classes(template, lex):
-        if vary is None or name in vary:
-            assignment[name] = rng.choice(lex.class_named(name).values)
-        else:
-            assignment[name] = NEUTRAL_FILLS[name]
+    assignment = {name: rng.choice(lex.class_named(name).values)
+                  if vary is None or name in vary else NEUTRAL_FILLS[name]
+                  for name in template_classes(template, lex)}
     return fill_template(template, assignment, lex)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oblix.cli
+import oblix.schedule
 from oblix.accel import AccelConfig
 from oblix.cli import (
     BENCH_PROMPTS,
@@ -20,7 +21,13 @@ from oblix.cli import (
 from oblix.costmodel import attention_map_flops, expected_run_flops, step_flops
 from oblix.denoiser import ModelConfig, ModelWeights
 from oblix.errors import ConfigError
-from oblix.protocol import Daemon, ScheduleParams, Server, SessionConfig
+from oblix.protocol import (
+    MAX_SCHEDULE_STEPS,
+    Daemon,
+    ScheduleParams,
+    Server,
+    SessionConfig,
+)
 
 
 def _write_config(tmp_path, **overrides):
@@ -139,6 +146,39 @@ def test_a_schedule_below_the_alpha_bar_floor_is_refused_at_load(
     err = capsys.readouterr().err
     assert err.startswith("error: schedule ends at alpha_bar")
     assert len(err.splitlines()) == 1
+
+
+# one step past the cap, in the cloud schedule and in the device's
+OVER_THE_STEP_CAP = {
+    "cloud schedule": {"steps": str(MAX_SCHEDULE_STEPS + 1)},
+    "device schedule": {"device_steps": str(MAX_SCHEDULE_STEPS + 1)},
+}
+
+
+@pytest.mark.parametrize("schedule", OVER_THE_STEP_CAP.values(),
+                         ids=OVER_THE_STEP_CAP.keys())
+def test_a_schedule_over_the_step_cap_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch, schedule):
+    # the build fills three steps-long lists, so a step count in a config
+    # must not size any allocation before the cap refuses it
+    built = []
+    build = oblix.schedule.build_schedule
+
+    def spy(steps, *args):
+        built.append(steps)
+        return build(steps, *args)
+
+    monkeypatch.setattr(oblix.schedule, "build_schedule", spy)
+    monkeypatch.setattr(oblix.cli, "client_run_session", None)  # no compute
+    path = _write_config(tmp_path, accel={"switch_point": "0"},
+                         schedule=schedule)
+    assert main(["generate", "--config", path, "--prompt", "a red bicycle"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {MAX_SCHEDULE_STEPS + 1} schedule steps exceed "
+                   f"the cap of {MAX_SCHEDULE_STEPS}\n")
+    with pytest.raises(ConfigError, match="exceed the cap"):
+        ScheduleParams(MAX_SCHEDULE_STEPS + 1)
+    assert MAX_SCHEDULE_STEPS + 1 not in built
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -315,13 +318,33 @@ def test_data_files_match_builtin_defaults():
 
 # --- templates and corpus -------------------------------------------------------------
 
-def test_template_fill_and_unknown_placeholder():
-    out = fill_template("photo of a $age $gender", {
-        "age": "young", "gender": "male"}, LEX)
-    assert out == "photo of a young male"
-    with pytest.raises(InputError) as err:
-        fill_template("photo of a $species", {}, LEX)
-    assert "$species" in str(err.value)
+TEMPLATE_FILLS = {
+    "assigned": ("photo of a $age $gender", {"age": "young", "gender": "male"},
+                 "photo of a young male"),
+    "repeated placeholder": ("a $gender beside a $gender", {"gender": "female"},
+                             "a female beside a female"),
+    "glued punctuation": ("($age, $gender).", {"age": "old", "gender": "male"},
+                          "(old, male)."),
+    "missing assignment": ("photo of a $age $gender", {"age": "young"},
+                           InputError("no value assigned for $gender")),
+    "unknown class": ("photo of a $species", {},
+                      InputError("unknown placeholder $species")),
+}
+
+
+@pytest.mark.parametrize("template, assignment, expected",
+                         TEMPLATE_FILLS.values(), ids=TEMPLATE_FILLS.keys())
+def test_template_fill(template, assignment, expected):
+    if isinstance(expected, InputError):
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected))}$"):
+            fill_template(template, assignment, LEX)
+        return
+    assert fill_template(template, assignment, LEX) == expected
+    # the assignment names each class once, in the order of first mention,
+    # and the corpus fills a template the same way
+    assert template_classes(template, LEX) == list(assignment)
+    assert {"prompt": expected, "attributes": assignment} in generate_corpus(
+        (template,), LEX)
 
 
 def test_default_templates_cover_all_three_classes():
@@ -335,6 +358,21 @@ def test_full_corpus_is_300_distinct_prompts():
     records = generate_corpus(DEFAULT_TEMPLATES, LEX)
     assert len(records) == 300
     assert len({r["prompt"] for r in records}) == 300
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_corpus_and_its_expansions_keep_their_digests():
+    # every prompt, attribute assignment, candidate list and real index the
+    # template and substitution code writes for the default corpus, in order
+    records = generate_corpus(DEFAULT_TEMPLATES, LEX)
+    assert _sha256(records) == (
+        "6024f263af53d16d23f9659f1fcd2a104b6bfa2d147c748a3b682dfcd7ea3964")
+    expansions = [_expand(rec["prompt"]) for rec in records]
+    assert _sha256([[list(c.prompts), c.real_index] for c in expansions]) == (
+        "8ad64880b0f711b16a807fcec5cab0345739d50a10ced386230fe17796e51d1f")
 
 
 def test_corpus_sampling_is_seed_pinned():

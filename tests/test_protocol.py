@@ -742,6 +742,36 @@ def test_client_rejects_row_count_mismatch():
                            W, LEX)
 
 
+# doctored step lists that keep every step's FLOPs, so the sum still holds
+STEP_LIST_FORGERIES = {
+    "renumbered": lambda steps: [dataclasses.replace(sc, index=99 - i)
+                                 for i, sc in enumerate(steps)],
+    "one gate flag flipped": lambda steps: [
+        dataclasses.replace(sc, skip=not sc.skip) if sc.index == 3 else sc
+        for sc in steps],
+}
+
+
+@pytest.mark.parametrize("forge", STEP_LIST_FORGERIES.values(),
+                         ids=STEP_LIST_FORGERIES.keys())
+def test_client_rejects_steps_other_than_the_requests_run(forge):
+    class ForgingTransport(SimulatedTransport):
+        def roundtrip(self, request):
+            resp = decode_frame(super().roundtrip(request))
+            return encode_frame(dataclasses.replace(
+                resp, step_costs=tuple(forge(resp.step_costs))))
+
+    cfg = _session(k=4, cache_point=2, reuse=True)
+    result = client_run_session("portrait of a man", cfg,
+                                SimulatedTransport(_server()), W, LEX)
+    assert [(sc.index, sc.recompute, sc.reuse)
+            for sc in result.response.step_costs] == [
+        (1, True, True), (2, True, True), (3, False, False), (4, False, False)]
+    with pytest.raises(ProtocolError, match="run of steps 1 to 4"):
+        client_run_session("portrait of a man", cfg,
+                           ForgingTransport(_server()), W, LEX)
+
+
 def test_fp16_boundary_is_the_only_lossy_point():
     cfg = _session(k=3)
     result = client_run_session("portrait of a man", cfg,

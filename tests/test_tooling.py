@@ -4,10 +4,12 @@ not only in a traced benchmark run."""
 
 import importlib.util
 import inspect
+import os
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 import oblix.accel
 import oblix.denoiser
@@ -17,7 +19,8 @@ from oblix.oblivious import default_lexicon
 from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
 from oblix.tensor import Rng
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -25,6 +28,29 @@ def _tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_benchmark_module_imports(path, monkeypatch):
+    # each one imports oblix names at load, so a rename or removal in
+    # `src/` fails here, not only in a benchmark run; its siblings load by
+    # bare name, as the benchmark runs them, and are dropped afterwards
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # run.py and pin_digests.py pin one BLAS thread in the environment
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
+    before = set(sys.modules)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for name in set(sys.modules) - before:
+            if str(PERFBENCH) in (getattr(sys.modules[name], "__file__", None)
+                                  or ""):
+                del sys.modules[name]
 
 
 def test_every_traced_attribute_exists():
