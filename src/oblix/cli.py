@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accel import AccelConfig, check_run, never
+from .accel import AccelConfig, never
 from .denoiser import ModelConfig, ModelWeights
 from .errors import ConfigError, InputError, OblixError
 from .oblivious import (
@@ -38,6 +38,7 @@ from .protocol import (
     SessionConfig,
     SimulatedTransport,
     SocketTransport,
+    build_request,
     client_run_session,
 )
 from .security import (
@@ -296,7 +297,7 @@ def cmd_bench(args) -> int:
     grid = itertools.product(*(axes.get(axis, [default]) for axis, default in (
         ("N", 2), ("k", base.switch_point), ("r", base.cache_point),
         ("s", base.skip_point), ("reuse", base.reuse))))
-    points = []  # every grid point's session is made before any runs
+    points = []  # every grid point's request is made before any runs
     for n, k, r, s, reuse in grid:
         if n not in BENCH_PROMPTS:
             raise ConfigError(
@@ -304,9 +305,10 @@ def cmd_bench(args) -> int:
                 f"{sorted(BENCH_PROMPTS)}")
         accel = replace(base, switch_point=k, cache_point=min(r, off),
                         skip_point=min(s, off), reuse=reuse)
-        check_run(accel, total_steps, n)  # n is the prompt's class size
+        session = replace(rc.session, accel=accel)
+        build_request(BENCH_PROMPTS[n], session, rc.lexicon)
         points.append(({"k": k, "r": r, "s": s, "reuse": reuse, "N": n},
-                       replace(rc.session, accel=accel)))
+                       session))
 
     transport = SimulatedTransport(Server({rc.model_id: rc.cloud_weights}))
     records = []

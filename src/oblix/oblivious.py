@@ -103,6 +103,8 @@ class AttributeLexicon:
                 raise ConfigError(f"line {lineno}: value outside any [class]")
             canonical, _, rest = line.partition(":")
             canonical = canonical.strip()
+            if not canonical:
+                raise ConfigError(f"line {lineno}: empty value")
             values.append(canonical)
             synonyms[canonical.lower()] = canonical
             for surface in rest.split(","):
@@ -254,6 +256,9 @@ def _substitute(tokens: list[str], spans: list[tuple]) -> list[str]:
     pos = 0
     for i, (start, end, values) in sorted(enumerate(spans),
                                           key=lambda p: p[1][0]):
+        if not 0 <= start < end <= len(tokens):
+            raise InputError(f"detection span ({start}, {end}) is empty or "
+                             f"outside the prompt's {len(tokens)} tokens")
         if start < pos:
             raise InternalError("detection spans overlap")
         prefix = _split_token(tokens[start])[0]

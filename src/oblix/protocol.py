@@ -97,6 +97,11 @@ FRAME_READ_TIMEOUT_S = 30.0
 # response of the default model is 0.5 MB), and DDPM's T
 MAX_CANDIDATES = 256
 MAX_SCHEDULE_STEPS = 1000
+# row-steps (candidates x cloud steps) one request may ask the server for:
+# bulk traffic runs 30 x 25 = 750, interactive at most 30 x 10 = 300, and
+# N=30 over a 50-step schedule 1,500; the cap is 8 forwards of the largest
+# class, about 3.4 s at 0.42 s per N=256 forward, not 256 x 1000 (7 min)
+MAX_ROW_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,9 @@ class GenerateRequest:
         if any(not p.strip() for p in self.candidates):
             raise InputError("a candidate prompt is blank")
         check_run(self.accel, self.schedule.steps, n)
+        if n * self.accel.switch_point > MAX_ROW_STEPS:
+            raise ConfigError(f"{n} candidates x {self.accel.switch_point} "
+                              f"cloud steps exceed {MAX_ROW_STEPS} row-steps")
         # integer compares, not a trial pack: attest makes many requests
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed {self.seed} does not fit the wire's "

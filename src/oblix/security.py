@@ -16,7 +16,6 @@ tokens); what it hides is which member is real.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
@@ -113,6 +112,7 @@ def check_indistinguishability(prompt: str, lex: AttributeLexicon, seed: int,
 
 def hash_bucket_adversary(transcript: bytes, class_size: int) -> int:
     """Deterministic transcript-only guesser: hash the bytes into a bucket."""
+    import hashlib  # loads OpenSSL (3.5 MB resident): only attest needs it
     digest = hashlib.sha256(transcript).digest()
     return int.from_bytes(digest[:8], "little") % class_size
 

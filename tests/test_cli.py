@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 
@@ -55,17 +57,51 @@ def _write_config(tmp_path, **overrides):
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_config_sample_loads(tmp_path):
+def _readme_sample(tmp_path) -> str:
     sample = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
     path = tmp_path / "run.ini"
     path.write_text(sample.split("```", 1)[0], encoding="utf-8")
-    rc = load_run_config(str(path))
+    return str(path)
+
+
+def test_readme_config_sample_loads(tmp_path):
+    rc = load_run_config(_readme_sample(tmp_path))
     assert (rc.cloud_weights.seed, rc.device_weights.seed) == (1001, 2002)
     assert rc.session.cloud_schedule.spacing == "scaled-linear"
     accel = rc.session.accel
     assert (accel.switch_point, accel.cache_point, accel.skip_point,
             accel.reuse) == (10, 4, 6, True)
     assert rc.session.seed == 42
+
+
+# one session on the README config, as `oblix serve` and `oblix client` run
+# it, in a fresh interpreter; prints the TLS and hash modules it loaded
+SERVE_AND_FINISH = """
+import sys
+from dataclasses import replace
+from oblix.cli import BENCH_PROMPTS, load_run_config
+from oblix.protocol import Server, SimulatedTransport, client_run_session
+rc = load_run_config(sys.argv[1])
+cfg = replace(rc.session, accel=replace(rc.session.accel, switch_point=2))
+server = Server({rc.model_id: rc.cloud_weights})
+result = client_run_session(BENCH_PROMPTS[2], cfg, SimulatedTransport(server),
+                            rc.device_weights, rc.lexicon)
+assert result.candidates.size == 2 and len(result.response.step_costs) == 2
+assert result.device_counter.total > 0
+print(sorted({"_hashlib", "hashlib", "_ssl", "ssl"} & set(sys.modules)))
+"""
+
+
+def test_serving_and_the_device_finish_load_no_openssl(tmp_path):
+    # OpenSSL adds about 3.6 MB to every process that loads it; only the
+    # attest adversary hashes, and it imports hashlib itself
+    src = str(pathlib.Path(oblix.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SERVE_AND_FINISH, _readme_sample(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_a_config_of_only_weight_seeds_takes_every_dataclass_default(tmp_path):
@@ -507,13 +543,18 @@ def test_bench_refuses_malformed_grid_axes(tmp_path, capsys, grid, names,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["k=2,4,9 N=1", "k=4 r=4,0 N=1",
-                                  "k=4 s=4,1 N=1", "N=1,2 k=4 reuse=0,1"])
+# grid -> schedule steps; the last point of each grid is refused: k beyond
+# the 8-step schedule, a cache point of 0, a skip point of 1, a pivot
+# outside a class of 2, and 30 x 69 row-steps, over the cap of 2,048
+BAD_GRIDS = {"k=2,4,9 N=1": 8, "k=4 r=4,0 N=1": 8, "k=4 s=4,1 N=1": 8,
+             "N=1,2 k=4 reuse=0,1": 8, "N=1,30 k=69": 69}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
 def test_bench_refuses_a_bad_grid_point_before_any_session_runs(
         tmp_path, capsys, monkeypatch, grid):
-    # the last point of each grid is refused: k beyond the 8-step schedule,
-    # a cache point of 0, a skip point of 1, a pivot outside a class of 2
-    path = _write_config(tmp_path, accel={"pivot_index": "2"})
+    path = _write_config(tmp_path, accel={"pivot_index": "2"},
+                         schedule={"steps": str(BAD_GRIDS[grid])})
     runs = []
     real = oblix.cli.client_run_session
     monkeypatch.setattr(oblix.cli, "client_run_session",

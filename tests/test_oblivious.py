@@ -14,6 +14,7 @@ from oblix.oblivious import (
     AttributeLexicon,
     CandidateSet,
     DEFAULT_TEMPLATES,
+    Detection,
     default_lexicon,
     detect_attributes,
     expand_candidates,
@@ -141,6 +142,16 @@ def test_whitespace_is_normalized_before_expansion():
     a = _expand("  portrait   of a  man ")
     b = _expand("portrait of a man")
     assert a.prompts == b.prompts
+
+
+@pytest.mark.parametrize("span", [(2, 2), (4, 5), (3, 5), (-1, 1)])
+def test_expansion_refuses_an_empty_or_outside_span(span):
+    # a caller-built detection must replace tokens of the prompt; an empty
+    # span would insert its value in front of a token instead
+    prompt = "a young african man"
+    det = Detection(*span, "age", "young")
+    with pytest.raises(InputError, match=re.escape(f"span {span}")):
+        expand_candidates(prompt, [det], LEX)
 
 
 # --- property: the slot template equals span-by-span substitution -------------------
@@ -297,6 +308,12 @@ def test_lexicon_rejects_surfaces_that_scan_as_the_same_tokens():
 def test_lexicon_parse_rejects_orphan_value():
     with pytest.raises(ConfigError):
         AttributeLexicon.from_text("lonely: alone\n")
+
+
+def test_lexicon_parse_rejects_an_empty_value():
+    # with it, "foo" would expand to an empty prompt and "a foo" to "a "
+    with pytest.raises(ConfigError, match="line 2: empty value"):
+        AttributeLexicon.from_text("[c]\n: foo\nbar:\n")
 
 
 def test_lexicon_file_roundtrip(tmp_path):

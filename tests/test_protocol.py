@@ -30,6 +30,7 @@ from oblix.protocol import (
     MAGIC,
     MAX_CANDIDATES,
     MAX_FRAME_BYTES,
+    MAX_ROW_STEPS,
     MAX_SCHEDULE_STEPS,
     ScheduleParams,
     Server,
@@ -1127,6 +1128,33 @@ def test_decode_refuses_counts_above_caps_before_reading_them():
     at_caps = _request(candidates=("x",) * MAX_CANDIDATES,
                        schedule=ScheduleParams(MAX_SCHEDULE_STEPS))
     assert decode_frame(encode_frame(at_caps)) == at_caps
+
+
+def test_a_request_holds_at_most_max_row_steps():
+    # at the cap a request is built and decoded; one row-step over it, it
+    # is refused both ways, as every other invalid request is
+    for n, k in ((MAX_CANDIDATES, 8), (4, 512)):
+        assert n * k == MAX_ROW_STEPS
+        fields = dict(candidates=("x",) * n, switch_point=k, steps=k)
+        assert decode_frame(_raw_frame(**fields)) == _request(**fields)
+    over = dict(candidates=("x",) * 3, switch_point=683, steps=683)
+    assert 3 * 683 == MAX_ROW_STEPS + 1
+    with pytest.raises(ConfigError, match=f"exceed {MAX_ROW_STEPS} row-steps"):
+        _request(**over)
+    with pytest.raises(ProtocolError, match="row-steps") as err:
+        decode_frame(_raw_frame(**over))
+    assert err.value.offset == 10
+
+
+def test_client_refuses_a_request_over_the_row_step_cap_before_sending():
+    class UnusedTransport:
+        def roundtrip(self, data):
+            raise AssertionError("a refused request must not be sent")
+
+    # a class of 30 over 69 cloud steps: 2,070 row-steps
+    with pytest.raises(ConfigError, match="30 candidates x 69 cloud steps"):
+        client_run_session("portrait of a young african man",
+                           _session(k=69, steps=69), UnusedTransport(), W, LEX)
 
 
 def test_encode_refuses_counts_above_caps():

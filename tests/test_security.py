@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import pytest
@@ -126,6 +127,16 @@ def test_adversaries_are_deterministic_functions_of_bytes():
     assert hash_bucket_adversary(blob, 6) == hash_bucket_adversary(blob, 6)
     assert 0 <= hash_bucket_adversary(blob, 6) < 6
     assert 0 <= byte_sum_adversary(blob, 6) < 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 30, 256])
+def test_hash_adversary_buckets_the_sha256_of_the_bytes(n):
+    # the first 8 digest bytes, little-endian, modulo the class size
+    for blob in (b"", b"\x00", b"some transcript bytes", bytes(range(256)),
+                 b"OBL1" * 1000):
+        digest = hashlib.sha256(blob).digest()
+        assert hash_bucket_adversary(blob, n) == \
+            int.from_bytes(digest[:8], "little") % n, (blob[:8], n)
 
 
 def test_distinguisher_requires_enough_trials():
