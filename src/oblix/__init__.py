@@ -43,7 +43,6 @@ from .protocol import (
 from .schedule import (
     NoiseSchedule,
     StepIndexMap,
-    build_schedule,
     ddim_step,
     forward_diffuse,
     map_timestep,

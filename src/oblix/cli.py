@@ -33,7 +33,6 @@ from .oblivious import (
 from .protocol import (
     ChannelModel,
     Daemon,
-    ScheduleParams,
     Server,
     SessionConfig,
     SimulatedTransport,
@@ -41,6 +40,7 @@ from .protocol import (
     build_request,
     client_run_session,
 )
+from .schedule import NoiseSchedule
 from .security import (
     LEAKY_ADVERSARY,
     check_indistinguishability,
@@ -150,7 +150,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             f"{c.res}, device weights take {d.channels} at res {d.res}")
 
     sched_sec = parser["schedule"]
-    schedule = ScheduleParams(**_typed(sched_sec, {
+    schedule = NoiseSchedule(**_typed(sched_sec, {
         "steps": int, "beta_start": float, "beta_end": float,
         "spacing": str}))
 

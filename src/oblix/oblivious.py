@@ -45,7 +45,13 @@ class AttributeLexicon:
             raise ConfigError("lexicon needs at least one attribute class")
         # token tuple of each surface -> (class name, canonical value)
         self.surfaces: dict[tuple[str, ...], tuple[str, str]] = {}
+        self._order: dict[str, int] = {}
         for cls in classes:
+            if not cls.name:
+                raise ConfigError("an attribute class has an empty name")
+            if cls.name in self._order:
+                raise ConfigError(f"class {cls.name!r} appears twice")
+            self._order[cls.name] = len(self._order)
             if not cls.values:
                 raise ConfigError(f"class {cls.name!r} has an empty value space")
             if len(set(cls.values)) != len(cls.values):
@@ -61,7 +67,6 @@ class AttributeLexicon:
                 self.surfaces[key] = (cls.name, canonical)
         self.classes = tuple(classes)
         self._by_name = {c.name: c for c in classes}
-        self._order = {c.name: i for i, c in enumerate(classes)}
         # longest synonym first so multi-token surfaces win the scan
         self.max_ngram = max(len(key) for key in self.surfaces)
 
@@ -231,6 +236,11 @@ def expand_candidates(prompt: str, detections: list[Detection],
     tokens = normalize_prompt(prompt).split()
     if not tokens:
         raise InputError("prompt is empty")
+    for d in detections:
+        if d.attr_class not in lex._by_name:
+            raise InputError(f"unknown attribute class {d.attr_class!r}")
+        if d.value not in lex._by_name[d.attr_class].values:
+            raise InputError(f"value {d.value!r} is not in class {d.attr_class!r}")
     ordered = sorted(detections, key=lambda d: lex.class_order(d.attr_class))
     classes = [lex.class_named(d.attr_class) for d in ordered]
     prompts = _substitute(tokens, [(d.start, d.end, c.values)
@@ -240,8 +250,6 @@ def expand_candidates(prompt: str, detections: list[Detection],
     # the last class varies fastest: the real index is read in mixed radix
     real_index = 0
     for det, cls in zip(ordered, classes):
-        if det.value not in cls.values:
-            raise InternalError("real value combination missing from the product")
         real_index = real_index * len(cls.values) + cls.values.index(det.value)
     return CandidateSet(tuple(prompts), real_index)
 
@@ -260,14 +268,14 @@ def _substitute(tokens: list[str], spans: list[tuple]) -> list[str]:
             raise InputError(f"detection span ({start}, {end}) is empty or "
                              f"outside the prompt's {len(tokens)} tokens")
         if start < pos:
-            raise InternalError("detection spans overlap")
+            raise InputError(f"detection spans {last} and {(start, end)} overlap")
         prefix = _split_token(tokens[start])[0]
         suffix = _split_token(tokens[end - 1])[2]
         fills[i] = tuple(prefix + v + suffix for v in values)
         template += tokens[pos:start]
         slots[i] = len(template)
         template.append("")
-        pos = end
+        last, pos = (start, end), end
     template += tokens[pos:]
 
     prompts: list[str] = []

@@ -12,8 +12,8 @@ Request payload, fields in declared order:
     gate fields, the AccelConfig: u32 cloud step count (switch point) |
         u32 cache point | u32 skip point | u8 reuse (0 or 1) | u32 refresh |
         u32 pivot
-    u32 schedule steps (at most MAX_SCHEDULE_STEPS) | f32 beta start |
-        f32 beta end | u8 spacing
+    the NoiseSchedule: u32 steps (at most MAX_SCHEDULE_STEPS) |
+        f32 beta start | f32 beta end | u8 spacing
     u32 model id length + UTF-8
 
 Response payload:
@@ -58,8 +58,8 @@ from .oblivious import (
     expand_candidates,
     extract_latent,
 )
-from . import schedule as schedule_mod
-from .schedule import SPACINGS, NoiseSchedule, StepIndexMap, map_timestep
+from .schedule import MAX_SCHEDULE_STEPS, SPACINGS, NoiseSchedule, \
+    StepIndexMap, map_timestep
 from .tensor import (
     FlopsCounter,
     Rng,
@@ -91,44 +91,16 @@ MAX_FRAME_BYTES = 16 * 2**20
 # hold a handler thread; the wait for a first byte is unbounded, since a
 # client keeps its connection open between sessions
 FRAME_READ_TIMEOUT_S = 30.0
-# the peer chooses both u32 fields and the server allocates per candidate
-# and per schedule step, so no request holds more, and decode refuses both
-# before reading per item: 8.5x the largest candidate class of 30 (an N=256
-# response of the default model is 0.5 MB), and DDPM's T
+# the peer chooses the u32 candidate count and the server allocates per
+# candidate, so no request holds more, and decode refuses a larger count
+# before reading per candidate: 8.5x the largest candidate class of 30 (an
+# N=256 response of the default model is 0.5 MB)
 MAX_CANDIDATES = 256
-MAX_SCHEDULE_STEPS = 1000
 # row-steps (candidates x cloud steps) one request may ask the server for:
 # bulk traffic runs 30 x 25 = 750, interactive at most 30 x 10 = 300, and
 # N=30 over a 50-step schedule 1,500; the cap is 8 forwards of the largest
 # class, about 3.4 s at 0.42 s per N=256 forward, not 256 x 1000 (7 min)
 MAX_ROW_STEPS = 2048
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    """A schedule's wire fields; one over the step cap or that
-    `build_schedule` refuses cannot be made."""
-
-    steps: int = schedule_mod.DEFAULT_STEPS
-    beta_start: float = schedule_mod.DEFAULT_BETA_START
-    beta_end: float = schedule_mod.DEFAULT_BETA_END
-    spacing: str = schedule_mod.DEFAULT_SPACING
-    _built: NoiseSchedule = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # checked before the build, which makes three steps-long lists
-        if self.steps > MAX_SCHEDULE_STEPS:
-            raise ConfigError(f"{self.steps} schedule steps exceed the cap "
-                              f"of {MAX_SCHEDULE_STEPS}")
-        # betas travel as binary32; canonicalize here so client and server
-        # build schedules from exactly the same values
-        object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
-        object.__setattr__(self, "beta_end", float(np.float32(self.beta_end)))
-        object.__setattr__(self, "_built", schedule_mod.build_schedule(
-            self.steps, self.beta_start, self.beta_end, self.spacing))
-
-    def build(self) -> NoiseSchedule:
-        return self._built
 
 
 @dataclass(frozen=True)
@@ -138,7 +110,7 @@ class GenerateRequest:
     candidates: tuple[str, ...]
     seed: int
     accel: AccelConfig         # accel.switch_point is the cloud step count
-    schedule: ScheduleParams
+    schedule: NoiseSchedule
     model_id: str
 
     def __post_init__(self):
@@ -316,7 +288,7 @@ def decode_frame(raw: bytes) -> GenerateRequest | GenerateResponse:
         model_id = r.take_str()
         _expect_end(r)
         try:
-            return GenerateRequest(candidates, seed, accel, ScheduleParams(
+            return GenerateRequest(candidates, seed, accel, NoiseSchedule(
                 steps, beta_start, beta_end, SPACINGS[spacing_idx]), model_id)
         except (ConfigError, InputError) as exc:
             raise ProtocolError(f"invalid request: {exc}",
@@ -386,7 +358,6 @@ class Server:
         w = self.weights[req.model_id]
         cfg = w.cfg
         k = req.accel.switch_point
-        sched = req.schedule.build()
         texts = [embed_prompt(p, cfg) for p in req.candidates]
 
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
@@ -395,14 +366,14 @@ class Server:
         counter = FlopsCounter()
         if k > 0:
             with use_flops_counter(counter):
-                latents = run_denoise_steps(latents, texts, sched, w, 1, k,
-                                            req.accel)
+                latents = run_denoise_steps(latents, texts, req.schedule,
+                                            w, 1, k, req.accel)
         try:
             latents = fp16_roundtrip(latents)
         except RangeError as exc:
             raise ProtocolError(f"latents cannot be handed off: {exc}") from None
         return GenerateResponse(
-            step_reached=sched.steps - k,
+            step_reached=req.schedule.steps - k,
             latents=latents,
             flops_total=counter.total,
             step_costs=tuple(counter.steps),
@@ -568,11 +539,11 @@ class SessionConfig:
     model_id: str = "toy"
     seed: int = 0
     accel: AccelConfig = field(default_factory=AccelConfig)
-    cloud_schedule: ScheduleParams = field(default_factory=ScheduleParams)
+    cloud_schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     device_steps: int | None = None          # defaults to the cloud step count
     dt_shift: int = 0
     channel: ChannelModel = field(default_factory=ChannelModel)
-    _device: ScheduleParams = field(init=False, repr=False, compare=False)
+    _device: NoiseSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cs, steps = self.cloud_schedule, self.device_steps
@@ -582,7 +553,7 @@ class SessionConfig:
         object.__setattr__(self, "_device", cs if steps in (None, cs.steps)
                            else replace(cs, steps=steps))
 
-    def device_schedule(self) -> ScheduleParams:
+    def device_schedule(self) -> NoiseSchedule:
         return self._device
 
 
@@ -700,7 +671,7 @@ def client_run_session(prompt: str, cfg: SessionConfig, transport,
     """
     notes: list[str] = []
     transcript: list[tuple[str, bytes]] = []
-    dev_sched = cfg.device_schedule().build()
+    dev_sched = cfg.device_schedule()
     k = cfg.accel.switch_point
     dcfg = device_weights.cfg
     req = resp = boundary = None

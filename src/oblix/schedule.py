@@ -14,7 +14,7 @@ Two index spaces coexist and are easy to conflate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,9 @@ DEFAULT_BETA_END = 0.012
 DEFAULT_STEPS = 25
 DEFAULT_SPACING = "scaled-linear"
 SPACINGS = ("linear", "scaled-linear")  # in wire-code order
+# the server allocates per schedule step and decode refuses a larger count
+# before reading per item: DDPM's T
+MAX_SCHEDULE_STEPS = 1000
 # ddim_step divides by sqrt(alpha_bar_T); below float32's smallest normal
 # a run's first step overflows or divides by zero
 ALPHA_BAR_FLOOR = float(np.finfo(np.float32).tiny)
@@ -33,16 +36,63 @@ ALPHA_BAR_FLOOR = float(np.finfo(np.float32).tiny)
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise amounts and their running products.
+    """Per-step noise amounts and their running products, built when it is
+    made, so no schedule exists that cannot be built.
 
-    ``beta[i]``, ``alpha[i]`` and ``alpha_bar[i]`` correspond to schedule
-    index i+1; use the accessors to stay in 1-based index space.
+    ``linear`` interpolates beta directly, ``scaled-linear`` interpolates
+    sqrt(beta) (the usual latent-diffusion choice).  ``beta[i]``,
+    ``alpha[i]`` and ``alpha_bar[i]`` correspond to schedule index i+1; use
+    the accessors to stay in 1-based index space.
     """
 
-    steps: int
-    beta: tuple[float, ...]
-    alpha: tuple[float, ...]
-    alpha_bar: tuple[float, ...]
+    steps: int = DEFAULT_STEPS
+    beta_start: float = DEFAULT_BETA_START
+    beta_end: float = DEFAULT_BETA_END
+    spacing: str = DEFAULT_SPACING
+    beta: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    alpha: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    alpha_bar: tuple[float, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # checked before the build, which makes three steps-long lists
+        if self.steps > MAX_SCHEDULE_STEPS:
+            raise ConfigError(f"{self.steps} schedule steps exceed the cap "
+                              f"of {MAX_SCHEDULE_STEPS}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        # betas travel as binary32; canonicalize here so client and server
+        # build schedules from exactly the same values
+        object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
+        object.__setattr__(self, "beta_end", float(np.float32(self.beta_end)))
+        steps, beta_start, beta_end = self.steps, self.beta_start, self.beta_end
+        if not (0.0 < beta_start <= beta_end < 1.0):
+            raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got "
+                              f"{beta_start}, {beta_end}")
+        if self.spacing not in SPACINGS:
+            raise ConfigError(f"unknown spacing {self.spacing!r}")
+
+        if steps == 1:
+            betas = [beta_start]
+        elif self.spacing == "linear":
+            step = (beta_end - beta_start) / (steps - 1)
+            betas = [beta_start + i * step for i in range(steps)]
+        else:
+            lo, hi = math.sqrt(beta_start), math.sqrt(beta_end)
+            step = (hi - lo) / (steps - 1)
+            betas = [(lo + i * step) ** 2 for i in range(steps)]
+
+        alphas = [1.0 - b for b in betas]
+        bars: list[float] = []
+        running = 1.0
+        for a in alphas:
+            running *= a
+            bars.append(running)
+        if running < ALPHA_BAR_FLOOR:
+            raise ConfigError(f"schedule ends at alpha_bar {running}, below "
+                              f"float32's smallest normal {ALPHA_BAR_FLOOR}")
+        object.__setattr__(self, "beta", tuple(betas))
+        object.__setattr__(self, "alpha", tuple(alphas))
+        object.__setattr__(self, "alpha_bar", tuple(bars))
 
     def _check(self, t: int) -> None:
         if not 1 <= t <= self.steps:
@@ -61,46 +111,6 @@ class NoiseSchedule:
             return 1.0
         self._check(t)
         return self.alpha_bar[t - 1]
-
-
-def build_schedule(steps: int = DEFAULT_STEPS,
-                   beta_start: float = DEFAULT_BETA_START,
-                   beta_end: float = DEFAULT_BETA_END,
-                   spacing: str = DEFAULT_SPACING) -> NoiseSchedule:
-    """Interpolate beta over ``steps`` and accumulate the alpha products.
-
-    ``linear`` interpolates beta directly, ``scaled-linear`` interpolates
-    sqrt(beta) (the usual latent-diffusion choice).
-    """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
-        )
-    if spacing not in SPACINGS:
-        raise ConfigError(f"unknown spacing {spacing!r}")
-
-    if steps == 1:
-        betas = [beta_start]
-    elif spacing == "linear":
-        step = (beta_end - beta_start) / (steps - 1)
-        betas = [beta_start + i * step for i in range(steps)]
-    else:
-        lo, hi = math.sqrt(beta_start), math.sqrt(beta_end)
-        step = (hi - lo) / (steps - 1)
-        betas = [(lo + i * step) ** 2 for i in range(steps)]
-
-    alphas = [1.0 - b for b in betas]
-    bars: list[float] = []
-    running = 1.0
-    for a in alphas:
-        running *= a
-        bars.append(running)
-    if running < ALPHA_BAR_FLOOR:
-        raise ConfigError(f"schedule ends at alpha_bar {running}, below "
-                          f"float32's smallest normal {ALPHA_BAR_FLOOR}")
-    return NoiseSchedule(steps, tuple(betas), tuple(alphas), tuple(bars))
 
 
 def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,

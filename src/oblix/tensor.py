@@ -99,9 +99,6 @@ class FlopsCounter:
             self.steps.append(self._current)
             self._current = None
 
-    def tag(self, name: str) -> _TagScope:
-        return _TagScope(self, name)
-
 
 _ACTIVE_COUNTER: ContextVar[FlopsCounter | None] = ContextVar(
     "oblix_flops_counter", default=None

@@ -30,7 +30,7 @@ from oblix.denoiser import (
     unet_forward,
 )
 from oblix.errors import ConfigError, InternalError, ShapeError
-from oblix.schedule import build_schedule
+from oblix.schedule import NoiseSchedule
 from oblix.tensor import Rng, row_blocks
 
 from bitwise import WriteLog, same_bits, spy_attend, spy_states
@@ -399,7 +399,7 @@ def test_a_run_caches_exactly_what_later_steps_read(cache, skip, refresh,
                                                      reuse, k, n):
     cfg = AccelConfig(switch_point=k, cache_point=cache, skip_point=skip,
                       refresh_period=refresh, reuse=reuse)
-    x, texts, sched = _latents(n), _texts(n), build_schedule(25)
+    x, texts, sched = _latents(n), _texts(n), NoiseSchedule(25)
     decided, real_gates = [], oblix.accel.step_gates
     with pytest.MonkeyPatch.context() as m:
         attended = spy_attend(m)

@@ -38,14 +38,13 @@ from oblix.oblivious import (
 )
 from oblix.protocol import (
     ChannelModel,
-    ScheduleParams,
     Server,
     SessionConfig,
     SimulatedTransport,
     client_run_session,
     simulate_transfer,
 )
-from oblix.schedule import build_schedule, ddim_step, forward_diffuse, \
+from oblix.schedule import NoiseSchedule, ddim_step, forward_diffuse, \
     reverse_step_eq1
 from oblix.security import check_indistinguishability, distinguisher_experiment
 from oblix.tensor import FlopsCounter, Rng, fp16_roundtrip, row_blocks, \
@@ -82,7 +81,7 @@ def _session(k, steps=25, seed=42, reuse=False, cache_point=None,
         reuse=reuse,
     )
     return SessionConfig(model_id=model_id, seed=seed, accel=accel,
-                         cloud_schedule=ScheduleParams(steps))
+                         cloud_schedule=NoiseSchedule(steps))
 
 
 def test_criterion_01_cost_model_reproduction():
@@ -196,7 +195,7 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
 def test_criterion_06_pivot_invariance(monkeypatch):
     def body():
         attended = spy_attend(monkeypatch)
-        sched = build_schedule(25)
+        sched = NoiseSchedule(25)
         for n in (2, 6):
             rows = [Rng(500).gaussian((TOY.channels, TOY.res, TOY.res))] * n
             latents = np.stack(rows)
@@ -242,7 +241,7 @@ def test_criterion_07_boundary_equivalences():
         cfg = _session(k=steps)
         # the wire schedule carries binary32 betas; the reference must
         # denoise over exactly that schedule
-        sched = cfg.cloud_schedule.build()
+        sched = cfg.cloud_schedule
         hybrid = client_run_session(
             prompt, cfg, SimulatedTransport(Server({"toy": TOY_W})),
             TOY_W, LEX)
@@ -270,7 +269,7 @@ def test_criterion_07_boundary_equivalences():
 def test_criterion_08_oracle_denoising_round_trip():
     def body():
         for steps in (5, 10, 25):
-            sched = build_schedule(steps)
+            sched = NoiseSchedule(steps)
             x0 = Rng(81).gaussian((4, 8, 8))
             eps = Rng(82).gaussian((4, 8, 8))
             x = forward_diffuse(x0, steps, eps, sched)
@@ -281,7 +280,7 @@ def test_criterion_08_oracle_denoising_round_trip():
             assert err <= 1e-4 * scale, (steps, err)
 
         mpmath.mp.dps = 50
-        sched = build_schedule(25)
+        sched = NoiseSchedule(25)
         x0 = Rng(83).gaussian((32,))
         eps = Rng(84).gaussian((32,))
         for t in (2, 13, 25):
@@ -319,7 +318,7 @@ def test_criterion_10_instrumented_flops():
     def body():
         cfg = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
         w = ModelWeights.build(cfg, 7)
-        sched = build_schedule(8)
+        sched = NoiseSchedule(8)
         n = 4
         latents = np.stack(
             [Rng(90 + i).gaussian((cfg.channels, cfg.res, cfg.res))

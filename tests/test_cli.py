@@ -5,12 +5,12 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oblix.cli
-import oblix.schedule
 from oblix.accel import AccelConfig
 from oblix.cli import (
     BENCH_PROMPTS,
@@ -26,10 +26,10 @@ from oblix.errors import ConfigError
 from oblix.protocol import (
     MAX_SCHEDULE_STEPS,
     Daemon,
-    ScheduleParams,
     Server,
     SessionConfig,
 )
+from oblix.schedule import NoiseSchedule
 
 
 def _write_config(tmp_path, **overrides):
@@ -109,7 +109,7 @@ def test_a_config_of_only_weight_seeds_takes_every_dataclass_default(tmp_path):
     path.write_text("[model]\ncloud_seed = 1\ndevice_seed = 2\n")
     rc = load_run_config(str(path))
     assert rc.model == ModelConfig()
-    never = ScheduleParams().steps + 1  # the config's "never" gate default
+    never = NoiseSchedule().steps + 1  # the config's "never" gate default
     assert rc.session == SessionConfig(
         accel=AccelConfig(cache_point=never, skip_point=never))
     assert (rc.host, rc.port, rc.out_path, rc.report_path) == (
@@ -119,7 +119,7 @@ def test_a_config_of_only_weight_seeds_takes_every_dataclass_default(tmp_path):
 def test_empty_spacing_means_the_default(tmp_path):
     path = _write_config(tmp_path, schedule={"spacing": ""})
     assert load_run_config(path).session.cloud_schedule.spacing == \
-        ScheduleParams().spacing
+        NoiseSchedule().spacing
 
 
 # (section, key) -> the RunConfig value it sets and that value's default
@@ -184,27 +184,23 @@ def test_a_schedule_below_the_alpha_bar_floor_is_refused_at_load(
     assert len(err.splitlines()) == 1
 
 
-# one step past the cap, in the cloud schedule and in the device's
+# one step past the cap, in the cloud schedule and in the device's: the
+# config's [schedule] keys and the session config they make
 OVER_THE_STEP_CAP = {
-    "cloud schedule": {"steps": str(MAX_SCHEDULE_STEPS + 1)},
-    "device schedule": {"device_steps": str(MAX_SCHEDULE_STEPS + 1)},
+    "cloud schedule": (
+        {"steps": str(MAX_SCHEDULE_STEPS + 1)},
+        lambda: SessionConfig(cloud_schedule=NoiseSchedule(
+            MAX_SCHEDULE_STEPS + 1))),
+    "device schedule": (
+        {"device_steps": str(MAX_SCHEDULE_STEPS + 1)},
+        lambda: SessionConfig(device_steps=MAX_SCHEDULE_STEPS + 1)),
 }
 
 
-@pytest.mark.parametrize("schedule", OVER_THE_STEP_CAP.values(),
+@pytest.mark.parametrize("schedule, make", OVER_THE_STEP_CAP.values(),
                          ids=OVER_THE_STEP_CAP.keys())
 def test_a_schedule_over_the_step_cap_is_refused_before_it_is_built(
-        tmp_path, capsys, monkeypatch, schedule):
-    # the build fills three steps-long lists, so a step count in a config
-    # must not size any allocation before the cap refuses it
-    built = []
-    build = oblix.schedule.build_schedule
-
-    def spy(steps, *args):
-        built.append(steps)
-        return build(steps, *args)
-
-    monkeypatch.setattr(oblix.schedule, "build_schedule", spy)
+        tmp_path, capsys, monkeypatch, schedule, make):
     monkeypatch.setattr(oblix.cli, "client_run_session", None)  # no compute
     path = _write_config(tmp_path, accel={"switch_point": "0"},
                          schedule=schedule)
@@ -212,9 +208,16 @@ def test_a_schedule_over_the_step_cap_is_refused_before_it_is_built(
     err = capsys.readouterr().err
     assert err == (f"error: {MAX_SCHEDULE_STEPS + 1} schedule steps exceed "
                    f"the cap of {MAX_SCHEDULE_STEPS}\n")
-    with pytest.raises(ConfigError, match="exceed the cap"):
-        ScheduleParams(MAX_SCHEDULE_STEPS + 1)
-    assert MAX_SCHEDULE_STEPS + 1 not in built
+    # the build fills three steps-long lists, about 120 KB at the cap, so a
+    # step count must not size any allocation before the cap refuses it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="exceed the cap"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -19,7 +19,6 @@ from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_
 from oblix.errors import ConfigError, ProtocolError
 from oblix.oblivious import default_lexicon
 from oblix.protocol import (
-    ScheduleParams,
     Server,
     SessionConfig,
     SimulatedTransport,
@@ -27,6 +26,7 @@ from oblix.protocol import (
     decode_frame,
     encode_frame,
 )
+from oblix.schedule import NoiseSchedule
 from oblix.tensor import FlopsCounter, Rng, use_flops_counter
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -117,7 +117,7 @@ def test_transmission_formula_matches_actual_wire_payload():
 # --- instrumented counter vs closed form -------------------------------------------
 
 def _run_counted(n, accel_cfg, steps=8):
-    sched = ScheduleParams(steps).build()
+    sched = NoiseSchedule(steps)
     rows = [Rng(90 + i).gaussian((CFG.channels, CFG.res, CFG.res))
             for i in range(n)]
     texts = [embed_prompt(f"candidate {i}", CFG) for i in range(n)]
@@ -200,7 +200,7 @@ def _session_result(k=4, n_prompt="portrait of a man", steps=8, seed=3):
     accel = AccelConfig(switch_point=k, cache_point=never(steps),
                         skip_point=never(steps))
     cfg = SessionConfig(model_id="toy", seed=seed, accel=accel,
-                        cloud_schedule=ScheduleParams(steps))
+                        cloud_schedule=NoiseSchedule(steps))
     result = client_run_session(n_prompt, cfg,
                                 SimulatedTransport(Server({"toy": CW})),
                                 CW, LEX)
@@ -246,7 +246,7 @@ def test_session_refuses_a_response_whose_flops_total_is_not_its_steps():
     accel = AccelConfig(switch_point=4, cache_point=never(8),
                         skip_point=never(8))
     cfg = SessionConfig(model_id="toy", seed=3, accel=accel,
-                        cloud_schedule=ScheduleParams(8))
+                        cloud_schedule=NoiseSchedule(8))
     with pytest.raises(ProtocolError) as err:
         client_run_session("portrait of a man", cfg,
                            OffByOneLedger(Server({"toy": CW})), CW, LEX)

@@ -18,8 +18,8 @@ from oblix.denoiser import (
 )
 from oblix.errors import ConfigError, InputError, ProtocolError
 from oblix.oblivious import DEFAULT_TEMPLATES, default_lexicon, generate_corpus
-from oblix.protocol import ScheduleParams, run_device_steps
-from oblix.schedule import build_schedule
+from oblix.protocol import run_device_steps
+from oblix.schedule import NoiseSchedule
 from oblix.tensor import FlopsCounter, Rng, StepCost, fnv1a64, use_flops_counter
 
 from bitwise import same_bits, spy_states
@@ -256,7 +256,7 @@ def _buckets(ledger):
 
 def test_default_session_flops_ledger():
     w = ModelWeights.build(ModelConfig(), 1001)
-    sched = ScheduleParams(25).build()
+    sched = NoiseSchedule(25)
     accel = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
                         reuse=True, refresh_period=5)
     prompts = [f"portrait of a {a} person"
@@ -286,7 +286,7 @@ def _traced_peak_in_hidden_states(run_accel, last):
              for i in range(n)]
     x = np.stack([Rng(i).gaussian((cfg.channels, cfg.res, cfg.res))
                   for i in range(n)])
-    sched = build_schedule(25)
+    sched = NoiseSchedule(25)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -327,7 +327,7 @@ def test_a_paper_default_gated_run_caches_only_what_it_reads():
 
 
 def test_run_denoise_steps_range_validation():
-    sched = build_schedule(10)
+    sched = NoiseSchedule(10)
     batch = np.stack([Rng(3).gaussian((CFG.channels, CFG.res, CFG.res))])
     with pytest.raises(ConfigError):
         run_denoise_steps(batch, _texts(["x"]), sched, W, 5, 11)
@@ -339,7 +339,7 @@ def test_each_gated_run_makes_its_own_state(monkeypatch):
     made = spy_states(monkeypatch)
     cfg = AccelConfig(switch_point=4, cache_point=2, skip_point=3)
     batch = np.stack([Rng(5).gaussian((CFG.channels, CFG.res, CFG.res))] * 2)
-    texts, sched = _texts(["one run", "its state"]), build_schedule(6)
+    texts, sched = _texts(["one run", "its state"]), NoiseSchedule(6)
     first = run_denoise_steps(batch, texts, sched, W, 1, 4, cfg)
     again = run_denoise_steps(batch, texts, sched, W, 1, 4, cfg)
     assert same_bits(first, again)
@@ -357,7 +357,7 @@ def test_gated_run_must_start_at_iteration_one():
     # a run's caches start empty, so gates that fire need iteration 1;
     # gates that never fire leave the run free to start anywhere
     batch = np.stack([Rng(6).gaussian((CFG.channels, CFG.res, CFG.res))])
-    texts, sched = _texts(["late start"]), build_schedule(6)
+    texts, sched = _texts(["late start"]), NoiseSchedule(6)
     with pytest.raises(ConfigError):
         run_denoise_steps(batch, texts, sched, W, 3, 6,
                           AccelConfig(cache_point=2, skip_point=never(6)))
@@ -367,7 +367,7 @@ def test_gated_run_must_start_at_iteration_one():
 
 
 def test_run_denoise_steps_composes():
-    sched = build_schedule(6)
+    sched = NoiseSchedule(6)
     batch = np.stack([Rng(4).gaussian((CFG.channels, CFG.res, CFG.res))])
     texts = _texts(["compose check"])
     whole = run_denoise_steps(batch, texts, sched, W, 1, 6)
@@ -417,7 +417,7 @@ def test_build_load_and_gated_run_hash_no_weights(tmp_path, monkeypatch):
     counter = FlopsCounter()
     with use_flops_counter(counter):
         run_denoise_steps(batch, _texts(["first", "second"]),
-                          build_schedule(6), loaded, 1, 6, cfg)
+                          NoiseSchedule(6), loaded, 1, 6, cfg)
     # the gates fired, and still nothing hashed the weights
     assert any(s.skip for s in counter.steps)
     assert hashed == []

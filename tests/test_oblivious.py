@@ -154,6 +154,26 @@ def test_expansion_refuses_an_empty_or_outside_span(span):
         expand_candidates(prompt, [det], LEX)
 
 
+# caller-built detections that name a class or a value the lexicon lacks,
+# or spans that overlap, with the words the refusal must name
+BAD_DETECTIONS = {
+    "unknown class": ([Detection(0, 1, "zzz", "young")], "class 'zzz'"),
+    "value outside its class": ([Detection(1, 2, "age", "ancient")],
+                                "value 'ancient' is not in class 'age'"),
+    "overlapping spans": ([Detection(1, 3, "age", "young"),
+                           Detection(2, 3, "ethnicity", "african")],
+                          "spans (1, 3) and (2, 3) overlap"),
+}
+
+
+@pytest.mark.parametrize("detections, named", BAD_DETECTIONS.values(),
+                         ids=BAD_DETECTIONS.keys())
+def test_expansion_refuses_a_detection_the_lexicon_cannot_expand(
+        detections, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        expand_candidates("a young african man", detections, LEX)
+
+
 # --- property: the slot template equals span-by-span substitution -------------------
 
 def _split_glue(token):
@@ -314,6 +334,16 @@ def test_lexicon_parse_rejects_an_empty_value():
     # with it, "foo" would expand to an empty prompt and "a foo" to "a "
     with pytest.raises(ConfigError, match="line 2: empty value"):
         AttributeLexicon.from_text("[c]\n: foo\nbar:\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # with it, "a x person" found no combination with "x" in the product
+    ("[a]\nx:\n[a]\ny:\n", "class 'a' appears twice"),
+    ("[]\nx:\n", "an attribute class has an empty name"),
+], ids=["repeated", "empty"])
+def test_lexicon_rejects_a_repeated_or_empty_class_name(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        AttributeLexicon.from_text(text)
 
 
 def test_lexicon_file_roundtrip(tmp_path):

@@ -32,7 +32,6 @@ from oblix.protocol import (
     MAX_FRAME_BYTES,
     MAX_ROW_STEPS,
     MAX_SCHEDULE_STEPS,
-    ScheduleParams,
     Server,
     SessionConfig,
     SimulatedTransport,
@@ -49,6 +48,7 @@ from oblix.schedule import (
     DEFAULT_BETA_START,
     DEFAULT_SPACING,
     SPACINGS,
+    NoiseSchedule,
 )
 from oblix.tensor import (
     FlopsCounter,
@@ -73,7 +73,7 @@ def _session(k=4, steps=8, seed=11, **accel_kw) -> SessionConfig:
                         skip_point=accel_kw.pop("skip_point", never(steps)),
                         **accel_kw)
     return SessionConfig(model_id="toy", seed=seed, accel=accel,
-                         cloud_schedule=ScheduleParams(steps))
+                         cloud_schedule=NoiseSchedule(steps))
 
 
 _GATE_DEFAULTS = dict(switch_point=3, cache_point=9, skip_point=9,
@@ -85,13 +85,13 @@ _OTHER_DEFAULTS = dict(candidates=("a prompt", "another prompt"), seed=7,
 
 
 def _request(**kw) -> GenerateRequest:
-    """A request; AccelConfig and ScheduleParams field names set its gate
+    """A request; AccelConfig and NoiseSchedule field names set its gate
     and schedule fields, unless ``schedule`` is given whole."""
     gates = {f: kw.pop(f, v) for f, v in _GATE_DEFAULTS.items()}
     sched = {f: kw.pop(f, v) for f, v in _SCHEDULE_DEFAULTS.items()}
     base = dict(_OTHER_DEFAULTS, accel=AccelConfig(**gates))
     base.update(kw)
-    base.setdefault("schedule", ScheduleParams(**sched))
+    base.setdefault("schedule", NoiseSchedule(**sched))
     return GenerateRequest(**base)
 
 
@@ -403,7 +403,7 @@ def test_server_k0_returns_quantized_replicated_prior():
 def test_server_full_denoise_matches_direct_pipeline():
     req = _request(switch_point=8, candidates=("a calm forest",))
     resp = _server().handle_request(req)
-    sched = req.schedule.build()
+    sched = req.schedule
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     want = run_denoise_steps(np.stack([base]),
                              [embed_prompt("a calm forest", CFG)],
@@ -445,7 +445,7 @@ def test_server_row_order_follows_candidate_order():
         candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
         req = _request(switch_point=steps, candidates=candidates, **gates)
         resp = Server({"toy": w}).handle_request(req)
-        sched = req.schedule.build()
+        sched = req.schedule
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         for i in rows:
             solo = run_denoise_steps(np.stack([base]),
@@ -478,7 +478,7 @@ def test_server_rows_under_pivot_reuse_follow_pair_runs():
         candidates = tuple(f"candidate {i} of a calm forest" for i in range(n))
         req = _request(switch_point=4, candidates=candidates, **gates)
         resp = Server({"toy": w}).handle_request(req)
-        sched = req.schedule.build()
+        sched = req.schedule
         base = Rng(req.seed).gaussian((cfg.channels, cfg.res, cfg.res))
         texts = [embed_prompt(p, cfg) for p in candidates]
         pivot = req.accel.pivot_index
@@ -504,7 +504,7 @@ def test_server_rejects_unknown_model():
 
 
 # requests no server can run: each is refused when its GenerateRequest or
-# ScheduleParams is made, so these frames are packed raw
+# NoiseSchedule is made, so these frames are packed raw
 INVALID_REQUESTS = {
     "pivot outside batch": dict(reuse=True, pivot_index=5),
     "whitespace candidate": dict(candidates=("a prompt", "   ")),
@@ -641,7 +641,7 @@ def test_gate_neutral_request_runs_without_accel_state(fields, monkeypatch):
     assert seen == [req.accel] and made == []
 
     # the same bytes and step flags as a direct run with no gate config
-    sched = req.schedule.build()
+    sched = req.schedule
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     counter = FlopsCounter()
     with use_flops_counter(counter):
@@ -787,7 +787,7 @@ def test_timestep_shift_resumes_later_on_device():
     accel = AccelConfig(switch_point=4, cache_point=never(8),
                         skip_point=never(8))
     cfg = SessionConfig(model_id="toy", seed=3, accel=accel,
-                        cloud_schedule=ScheduleParams(8), device_steps=16,
+                        cloud_schedule=NoiseSchedule(8), device_steps=16,
                         dt_shift=8)
     result = client_run_session("portrait of a man", cfg,
                                 SimulatedTransport(_server()), W, LEX)
@@ -1126,7 +1126,7 @@ def test_decode_refuses_counts_above_caps_before_reading_them():
         assert "cap" in str(err.value) and err.value.offset == at, name
     # a value at its cap is carried
     at_caps = _request(candidates=("x",) * MAX_CANDIDATES,
-                       schedule=ScheduleParams(MAX_SCHEDULE_STEPS))
+                       schedule=NoiseSchedule(MAX_SCHEDULE_STEPS))
     assert decode_frame(encode_frame(at_caps)) == at_caps
 
 
@@ -1162,4 +1162,4 @@ def test_encode_refuses_counts_above_caps():
     with pytest.raises(ConfigError, match="candidates"):
         _request(candidates=("x",) * (MAX_CANDIDATES + 1))
     with pytest.raises(ConfigError, match="schedule steps exceed the cap"):
-        _request(schedule=ScheduleParams(MAX_SCHEDULE_STEPS + 1))
+        _request(schedule=NoiseSchedule(MAX_SCHEDULE_STEPS + 1))

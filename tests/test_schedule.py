@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from oblix.errors import ConfigError
 from oblix.schedule import (
+    NoiseSchedule,
     StepIndexMap,
-    build_schedule,
     ddim_step,
     forward_diffuse,
     map_timestep,
@@ -23,20 +24,24 @@ mpmath.mp.dps = 50
 
 
 def test_single_step_schedule():
-    s = build_schedule(1, 0.5, 0.5, "linear")
+    s = NoiseSchedule(1, 0.5, 0.5, "linear")
     assert s.alpha_bar == (0.5,)
 
 
 def test_two_step_product():
-    s = build_schedule(2, 0.1, 0.2, "linear")
-    assert s.beta == (0.1, 0.2)
-    assert math.isclose(s.alpha_bar[0], 0.9, rel_tol=1e-12)
-    assert math.isclose(s.alpha_bar[1], 0.72, rel_tol=1e-12)
+    # binary32-exact betas, so rounding them to the wire's f32 keeps them
+    s = NoiseSchedule(2, 0.125, 0.25, "linear")
+    assert s.beta == (0.125, 0.25)
+    assert s.alpha == (0.875, 0.75)
+    assert s.alpha_bar == (0.875, 0.65625)
 
 
 def test_default_schedule_against_extended_precision_product():
-    s = build_schedule(25)
-    lo, hi = mpmath.sqrt(mpmath.mpf("0.00085")), mpmath.sqrt(mpmath.mpf("0.012"))
+    s = NoiseSchedule(25)
+    # the schedule interpolates the betas the wire carries, as binary32
+    start, end = (float(np.float32(b)) for b in (0.00085, 0.012))
+    assert (s.beta_start, s.beta_end) == (start, end)
+    lo, hi = mpmath.sqrt(mpmath.mpf(start)), mpmath.sqrt(mpmath.mpf(end))
     running = mpmath.mpf(1)
     for i in range(25):
         beta = (lo + (hi - lo) * i / 24) ** 2
@@ -47,7 +52,7 @@ def test_default_schedule_against_extended_precision_product():
 
 def test_alpha_bar_strictly_decreasing():
     for spacing in ("linear", "scaled-linear"):
-        s = build_schedule(25, spacing=spacing)
+        s = NoiseSchedule(25, spacing=spacing)
         assert all(b2 < b1 for b1, b2 in zip(s.alpha_bar, s.alpha_bar[1:]))
 
 
@@ -57,7 +62,7 @@ def test_alpha_bar_strictly_decreasing():
        st.sampled_from(["linear", "scaled-linear"]))
 def test_alpha_bar_monotone_property(steps, b1, b2, spacing):
     lo, hi = sorted((b1, b2))
-    s = build_schedule(steps, lo, hi, spacing)
+    s = NoiseSchedule(steps, lo, hi, spacing)
     assert all(b2 < b1 for b1, b2 in zip(s.alpha_bar, s.alpha_bar[1:]))
     for i, (a, b) in enumerate(zip(s.alpha, s.beta)):
         assert math.isclose(a, 1 - b, rel_tol=1e-12)
@@ -66,23 +71,35 @@ def test_alpha_bar_monotone_property(steps, b1, b2, spacing):
                                 rel_tol=1e-12)
 
 
-def test_build_schedule_rejects_bad_params():
+@pytest.mark.parametrize("steps, digest", [
+    (25, "37ce1c4ea2a674786fbd7e46211b559cde3688fa3adb02387fc23b70bcaf7dcb"),
+    (15, "8655da7a17376030ea069a4a24a875754797dfb1f42f45c583a99e6ea2815fe6"),
+])
+def test_schedule_bits_are_pinned(steps, digest):
+    # SHA-256 over the little-endian f64 bytes of beta + alpha + alpha_bar;
+    # cloud and device build the same schedule only if these never move
+    s = NoiseSchedule(steps)
+    raw = np.array(s.beta + s.alpha + s.alpha_bar, dtype="<f8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_noise_schedule_rejects_bad_params():
     with pytest.raises(ConfigError):
-        build_schedule(0)
+        NoiseSchedule(0)
     with pytest.raises(ConfigError):
-        build_schedule(5, 0.2, 0.1)
+        NoiseSchedule(5, 0.2, 0.1)
     with pytest.raises(ConfigError):
-        build_schedule(5, 0.0, 0.1)
+        NoiseSchedule(5, 0.0, 0.1)
     with pytest.raises(ConfigError):
-        build_schedule(5, 0.1, 1.0)
+        NoiseSchedule(5, 0.1, 1.0)
     with pytest.raises(ConfigError):
-        build_schedule(5, 0.1, 0.2, "cosine")
+        NoiseSchedule(5, 0.1, 0.2, "cosine")
 
 
 # --- forward process ----------------------------------------------------------
 
 def test_forward_diffuse_degenerate_schedule_returns_x0():
-    s = build_schedule(1, 1e-20, 1e-20)  # alpha_bar rounds to exactly 1.0
+    s = NoiseSchedule(1, 1e-20, 1e-20)  # alpha_bar rounds to exactly 1.0
     assert s.alpha_bar[0] == 1.0
     x0 = Rng(3).gaussian((4, 4))
     eps = Rng(4).gaussian((4, 4))
@@ -90,7 +107,7 @@ def test_forward_diffuse_degenerate_schedule_returns_x0():
 
 
 def test_forward_diffuse_zero_signal():
-    s = build_schedule(10)
+    s = NoiseSchedule(10)
     eps = Rng(8).gaussian((2, 3))
     got = forward_diffuse(np.zeros((2, 3), np.float32), 7, eps, s)
     want = eps * np.float32(math.sqrt(1 - s.alpha_bar_at(7)))
@@ -98,7 +115,7 @@ def test_forward_diffuse_zero_signal():
 
 
 def test_forward_diffuse_bounds():
-    s = build_schedule(5)
+    s = NoiseSchedule(5)
     x = np.zeros((2,), np.float32)
     with pytest.raises(ConfigError):
         forward_diffuse(x, 6, x, s)
@@ -109,7 +126,7 @@ def test_forward_diffuse_bounds():
 def test_stepwise_chain_matches_closed_form_moments():
     # oracle: iterate q(x_t | x_{t-1}) with fresh noise and compare the
     # sample mean/variance of x_T against the closed-form values
-    s = build_schedule(5, 0.02, 0.2, "linear")
+    s = NoiseSchedule(5, 0.02, 0.2, "linear")
     x0 = 0.7
     samples = 10_000
     rng = Rng(123)
@@ -132,7 +149,7 @@ def test_stepwise_chain_matches_closed_form_moments():
 # --- reverse step ---------------------------------------------------------------
 
 def test_reverse_step_formula_collapse():
-    s = build_schedule(10)
+    s = NoiseSchedule(10)
     x = Rng(2).gaussian((3, 3))
     zero = np.zeros((3, 3), np.float32)
     got = reverse_step_eq1(x, zero, 4, s, zero)
@@ -141,7 +158,7 @@ def test_reverse_step_formula_collapse():
 
 
 def test_reverse_step_no_noise_limit():
-    s = build_schedule(10, 1e-9, 1e-8, "linear")
+    s = NoiseSchedule(10, 1e-9, 1e-8, "linear")
     x = Rng(11).gaussian((4,))
     zero = np.zeros((4,), np.float32)
     got = reverse_step_eq1(x, zero, 5, s, zero)
@@ -162,7 +179,7 @@ def _reverse_step_mpmath(x, eps, t, s, z):
 
 
 def test_reverse_step_matches_extended_precision():
-    s = build_schedule(25)
+    s = NoiseSchedule(25)
     x0 = Rng(21).gaussian((16,))
     eps = Rng(22).gaussian((16,))
     for t in (1, 12, 25):
@@ -177,7 +194,7 @@ def test_reverse_step_matches_extended_precision():
 def test_reverse_step_with_true_noise_reduces_residual_variance():
     # with the exact noise plugged in, the scaled-x0 residual shrinks on
     # average from x_t to x_{t-1}, checked over 1000 seeds
-    s = build_schedule(25)
+    s = NoiseSchedule(25)
     t = 20
     shrunk, grew = 0, 0
     for seed in range(1000):
@@ -198,7 +215,7 @@ def test_reverse_step_with_true_noise_reduces_residual_variance():
 # --- deterministic sampler ------------------------------------------------------
 
 def test_ddim_final_step_exactness():
-    s = build_schedule(10)
+    s = NoiseSchedule(10)
     x0 = Rng(31).gaussian((8,))
     eps = Rng(32).gaussian((8,))
     x1 = forward_diffuse(x0, 1, eps, s)
@@ -207,7 +224,7 @@ def test_ddim_final_step_exactness():
 
 
 def test_ddim_constant_signal_with_zero_eps():
-    s = build_schedule(10)
+    s = NoiseSchedule(10)
     c = 1.25
     t, t_prev = 8, 5
     x = np.full((6,), math.sqrt(s.alpha_bar_at(t)) * c, np.float32)
@@ -218,7 +235,7 @@ def test_ddim_constant_signal_with_zero_eps():
 
 @pytest.mark.parametrize("steps", [5, 10, 25])
 def test_ddim_chain_with_oracle_noise_recovers_x0(steps):
-    s = build_schedule(steps)
+    s = NoiseSchedule(steps)
     x0 = Rng(41).gaussian((4, 4))
     eps = Rng(42).gaussian((4, 4))
     x = forward_diffuse(x0, steps, eps, s)
@@ -229,7 +246,7 @@ def test_ddim_chain_with_oracle_noise_recovers_x0(steps):
 
 
 def test_ddim_rejects_non_monotone_indices():
-    s = build_schedule(5)
+    s = NoiseSchedule(5)
     x = np.zeros((2,), np.float32)
     with pytest.raises(ConfigError):
         ddim_step(x, x, 3, 3, s)

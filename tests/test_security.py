@@ -12,7 +12,8 @@ from oblix.oblivious import (
     default_lexicon,
     fill_template,
 )
-from oblix.protocol import ScheduleParams, SessionConfig
+from oblix.protocol import SessionConfig
+from oblix.schedule import NoiseSchedule
 from oblix.security import (
     LEAKY_ADVERSARY,
     byte_sum_adversary,
@@ -29,7 +30,7 @@ def _cfg(seed=5, k=4, steps=8):
     accel = AccelConfig(switch_point=k, cache_point=never(steps),
                         skip_point=never(steps))
     return SessionConfig(model_id="toy", seed=seed, accel=accel,
-                         cloud_schedule=ScheduleParams(steps))
+                         cloud_schedule=NoiseSchedule(steps))
 
 
 # --- server view ---------------------------------------------------------------

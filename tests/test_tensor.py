@@ -450,7 +450,7 @@ def test_counter_steps_and_tags():
     c = FlopsCounter()
     with use_flops_counter(c):
         with c.step(1, reuse=True):
-            with c.tag("site/map"):
+            with flops_tag("site/map"):
                 matmul(np.ones((2, 2), np.float32),
                        np.ones((2, 2), np.float32))
         with c.step(2):
@@ -466,7 +466,7 @@ def test_tag_scope_is_restored_after_an_error_inside_it():
     c = FlopsCounter()
     one = np.ones((2, 2), np.float32)
     with use_flops_counter(c), c.step(1):
-        with c.tag("outer"):
+        with flops_tag("outer"):
             with pytest.raises(ShapeError):
                 with flops_tag("inner"):
                     matmul(one, one)
@@ -483,7 +483,7 @@ def test_tag_scope_is_restored_after_a_nested_scope():
     with use_flops_counter(c), c.step(1):
         with flops_tag("a"):
             with flops_tag("b"):
-                with c.tag("c"):
+                with flops_tag("c"):
                     matmul(one, one)
                 matmul(one, one)
             matmul(one, one)

@@ -15,6 +15,7 @@ import oblix.accel
 import oblix.denoiser
 import oblix.security
 import oblix.tensor
+from oblix.cli import load_run_config
 from oblix.oblivious import default_lexicon
 from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
 from oblix.tensor import Rng
@@ -30,12 +31,9 @@ def _tracing():
     return module
 
 
-@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")),
-                         ids=lambda path: path.name)
-def test_every_benchmark_module_imports(path, monkeypatch):
-    # each one imports oblix names at load, so a rename or removal in
-    # `src/` fails here, not only in a benchmark run; its siblings load by
-    # bare name, as the benchmark runs them, and are dropped afterwards
+def _benchmark_module(path, monkeypatch):
+    # its siblings load by bare name, as the benchmark runs them, and are
+    # dropped afterwards
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # run.py and pin_digests.py pin one BLAS thread in the environment
     monkeypatch.setattr(os, "environ", dict(os.environ))
@@ -51,6 +49,50 @@ def test_every_benchmark_module_imports(path, monkeypatch):
             if str(PERFBENCH) in (getattr(sys.modules[name], "__file__", None)
                                   or ""):
                 del sys.modules[name]
+    return module
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_benchmark_module_imports(path, monkeypatch):
+    # each one imports oblix names at load, so a rename or removal in
+    # `src/` fails here, not only in a benchmark run
+    _benchmark_module(path, monkeypatch)
+
+
+# closed-form (server, device) FLOPs the benchmark expects of a session at
+# latent seed 5, per workload and candidate count
+BENCHMARK_FLOPS = {
+    ("interactive-gated", 1): (280_877_056, 718_464_000),
+    ("interactive-gated", 2): (483_995_648, 718_464_000),
+    ("interactive-gated", 6): (1_296_470_016, 718_464_000),
+    ("interactive-gated", 30): (6_171_316_224, 718_464_000),
+    ("bulk-ungated", 1): (1_197_440_000, 0),
+    ("bulk-ungated", 2): (2_394_880_000, 0),
+    ("bulk-ungated", 6): (7_184_640_000, 0),
+    ("bulk-ungated", 30): (35_923_200_000, 0),
+    ("attest-corpus", 1): (280_877_056, 718_464_000),
+    ("attest-corpus", 2): (483_995_648, 718_464_000),
+    ("attest-corpus", 6): (1_296_470_016, 718_464_000),
+    ("attest-corpus", 30): (6_171_316_224, 718_464_000),
+}
+
+
+def test_the_benchmark_reads_the_session_config_of_each_workload(
+        tmp_path, monkeypatch):
+    # the benchmark reads the cloud and device schedules of the config it
+    # writes for each check; otherwise only perfbench's own tests read them
+    workloads = _benchmark_module(PERFBENCH / "workloads.py", monkeypatch)
+    checks = _benchmark_module(PERFBENCH / "checks.py", monkeypatch)
+    got = {}
+    for name, w in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.config_text(w, 7410))
+        rc = load_run_config(str(path))
+        cfg = checks.session_cfg(rc.session, 5, w.switch_point)
+        for n in (1, 2, 6, 30):
+            got[name, n] = checks.expected_flops(rc.model, cfg, n)
+    assert got == BENCHMARK_FLOPS
 
 
 def test_every_traced_attribute_exists():
