@@ -19,9 +19,12 @@ reuse shapes how a recomputation is performed.
 `run_plan` decides a run's gates once, and the run caches only what a later
 step reads, as DeepCache (Ma et al., arXiv 2312.00858) does: a site's output
 at t only when the next iteration that reaches the site serves the cache,
-the mid features of t only when iteration t+1 skips.  A paper-default run
-(k=10, cache 4, skip 6, refresh 5) at N=30 thus peaks at 6.9 row-stacked
-hidden states (traced), not the 11.7 of caching every output.
+the mid features of t only when iteration t+1 skips.  The last step that
+reads a cached array releases it.  A paper-default run (k=10, cache 4,
+skip 6, refresh 5) at N=30 thus holds the two up-site outputs of
+iteration 5 until iteration 9 and its mid features until iteration 10, and
+peaks at 5.45 row-stacked hidden states (traced), not the 11.7 of caching
+every output.
 """
 
 from __future__ import annotations
@@ -137,7 +140,12 @@ def check_run(cfg: AccelConfig, steps: int, n: int | None = None) -> None:
 
 class StepPlan(NamedTuple):
     """One iteration of a run: its gates, the site outputs and mid features
-    it keeps because a later iteration reads them, and the shared-map row."""
+    it keeps because a later iteration reads them, and the shared-map row.
+
+    A recomputing step writes what it keeps; a step that serves a site's
+    cache (skips, for the mid features) releases what it does not keep, so
+    each cached array dies at its last reader.
+    """
 
     gates: StepGates = StepGates(True, False, False)
     keep: frozenset[str] = frozenset()
@@ -148,16 +156,21 @@ class StepPlan(NamedTuple):
 def run_plan(cfg: AccelConfig | None, first: int, last: int,
              n: int) -> dict[int, StepPlan]:
     """Each iteration's `StepPlan` for a run of first..last on n rows; a
-    run's caches start empty, so one that reads a cache first is refused."""
+    run's caches start empty, so one that reads a cache first is refused.
+
+    A step keeps a site's output when the site's next reach serves the
+    cache, and the mid features when the next iteration skips: what it
+    computed if it recomputed, what it read if it served.
+    """
     gates = {t: step_gates(t, cfg, n) for t in range(first, last + 1)}
     serves_next: dict[str, bool] = {}  # site: its next reach serves the cache
     plan = {}
     for t in reversed(gates):
         g = gates[t]
         reached = [s for s in SITES if not g.skip or s.startswith("up")]
-        keep = frozenset(s for s in reached if g.recompute and serves_next.get(s))
+        keep = frozenset(s for s in reached if serves_next.get(s))
         serves_next.update((s, not g.recompute) for s in reached)
-        plan[t] = StepPlan(g, keep, not g.skip and t < last and gates[t + 1].skip,
+        plan[t] = StepPlan(g, keep, t < last and gates[t + 1].skip,
                            cfg.pivot_index if g.reuse else None)
     if gates[first].skip or any(serves_next.values()):
         raise ConfigError(f"a run from iteration {first} reads a cache it never wrote")
@@ -166,25 +179,39 @@ def run_plan(cfg: AccelConfig | None, first: int, last: int,
 
 @dataclass
 class AccelState:
-    """Caches one run keeps, written only where its `run_plan` says.
+    """Caches one run keeps, written and released only where its
+    `run_plan` says.
 
     A run whose plan keeps something makes a fresh state and drops it when
     it ends, so a state never meets a second batch or set of weights.
 
     ``cached_attention`` maps a site id to the row-stacked (N*S, width)
-    attention output of its last kept recomputation; ``mid_features``
-    holds the row-stacked mid-block output of the step before the first
-    skip.  Both are single read-only arrays whose row block r belongs to
-    batch row r, in the layout `oblix.denoiser.unet_forward` uses.
+    attention output of its last kept recomputation, until the last step
+    that serves it; ``mid_features`` holds the row-stacked mid-block output
+    of the step before the first skip, until the last skip.  Both are
+    single read-only arrays whose row block r belongs to batch row r, in
+    the layout `oblix.denoiser.unet_forward` uses.
     """
 
     cached_attention: dict[str, np.ndarray] = field(default_factory=dict)
     mid_features: np.ndarray | None = None
 
-    def load_attention(self, site: str) -> np.ndarray:
+    def load_attention(self, site: str, keep: bool) -> np.ndarray:
+        """The cached output of ``site``, released from the state unless
+        ``keep``."""
         if site not in self.cached_attention:
             raise InternalError(f"no cached attention output for site {site!r}")
-        return self.cached_attention[site]
+        cache = self.cached_attention
+        return cache[site] if keep else cache.pop(site)
+
+    def load_mid(self, keep: bool) -> np.ndarray:
+        """The cached mid features, released from the state unless ``keep``."""
+        mid = self.mid_features
+        if mid is None:
+            raise InternalError("skip gate fired with no cached mid features")
+        if not keep:
+            self.mid_features = None
+        return mid
 
 
 def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
@@ -209,8 +236,10 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
     rows or 64 cross-site rows of the default model.  A chunk's maps and
     values die before the next chunk's are made, so one map buffer is
     alive at a time.  Every row keeps the bits of a one-row call, whatever
-    the chunk.  The output projection is applied by the caller, so the
-    result is exactly what the attention cache stores.
+    the chunk.  The output is made only once the first chunk's maps exist,
+    so a chunk's query projection never lives beside it.  The output
+    projection is applied by the caller, so the result is exactly what the
+    attention cache stores.
     """
     if pivot is not None and not 0 <= pivot < n:
         raise ConfigError(f"pivot_index {pivot} outside batch of {n}")
@@ -233,12 +262,13 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
             _checked(scores, freeze=False)
             return softmax_rows(scores, out=scores)
 
-    out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
     shared = None if pivot is None else maps(pivot, pivot + 1)
     rows = max(1, MAP_CHUNK_BYTES // (4 * s * t))
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
         attn_maps = maps(r0, r1) if shared is None else None
+        if r0 == 0:
+            out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
         with flops_tag(value_tag):
             values = matmul(kv[r0 * t:r1 * t], params.wv)
             into = out[r0 * s:r1 * s]

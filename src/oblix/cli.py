@@ -104,6 +104,14 @@ def _typed(sec: configparser.SectionProxy, kinds: dict[str, type]) -> dict:
     return out
 
 
+def _port(value: int, key: str) -> int:
+    """``value`` as a TCP port, refused outside 0..65535 before any socket
+    sees it."""
+    if not 0 <= value <= 65535:
+        raise ConfigError(f"{key} = {value} is outside the port range 0..65535")
+    return value
+
+
 def _weights_from(section, role: str,
                   model_cfg: ModelConfig) -> ModelWeights | tuple:
     path_key, seed_key = f"{role}_path", f"{role}_seed"
@@ -180,6 +188,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     lexicon = AttributeLexicon.load(lex_path) if lex_path else default_lexicon()
     tpl_path = run_sec.get("templates")
     templates = load_templates(tpl_path) if tpl_path else DEFAULT_TEMPLATES
+    transport = _typed(parser["transport"], {"host": str, "port": int})
+    if "port" in transport:
+        _port(transport["port"], "[transport] port")
 
     return RunConfig(
         model_id=session.model_id,
@@ -189,7 +200,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         session=session,
         lexicon=lexicon,
         templates=templates,
-        **_typed(parser["transport"], {"host": str, "port": int}),
+        **transport,
         **{f"{k}_path": v for k, v in
            _typed(run_sec, {"out": str, "report": str}).items()},
     )
@@ -231,8 +242,9 @@ def cmd_generate(args) -> int:
 
 def cmd_client(args) -> int:
     rc = load_run_config(args.config, args.seed)
-    transport = SocketTransport(rc.host if args.host is None else args.host,
-                                rc.port if args.port is None else args.port)
+    transport = SocketTransport(
+        rc.host if args.host is None else args.host,
+        rc.port if args.port is None else _port(args.port, "--port"))
     try:
         return _run_and_report(rc, args.prompt, transport, args.out)
     finally:

@@ -44,6 +44,7 @@ from .tensor import (
     gaussian_rows,
     matmul,
     readonly,
+    row_blocks,
     tanh_map,
 )
 
@@ -291,34 +292,41 @@ def time_vector(t: int, cfg: ModelConfig) -> np.ndarray:
 
 
 def _mix(mix: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """``mix @ block`` for each of the n row blocks of h, as one product.
+    """``mix @ block`` for each of the n row blocks of h, one product per
+    batch row into its block of one (n*S, width) buffer, checked once.
 
-    The blocks are laid side by side as an (S, n*width) matrix, so the
-    left-mixing of the whole batch is a single (S, S) matmul.
+    No other batch-sized array is made: no transposed copy of h and no
+    (S, n*width) operand.  Each row keeps the bits of its solo run, which
+    are those of the flat token-major product the batch once made.
     """
-    s, d = mix.shape[0], h.shape[1]
-    out = matmul(mix, h.reshape(n, s, d).transpose(1, 0, 2).reshape(s, n * d))
-    return readonly(out.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d))
+    out = np.empty(h.shape, dtype=np.float32)
+    for block, into in zip(row_blocks(h, n), row_blocks(out, n)):
+        matmul(mix, block, out=into)
+    return _checked(out)
 
 
 def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
                 n: int, step: StepPlan, state: AccelState | None) -> np.ndarray:
     """One attention site plus its output projection and residual.
 
-    When not recomputing, the site serves its cached output; otherwise it
-    attends and caches the result when the step keeps it for a later one.
+    When not recomputing, the site serves its cached output and releases
+    it unless the step keeps it; otherwise it attends and caches the
+    result when the step keeps it for a later one.  The residual is added
+    in place on the fresh projection.
     """
     params = w.attn(site)
+    keep = site in step.keep
     if not step.gates.recompute:
-        out = state.load_attention(site)
+        attended = state.load_attention(site, keep)
     else:
-        out = accel_mod.attend(h, kv, params, site, n, step.pivot)
-        if site in step.keep:
-            state.cached_attention[site] = out
+        attended = accel_mod.attend(h, kv, params, site, n, step.pivot)
+        if keep:
+            state.cached_attention[site] = attended
     with flops_tag(f"{site}/proj"):
-        projected = matmul(out, params.wo, params.bo)
-    del out  # a state's cache may still hold it
-    return add(h, projected)
+        projected = matmul(attended, params.wo, params.bo,
+                           out=np.empty(h.shape, dtype=np.float32))
+    del attended  # a state's cache may still hold it
+    return add(h, projected, out=projected)
 
 
 def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
@@ -334,6 +342,15 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     ``step`` is iteration t's `oblix.accel.StepPlan`: its gates, and what
     ``state`` keeps for later steps.  When the skip gate fires, down and mid
     blocks are not executed and the state's mid features feed the up block.
+
+    Every batch-sized array dies at its last reader: the mixes make one
+    product per batch row into one buffer, the time vector and each
+    residual are added in place on their fresh product, ``h`` is rebound
+    at each op of the up block, where cached arrays may live beside it,
+    and a cached output or the mid features leave the state at the last
+    step that reads them.  An ungated N=30 step of the default model thus
+    peaks at about 4.8 (N*S, width) hidden states, and the paper-default
+    gated run at about 5.45 (traced, ``tests/test_denoiser.py``).
 
     Batch composition never changes a row's bits: each output row equals
     a one-row run of that row, bit for bit.  That holds because every op
@@ -358,16 +375,16 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
 
     s, c = cfg.tokens, cfg.channels
     text = np.concatenate(texts)
-    # each array dies at its last reader: h is rebound block by block, so
-    # no block's output outlives the next block's
+    # h is rebound block by block, so no block's output outlives the next
+    # block's
     tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
-    base = add_rowvec(matmul(tokens, w["w_in"], w["b_in"]), time_vector(t, cfg))
+    base = matmul(tokens, w["w_in"], w["b_in"],
+                  out=np.empty((n * s, cfg.width), dtype=np.float32))
+    base = add_rowvec(base, time_vector(t, cfg), out=base)
     del tokens
 
     if step.gates.skip:
-        mid = state.mid_features
-        if mid is None:
-            raise InternalError("skip gate fired with no cached mid features")
+        mid = state.load_mid(step.keep_mid)
     else:
         h = tanh_map(
             matmul(_mix(w["mix_down"], base, n), w["w_down"], w["b_down"]))
@@ -382,7 +399,11 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
 
     h = add(base, mid)
     del base, mid  # a state keeps mid as its mid_features when skips need it
-    h = tanh_map(matmul(_mix(w["mix_up"], h, n), w["w_up"], w["b_up"]))
+    # rebound at each op, so the old hidden state dies before the next
+    # product: cached outputs and mid features may be alive beside it
+    h = _mix(w["mix_up"], h, n)
+    h = matmul(h, w["w_up"], w["b_up"])
+    h = tanh_map(h)
     h = _attn_block(h, h, w, "up.self", n, step, state)
     h = _attn_block(h, text, w, "up.cross", n, step, state)
 

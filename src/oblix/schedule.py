@@ -60,14 +60,22 @@ class NoiseSchedule:
                               f"of {MAX_SCHEDULE_STEPS}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        # checked as configured, before a beta past binary32's range
+        # overflows in the rounding below
+        configured = f"{self.beta_start}, {self.beta_end}"
+        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
+            raise ConfigError(
+                f"need 0 < beta_start <= beta_end < 1, got {configured}")
         # betas travel as binary32; canonicalize here so client and server
         # build schedules from exactly the same values
         object.__setattr__(self, "beta_start", float(np.float32(self.beta_start)))
         object.__setattr__(self, "beta_end", float(np.float32(self.beta_end)))
         steps, beta_start, beta_end = self.steps, self.beta_start, self.beta_end
-        if not (0.0 < beta_start <= beta_end < 1.0):
-            raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got "
-                              f"{beta_start}, {beta_end}")
+        # a tiny beta rounds to 0, one just below 1 rounds to 1
+        if not (0.0 < beta_start and beta_end < 1.0):
+            raise ConfigError(
+                f"need 0 < beta_start <= beta_end < 1 in binary32, got "
+                f"{configured}, which round to {beta_start}, {beta_end}")
         if self.spacing not in SPACINGS:
             raise ConfigError(f"unknown spacing {self.spacing!r}")
 

@@ -179,8 +179,8 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
     the bits of a separate broadcast add or scalar multiply.  The result
     is checked once and returned read-only.  With ``out``, a writeable
     C-order (m, p) slice of a caller's buffer, the product is made there
-    and returned unchecked: the caller checks the filled buffer once,
-    before anything reads it.
+    and returned unchecked: the caller checks the filled buffer once, or
+    adds to it in place with a checked `add`, before anything reads it.
 
     With ``blocks``, ``a`` is row-stacked, (blocks*m', n), and ``b`` is
     either shared, (n, p), or row-stacked, (blocks*n, p): block r of the
@@ -242,11 +242,19 @@ def softmax_rows(a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     return _checked(e)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def add(a: np.ndarray, b: np.ndarray, *,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise sum.  With ``out``, a writeable buffer of their shape
+    that the caller owns (``b`` itself, say), the sum is made there with
+    the bits of a fresh result.  ``out`` may hold a product that `matmul`
+    left unchecked: a non-finite operand makes a non-finite sum, which the
+    check of the result refuses."""
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+    if out is not None and out.shape != a.shape:
+        raise ShapeError(f"add output {out.shape} does not fit {a.shape}")
     _count(a.size)
-    return _checked(a + b)
+    return _checked(np.add(a, b, out=out))
 
 
 def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,12 +264,16 @@ def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _checked(a - b)
 
 
-def add_rowvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Broadcast-add a length-n vector to every row of an (m, n) matrix."""
+def add_rowvec(a: np.ndarray, v: np.ndarray, *,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Broadcast-add a length-n vector to every row of an (m, n) matrix;
+    ``out`` as for `add` (``a`` itself, say)."""
     if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec shapes differ: {a.shape} vs {v.shape}")
+    if out is not None and out.shape != a.shape:
+        raise ShapeError(f"add_rowvec output {out.shape} does not fit {a.shape}")
     _count(a.size)
-    return _checked(a + v[None, :])
+    return _checked(np.add(a, v[None, :], out=out))
 
 
 def scale(a: np.ndarray, s: float) -> np.ndarray:

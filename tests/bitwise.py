@@ -2,6 +2,7 @@
 
 import oblix.accel
 import oblix.denoiser
+from oblix.accel import AccelState
 
 
 def same_bits(a, b) -> bool:
@@ -70,3 +71,37 @@ def spy_states(monkeypatch, make=None) -> list:
 
     monkeypatch.setattr(oblix.denoiser, "AccelState", spy)
     return made
+
+
+class Ledger(AccelState):
+    """An AccelState that logs (iteration, key, array) of every cache read,
+    and every mid-feature write next to its attention writes; give it a
+    WriteLog cache (`spy_states` does)."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def load_attention(self, site, keep):
+        out = super().load_attention(site, keep)
+        self.reads.append((self.cached_attention.step, site, out))
+        return out
+
+    @property
+    def mid_features(self):
+        mid = self.__dict__.get("mid")
+        self.reads.append((self.cached_attention.step, "mid", mid))
+        return mid
+
+    @mid_features.setter
+    def mid_features(self, mid):
+        if mid is not None:
+            log = self.cached_attention.log
+            log.append((self.cached_attention.step, "mid", mid))
+        self.__dict__["mid"] = mid
+
+    def held(self) -> set:
+        """The keys the state holds now, "mid" for the mid features,
+        without logging a read."""
+        mid = {"mid"} if self.__dict__.get("mid") is not None else set()
+        return set(self.cached_attention) | mid

@@ -33,7 +33,7 @@ from oblix.errors import ConfigError, InternalError, ShapeError
 from oblix.schedule import NoiseSchedule
 from oblix.tensor import Rng, row_blocks
 
-from bitwise import WriteLog, same_bits, spy_attend, spy_states
+from bitwise import Ledger, WriteLog, same_bits, spy_attend, spy_states
 
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
@@ -123,12 +123,21 @@ def test_run_plan_matches_the_per_step_gates():
 
 
 def test_paper_default_plan_keeps_the_step_five_up_sites_and_mid():
+    # step 5 writes the two up-site outputs and the mid features, and no
+    # other step writes; the serving steps 6-8 keep the up outputs for the
+    # next, step 9 releases them, and step 10, the last skip, the mid
     cfg = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
                       reuse=True, refresh_period=5)
     plan = run_plan(cfg, 1, 10, 30)
-    kept = {t: (sorted(step.keep), step.keep_mid)
+    written = {t: sorted(step.keep) for t, step in plan.items()
+               if step.gates.recompute and step.keep}
+    assert written == {5: ["up.cross", "up.self"]}
+    assert [t for t, step in plan.items()
+            if not step.gates.skip and step.keep_mid] == [5]
+    held = {t: (sorted(step.keep), step.keep_mid)
             for t, step in plan.items() if step.keep or step.keep_mid}
-    assert kept == {5: (["up.cross", "up.self"], True)}
+    assert held == {**{t: (["up.cross", "up.self"], True)
+                       for t in (5, 6, 7, 8)}, 9: ([], True)}
 
 
 def test_run_that_reads_before_it_writes_is_refused():
@@ -300,23 +309,33 @@ def _forward_steps(cfg, steps, state, x=None):
 
 def test_fresh_state_has_no_cache_to_serve():
     # a state starts empty, so a step that serves the cache before any
-    # recompute wrote it is refused, never served stale data
-    state = AccelState()
-    with pytest.raises(InternalError):
-        _forward_steps(AccelConfig(cache_point=2, skip_point=never(25)), [3],
-                       state)
+    # recompute wrote it is refused, never served stale data: one that
+    # keeps what it serves (3) and one that releases it (4) alike
+    cfg = AccelConfig(cache_point=2, skip_point=never(25))
+    plan = run_plan(cfg, 1, 25, 2)
+    assert len(plan[3].keep) == 6 and not plan[4].keep
+    for t in (3, 4):
+        with pytest.raises(InternalError):
+            _forward_steps(cfg, [t], AccelState())
 
 
 def test_cache_refresh_overwrites_every_fifth_step(monkeypatch):
     # every recompute step attends at all six sites; only a step whose
-    # next step serves the cache keeps them: 3, then each refresh but 25
+    # next step serves the cache writes them: 3, then each refresh but 25;
+    # each serving step keeps them but the last before a refresh, which
+    # releases them, so the state holds all six or none after each step
     cfg = AccelConfig(cache_point=3, skip_point=never(25), refresh_period=5)
     attended = spy_attend(monkeypatch)
     state = AccelState()
     state.cached_attention = writes = WriteLog()
-    _forward_steps(cfg, range(1, 26), state)
     sites = {"down.self", "down.cross", "mid.self", "mid.cross",
              "up.self", "up.cross"}
+    x, held = None, []
+    for t in range(1, 26):
+        x = _forward_steps(cfg, [t], state, x)
+        assert set(state.cached_attention) in (set(), sites), t
+        held += [t] if state.cached_attention else []
+    assert held == [3, *(t for t in range(5, 24) if t % 5 != 4)]
     for log, want in ((attended, {t for t in range(1, 26)
                                   if t <= 3 or t % 5 == 0}),
                       (writes.log, {3, 5, 10, 15, 20})):
@@ -363,33 +382,6 @@ def test_disabled_gates_match_accel_free_path_bitwise():
     assert same_bits(with_accel, without)
 
 
-class _Ledger(AccelState):
-    """An AccelState that logs (iteration, key, array) of every cache read,
-    and every mid-feature write next to its attention writes."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = []
-
-    def load_attention(self, site):
-        out = super().load_attention(site)
-        self.reads.append((self.cached_attention.step, site, out))
-        return out
-
-    @property
-    def mid_features(self):
-        mid = self.__dict__.get("mid")
-        self.reads.append((self.cached_attention.step, "mid", mid))
-        return mid
-
-    @mid_features.setter
-    def mid_features(self, mid):
-        if mid is not None:
-            log = self.cached_attention.log
-            log.append((self.cached_attention.step, "mid", mid))
-        self.__dict__["mid"] = mid
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 26), st.integers(2, 26), st.integers(1, 6),
        st.booleans(), st.integers(1, 25), st.sampled_from([1, 2, 6]))
@@ -403,9 +395,18 @@ def test_a_run_caches_exactly_what_later_steps_read(cache, skip, refresh,
     decided, real_gates = [], oblix.accel.step_gates
     with pytest.MonkeyPatch.context() as m:
         attended = spy_attend(m)
-        made = spy_states(m, _Ledger)
+        made = spy_states(m, Ledger)
         m.setattr(oblix.accel, "step_gates",
                   lambda t, *rest: decided.append(t) or real_gates(t, *rest))
+        held, forward = [], oblix.denoiser.unet_forward
+
+        def snapshot(latents, texts, t, w, step, state=None):
+            eps = forward(latents, texts, t, w, step, state)
+            if state is not None:
+                held.append((t, state.held()))
+            return eps
+
+        m.setattr(oblix.denoiser, "unet_forward", snapshot)
         out = run_denoise_steps(x, texts, sched, W, 1, k, cfg)
     assert decided == list(range(1, k + 1))  # each step's gates, once
     plan = run_plan(cfg, 1, k, n)
@@ -413,7 +414,8 @@ def test_a_run_caches_exactly_what_later_steps_read(cache, skip, refresh,
     writes = made[0].cached_attention.log if made else []
     reads = made[0].reads if made else []
     assert sorted((t, site) for t, site, _ in writes if site != "mid") == \
-        sorted((t, site) for t, step in plan.items() for site in step.keep)
+        sorted((t, site) for t, step in plan.items() if step.gates.recompute
+               for site in step.keep)
     # every read finds the output of its site's last recompute (the last
     # mid features), as a run that cached every output would serve it
     for t, key, got in reads:
@@ -424,6 +426,17 @@ def test_a_run_caches_exactly_what_later_steps_read(cache, skip, refresh,
     for t, key, out in writes:
         assert any(u > t and site == key and got is out
                    for u, site, got in reads), (t, key)
+
+    # after each step the state holds exactly what a later step reads: the
+    # key of each read after t of an array written at or before t
+    def written_at(key, got):
+        source = writes if key == "mid" else attended
+        return next(u for u, site, out in source if out is got)
+
+    assert [t for t, _ in held] == (list(range(1, k + 1)) if made else [])
+    for t, now in held:
+        assert now == {key for u, key, got in reads
+                       if u > t and written_at(key, got) <= t}, t
     if all(step.gates == StepPlan().gates for step in plan.values()):
         assert made == []
         assert same_bits(out, run_denoise_steps(x, texts, sched, W, 1, k))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,42 @@ def test_unconvertible_value_is_a_config_error_naming_it(tmp_path, capsys,
     assert value in str(err.value)
     assert main(["generate", "--config", path, "--prompt", "a red bicycle"]) == 2
     assert f"error: [{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+@pytest.mark.parametrize("command, key", [("serve", "[transport] port"),
+                                          ("client", "[transport] port"),
+                                          ("client", "--port")])
+def test_a_port_outside_its_range_exits_2_naming_the_key(tmp_path, capsys,
+                                                         command, key, port):
+    # refused at load, before a socket binds or connects to it
+    if key == "--port":
+        path, flag = _write_config(tmp_path), ["--port", port]
+    else:
+        path, flag = _write_config(tmp_path, transport={"port": port}), []
+    prompt = ["--prompt", "portrait of a man"] if command == "client" else []
+    assert main([command, "--config", path, *prompt, *flag]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} = {port} is outside the port range 0..65535\n"
+
+
+@pytest.mark.parametrize("betas", [("1e40", "1e+40"), ("1e-50", "1e-50"),
+                                   ("0.99999999", "0.99999999")],
+                         ids=["past binary32", "rounds to 0", "rounds to 1"])
+def test_betas_out_of_range_as_configured_or_in_binary32_exit_2(
+        tmp_path, capsys, betas):
+    # checked as configured before the binary32 rounding, which would
+    # overflow 1e40 to inf with a numpy warning, and checked again after it
+    value, shown = betas
+    path = _write_config(tmp_path, schedule={"beta_start": value,
+                                             "beta_end": value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["generate", "--config", path, "--prompt", "a red bicycle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 0 < beta_start <= beta_end < 1")
+    assert f"got {shown}, {shown}" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key,value", [

@@ -22,7 +22,7 @@ from oblix.protocol import run_device_steps
 from oblix.schedule import NoiseSchedule
 from oblix.tensor import FlopsCounter, Rng, StepCost, fnv1a64, use_flops_counter
 
-from bitwise import same_bits, spy_states
+from bitwise import Ledger, same_bits, spy_states
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
@@ -180,6 +180,25 @@ def test_unet_validates_batch():
         unet_forward(batch, _texts(["a", "b"]), 1, W)
 
 
+def _flat_mix(mix, h, n):
+    """The batch's left-mixing as one flat token-major product, the row
+    blocks of h side by side as one (S, n*width) operand."""
+    s, d = mix.shape[0], h.shape[1]
+    flat = np.matmul(mix, h.reshape(n, s, d).transpose(1, 0, 2)
+                     .reshape(s, n * d))
+    return flat.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 256])
+def test_per_row_mix_has_the_bits_of_the_flat_token_major_product(n):
+    w = ModelWeights.build(ModelConfig(), 1001)
+    h = np.tanh(Rng(n).gaussian((n * w.cfg.tokens, w.cfg.width)))
+    for name in ("mix_down", "mix_up"):
+        got = oblix.denoiser._mix(w[name], h, n)
+        assert same_bits(got, _flat_mix(w[name], h, n)), name
+        assert not got.flags.writeable
+
+
 def test_skip_feeds_cached_mid_features_bitwise():
     plan = run_plan(AccelConfig(cache_point=never(25), skip_point=3), 1, 4, 1)
     state = AccelState()
@@ -305,7 +324,7 @@ def test_an_ungated_n30_run_holds_few_hidden_states_at_its_peak():
     # the working set of a bulk server request: each array dies at its last
     # reader, attention softmax runs in place on its score buffer and values
     # are projected per chunk, so a 2-step N=30 run of the default model
-    # peaks at about 4.9 row-stacked (N*S, width) hidden states above what
+    # peaks at about 4.8 row-stacked (N*S, width) hidden states above what
     # it was given, and 7.6 when block outputs outlive their last reader;
     # keeping the input embedding and mid features alive through the up
     # block alone crosses 5.5, and so does a 1 MiB map chunk with the
@@ -316,14 +335,16 @@ def test_an_ungated_n30_run_holds_few_hidden_states_at_its_peak():
 
 def test_a_paper_default_gated_run_caches_only_what_it_reads():
     # the paper's default gates (k=10, cache 4, skip 6, refresh 5, reuse)
-    # keep the two up-site outputs and the mid features of iteration 5 and
-    # nothing else, so the run peaks at about 6.9 hidden states; caching
-    # every site output and the mid features at each recompute took 11.7,
-    # and a 1 MiB map chunk with values projected up front 7.8
+    # keep the two up-site outputs of iteration 5 until iteration 9 and its
+    # mid features until iteration 10, and nothing else, so the run peaks
+    # at about 5.45 hidden states, in the up block of steps 5-9 beside
+    # those three; it took 6.9 with a batch-sized copy on each side of the
+    # mix product and the caches kept to the run's end, 11.7 when every
+    # site output and the mid features were cached at each recompute
     accel = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
                         reuse=True, refresh_period=5)
     peak = _traced_peak_in_hidden_states(accel, 10)
-    assert peak <= 7.5, peak
+    assert peak <= 6.0, peak
 
 
 def test_run_denoise_steps_range_validation():
@@ -336,7 +357,7 @@ def test_run_denoise_steps_range_validation():
 
 
 def test_each_gated_run_makes_its_own_state(monkeypatch):
-    made = spy_states(monkeypatch)
+    made = spy_states(monkeypatch, Ledger)
     cfg = AccelConfig(switch_point=4, cache_point=2, skip_point=3)
     batch = np.stack([Rng(5).gaussian((CFG.channels, CFG.res, CFG.res))] * 2)
     texts, sched = _texts(["one run", "its state"]), NoiseSchedule(6)
@@ -349,8 +370,11 @@ def test_each_gated_run_makes_its_own_state(monkeypatch):
     run_denoise_steps(batch[:1], texts[:1], sched, ModelWeights.build(CFG, 8),
                       1, 4, cfg)
     assert len(made) == 3
-    assert made[0].mid_features.shape[0] == 2 * CFG.tokens
-    assert made[2].mid_features.shape[0] == CFG.tokens
+    mids = [[mid.shape[0] for _, key, mid in state.cached_attention.log
+             if key == "mid"] for state in made]
+    assert mids == [[2 * CFG.tokens], [2 * CFG.tokens], [CFG.tokens]]
+    # the last skip released the mid features: a state ends empty
+    assert [state.held() for state in made] == [set()] * 3
 
 
 def test_gated_run_must_start_at_iteration_one():

@@ -132,6 +132,33 @@ def test_matmul_into_a_slice_leaves_the_check_to_the_caller():
         matmul(a, b.T, out=buf[:4])
 
 
+def test_an_add_in_place_has_the_bits_of_a_fresh_sum():
+    # the forward adds a residual and the time vector in place on a fresh
+    # product that matmul left unchecked: the sum keeps the bits of a fresh
+    # one and is checked, so a non-finite product is refused
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(6, 4)).astype(np.float32)
+    p = rng.normal(size=(6, 4)).astype(np.float32)
+    v = p[0].copy()
+    cases = {"add": (lambda buf: add(h, buf, out=buf), add(h, p)),
+             "add_rowvec": (lambda buf: add_rowvec(buf, v, out=buf),
+                            add_rowvec(p, v))}
+    for name, (in_place, fresh) in cases.items():
+        buf = p.copy()
+        got = in_place(buf)
+        assert got is buf and not got.flags.writeable, name
+        assert same_bits(got, fresh), name
+        for bad in (np.inf, -np.inf, np.nan):
+            buf = p.copy()
+            buf[2, 1] = bad
+            with pytest.raises(InternalError):
+                in_place(buf)
+    with pytest.raises(ShapeError):
+        add(h, p, out=np.empty((4, 6), np.float32))
+    with pytest.raises(ShapeError):
+        add_rowvec(h, v, out=np.empty((4, 6), np.float32))
+
+
 # --- block products ---------------------------------------------------------
 
 @pytest.mark.parametrize("blocks", [1, 2, 31, 256])

@@ -179,14 +179,15 @@ def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
     with tracing.patched(tracer):
         oblix.denoiser.unet_forward(latents, texts, 1, w)
     spans = [span for span in tracer.spans if span[2] == "tensor.matmul"]
-    # 6 trunk products and one output projection; per site the output
-    # projection, a query, a key and a value projection and a map-times-value
-    # block product per chunk, and a score product per row
+    # 4 trunk products, a product per row for each of the two mixes and
+    # one output projection; per site the output projection, a query, a key
+    # and a value projection and a map-times-value block product per chunk,
+    # and a score product per row
     chunks = {kv: -(-n // max(1, oblix.accel.MAP_CHUNK_BYTES // (4 * s * kv)))
               for kv in (s, t)}
     assert chunks == {s: 8, t: 1}
-    products = 6 + 1 + 3 * sum(1 + 4 * chunks[kv] + n for kv in (s, t))
-    assert products == 301
+    products = 4 + 2 * n + 1 + 3 * sum(1 + 4 * chunks[kv] + n for kv in (s, t))
+    assert products == 359
     assert len(spans) == len(counted) == products
     # the 11 biased layers (w_in, w_down, w_mid, w_up, w_out and six wo) and
     # the scale of each (row, site) score product
