@@ -30,6 +30,7 @@ every output.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -144,13 +145,17 @@ class StepPlan(NamedTuple):
 
     A recomputing step writes what it keeps; a step that serves a site's
     cache (skips, for the mid features) releases what it does not keep, so
-    each cached array dies at its last reader.
+    each cached array dies at its last reader.  A run split into row
+    shards gives each shard its own copy of a reuse step: ``pivot`` is the
+    shard's own row, or None in a shard without the pivot, and ``handoff``
+    carries the pivot's maps from the one shard to the others.
     """
 
     gates: StepGates = StepGates(True, False, False)
     keep: frozenset[str] = frozenset()
     keep_mid: bool = False
     pivot: int | None = None
+    handoff: MapHandoff | None = None
 
 
 def run_plan(cfg: AccelConfig | None, first: int, last: int,
@@ -175,6 +180,40 @@ def run_plan(cfg: AccelConfig | None, first: int, last: int,
     if gates[first].skip or any(serves_next.values()):
         raise ConfigError(f"a run from iteration {first} reads a cache it never wrote")
     return dict(reversed(plan.items()))
+
+
+class MapHandoff:
+    """Each site's shared map of one reuse step of a run split into row
+    shards: the shard that holds the pivot row makes it once and puts it
+    here, and the other shards take it, waiting until it is put.
+
+    The holding shard closes the handoff when its step ends, also when it
+    fails, so no shard waits forever for a map that will not come.
+    """
+
+    def __init__(self):
+        self._ready = threading.Condition()
+        self._maps: dict[str, np.ndarray] = {}
+        self._closed = False
+
+    def put(self, site: str, shared: np.ndarray) -> None:
+        with self._ready:
+            self._maps[site] = shared
+            self._ready.notify_all()
+
+    def close(self) -> None:
+        """No map is put after this: a shard waiting for one raises."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
+
+    def take(self, site: str) -> np.ndarray:
+        with self._ready:
+            self._ready.wait_for(lambda: site in self._maps or self._closed)
+            if site not in self._maps:
+                raise InternalError(f"the shard holding the pivot row ended "
+                                    f"its step without a {site} map")
+            return self._maps[site]
 
 
 @dataclass
@@ -215,13 +254,14 @@ class AccelState:
 
 
 def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
-           pivot: int | None = None) -> np.ndarray:
+           pivot: int | None = None,
+           handoff: MapHandoff | None = None) -> np.ndarray:
     """Map-times-value attention of one site over a row-stacked batch.
 
     ``q`` is (n*S, width) and ``kv`` is (n*T, kv width); row block r of
     each belongs to batch row r.  ``params`` exposes ``wq``/``wk``/``wv``
     projections.  The work runs per chunk of ``max(1, MAP_CHUNK_BYTES //
-    (4*S*T))`` rows: one query, one key and one value projection per
+    (4*S*T))`` rows: one query, one key and one value block product per
     chunk, each row's scaled scores into one (rows*S, T) buffer, one check
     of it (softmax would hide a -inf score), one softmax in place on that
     buffer, and one block product of the maps and the values into the
@@ -230,7 +270,9 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
     ``k.T``, which a row-stacked operand could hold only as a transposed
     copy, whose product can have other bits.  With ``pivot``, block
     ``pivot``'s map is made once and every row multiplies it by its own
-    values, one product per row.  Each numpy call releases and retakes
+    values, one product per row; with a ``handoff`` too, it is put there
+    for the other row shards of the step, and with a ``handoff`` alone it
+    is taken from there.  Each numpy call releases and retakes
     the interpreter lock, so fewer calls per row let concurrent requests
     overlap, and the budget keeps a chunk's maps in cache: 4 self-site
     rows or 64 cross-site rows of the default model.  A chunk's maps and
@@ -250,8 +292,8 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
     def maps(r0: int, r1: int) -> np.ndarray:
         """The softmaxed maps of rows r0..r1-1, as one (rows*S, T) matrix."""
         with flops_tag(map_tag):
-            q_proj = matmul(q[r0 * s:r1 * s], params.wq)
-            k_proj = matmul(kv[r0 * t:r1 * t], params.wk)
+            q_proj = matmul(q[r0 * s:r1 * s], params.wq, blocks=r1 - r0)
+            k_proj = matmul(kv[r0 * t:r1 * t], params.wk, blocks=r1 - r0)
             scores = np.empty(((r1 - r0) * s, t), dtype=np.float32)
             for q_row, k_row, into in zip(row_blocks(q_proj, r1 - r0),
                                           row_blocks(k_proj, r1 - r0),
@@ -262,7 +304,12 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
             _checked(scores, freeze=False)
             return softmax_rows(scores, out=scores)
 
-    shared = None if pivot is None else maps(pivot, pivot + 1)
+    if pivot is not None:
+        shared = maps(pivot, pivot + 1)
+        if handoff is not None:
+            handoff.put(site, shared)
+    else:
+        shared = None if handoff is None else handoff.take(site)
     rows = max(1, MAP_CHUNK_BYTES // (4 * s * t))
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
@@ -270,7 +317,7 @@ def attend(q: np.ndarray, kv: np.ndarray, params, site: str, n: int,
         if r0 == 0:
             out = np.empty((n * s, params.wv.shape[1]), dtype=np.float32)
         with flops_tag(value_tag):
-            values = matmul(kv[r0 * t:r1 * t], params.wv)
+            values = matmul(kv[r0 * t:r1 * t], params.wv, blocks=r1 - r0)
             into = out[r0 * s:r1 * s]
             if shared is None:
                 matmul(attn_maps, values, out=into, blocks=r1 - r0)

@@ -21,19 +21,24 @@ cached), which is the reference path the equivalence tests compare against.
 
 from __future__ import annotations
 
+import contextvars
 import io
 import math
+import os
 import struct
-from contextlib import nullcontext
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import accel as accel_mod
-from .accel import SITES, AccelConfig, AccelState, StepPlan
+from .accel import SITES, AccelConfig, AccelState, MapHandoff, StepPlan
 from .errors import ConfigError, InputError, InternalError, ProtocolError
 from .schedule import NoiseSchedule, ddim_step
 from .tensor import (
+    FlopsCounter,
     Rng,
     _checked,
     active_counter,
@@ -46,6 +51,7 @@ from .tensor import (
     readonly,
     row_blocks,
     tanh_map,
+    use_flops_counter,
 )
 
 WEIGHTS_MAGIC = b"OBLW"
@@ -319,11 +325,12 @@ def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
     if not step.gates.recompute:
         attended = state.load_attention(site, keep)
     else:
-        attended = accel_mod.attend(h, kv, params, site, n, step.pivot)
+        attended = accel_mod.attend(h, kv, params, site, n, step.pivot,
+                                    step.handoff)
         if keep:
             state.cached_attention[site] = attended
     with flops_tag(f"{site}/proj"):
-        projected = matmul(attended, params.wo, params.bo,
+        projected = matmul(attended, params.wo, params.bo, blocks=n,
                            out=np.empty(h.shape, dtype=np.float32))
     del attended  # a state's cache may still hold it
     return add(h, projected, out=projected)
@@ -353,15 +360,14 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     gated run at about 5.45 (traced, ``tests/test_denoiser.py``).
 
     Batch composition never changes a row's bits: each output row equals
-    a one-row run of that row, bit for bit.  That holds because every op
-    here treats rows independently and BLAS gives each row of a stacked
-    trunk product the bits of that block's own product.  The output
-    projection (width to channels) is the one shape where it does not at
-    every height, so it runs as one block product (``matmul(...,
-    blocks=N)``), which makes one GEMM per batch row.  The golden SHA, the
-    duplicated-row and permutation tests in ``tests/test_denoiser.py`` and
-    the solo-row oracle at N up to ``MAX_CANDIDATES`` in
-    ``tests/test_protocol.py`` pin it.
+    a one-row run of that row, bit for bit, under any BLAS kernel.  That
+    holds because every op here treats rows independently and every
+    product follows `oblix.tensor.matmul`'s block rule: a trunk projection
+    is one block product of N blocks, a GEMM per batch row.  So a run may
+    split its rows into shards and get the same bits.  The duplicated-row
+    and permutation tests in ``tests/test_denoiser.py``, the solo-row
+    oracle at N up to ``MAX_CANDIDATES`` in ``tests/test_protocol.py`` and
+    an oracle run under another OpenBLAS kernel pin it.
     """
     cfg = w.cfg
     n = latents.shape[0]
@@ -378,7 +384,7 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     # h is rebound block by block, so no block's output outlives the next
     # block's
     tokens = latents.reshape(n, c, s).transpose(0, 2, 1).reshape(n * s, c)
-    base = matmul(tokens, w["w_in"], w["b_in"],
+    base = matmul(tokens, w["w_in"], w["b_in"], blocks=n,
                   out=np.empty((n * s, cfg.width), dtype=np.float32))
     base = add_rowvec(base, time_vector(t, cfg), out=base)
     del tokens
@@ -386,12 +392,12 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     if step.gates.skip:
         mid = state.load_mid(step.keep_mid)
     else:
-        h = tanh_map(
-            matmul(_mix(w["mix_down"], base, n), w["w_down"], w["b_down"]))
+        h = tanh_map(matmul(_mix(w["mix_down"], base, n), w["w_down"],
+                            w["b_down"], blocks=n))
         h = _attn_block(h, h, w, "down.self", n, step, state)
         h = _attn_block(h, text, w, "down.cross", n, step, state)
 
-        h = tanh_map(matmul(h, w["w_mid"], w["b_mid"]))
+        h = tanh_map(matmul(h, w["w_mid"], w["b_mid"], blocks=n))
         h = _attn_block(h, h, w, "mid.self", n, step, state)
         mid = _attn_block(h, text, w, "mid.cross", n, step, state)
         if step.keep_mid:
@@ -402,23 +408,150 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     # rebound at each op, so the old hidden state dies before the next
     # product: cached outputs and mid features may be alive beside it
     h = _mix(w["mix_up"], h, n)
-    h = matmul(h, w["w_up"], w["b_up"])
+    h = matmul(h, w["w_up"], w["b_up"], blocks=n)
     h = tanh_map(h)
     h = _attn_block(h, h, w, "up.self", n, step, state)
     h = _attn_block(h, text, w, "up.cross", n, step, state)
 
-    # one block product, a GEMM per batch row: OpenBLAS 0.3.31 gives a flat
-    # (M, 32) @ (32, 4) product other bits than its 256-row blocks from
-    # M = 7,936 (N = 31)
     eps = matmul(h, w["w_out"], w["b_out"], blocks=n)
     return readonly(eps.reshape(n, s, c).transpose(0, 2, 1)
                     .reshape(latents.shape))
 
 
+class ShardHelpers:
+    """Process-wide admission of the helper threads that run row shards.
+
+    Cores belong to the process, so one object counts for every server in
+    it: the runs of `run_denoise_steps` under way and the helpers at work.
+    A grant succeeds only while the two together are fewer than the usable
+    cores, so a helper never takes a core that another run's thread needs,
+    and no run ever waits for a grant: without one it runs the step on its
+    own thread (`_advance`).  The thread pool is imported and its first
+    thread started at the first grant, never before.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.runs = 0
+        self.busy = 0
+        self._pool = None
+
+    @contextmanager
+    def running(self):
+        """Count a run for as long as the block lasts."""
+        with self._lock:
+            self.runs += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.runs -= 1
+
+    def start(self, fn, *args):
+        """``fn(*args)`` on a helper thread, in a copy of the caller's
+        context (numpy's error state, say), as a future, when a core is
+        idle, else None; hand every future it returns to `finish`."""
+        with self._lock:
+            cores = len(os.sched_getaffinity(0))
+            if self.runs + self.busy >= cores:
+                return None
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+                # no more threads than helpers can be granted, each with
+                # its own malloc arena: a submit just after a helper ends
+                # would otherwise find no idle thread and start another
+                self._pool = ThreadPoolExecutor(
+                    max(1, cores - 1), thread_name_prefix="oblix-shard")
+            future = self._pool.submit(contextvars.copy_context().run, fn,
+                                       *args)
+            self.busy += 1
+        return future
+
+    def finish(self, future) -> None:
+        """Wait until a started ``future`` ends and give its core back; the
+        caller reads its result."""
+        future.exception()
+        with self._lock:
+            self.busy -= 1
+
+
+HELPERS = ShardHelpers()
+
+
+class _Shard(NamedTuple):
+    """Rows lo..hi-1 of a run and the caches they keep."""
+
+    lo: int
+    hi: int
+    state: AccelState | None
+
+    def holds(self, row: int | None) -> bool:
+        return row is not None and self.lo <= row < self.hi
+
+
+def _advance(x: np.ndarray, texts: list[np.ndarray], shards: list[_Shard],
+             i: int, step: StepPlan, w: ModelWeights, sched: NoiseSchedule,
+             counter: FlopsCounter | None) -> np.ndarray:
+    """Iteration i on the run's latents ``x``; returns the next latents.
+
+    Each shard counts on a counter of its own, merged into ``counter``
+    once all have ended.  The shard that holds the pivot of a reuse step
+    runs first, on this thread, and hands each site's map to the other;
+    the other runs on a helper thread when `HELPERS` grants one.  Without
+    a grant, a run that keeps no caches runs the step whole here, and one
+    that keeps them runs its shards here one after the other.  The first
+    failure in that order is raised once the helper has ended.
+    """
+    handoff = None if step.pivot is None or len(shards) == 1 else MapHandoff()
+    order = sorted(shards, key=lambda sh: not sh.holds(step.pivot))
+    total = sched.steps
+
+    def run(sh: _Shard) -> tuple[np.ndarray, FlopsCounter | None]:
+        holder = handoff is not None and sh.holds(step.pivot)
+        plan = step if handoff is None else step._replace(
+            pivot=step.pivot - sh.lo if holder else None, handoff=handoff)
+        rows = x[sh.lo:sh.hi]
+        own = None if counter is None else FlopsCounter()
+        try:
+            with use_flops_counter(own), \
+                    nullcontext() if own is None else own.step(i, *step.gates):
+                out = ddim_step(
+                    rows, unet_forward(rows, texts[sh.lo:sh.hi], i, w, plan,
+                                       sh.state),
+                    total - i + 1, total - i, sched)
+        finally:
+            if holder:
+                handoff.close()
+        return out, own
+
+    future = None if len(order) == 1 else HELPERS.start(run, order[1])
+    if future is None and order[0].state is None:
+        # without a helper, one forward of the whole batch costs less than
+        # two halves in turn, and a run that keeps no caches has nothing
+        # that needs its halves apart
+        order, handoff = [_Shard(0, x.shape[0], None)], None
+    try:
+        done = [run(order[0])]
+    finally:
+        if future is not None:
+            HELPERS.finish(future)
+    done += [run(sh) if future is None else future.result()
+             for sh in order[1:]]
+    if counter is not None:
+        for _, own in done:
+            counter.merge(own)
+    if len(done) == 1:
+        return done[0][0]
+    if order[0].lo:  # the pivot's shard ran first
+        done.reverse()
+    return readonly(np.concatenate([out for out, _ in done]))
+
+
 def run_denoise_steps(latents: np.ndarray, texts: list[np.ndarray],
                       sched: NoiseSchedule, w: ModelWeights,
                       first_iter: int, last_iter: int,
-                      accel: AccelConfig | None = None) -> np.ndarray:
+                      accel: AccelConfig | None = None, *,
+                      shards: int = 1) -> np.ndarray:
     """Run iterations [first_iter, last_iter] of the deterministic sampler.
 
     Iteration i moves the batch from schedule index T-i+1 to T-i.  The
@@ -426,22 +559,32 @@ def run_denoise_steps(latents: np.ndarray, texts: list[np.ndarray],
     the gate flags that were in force.  The run's `oblix.accel.run_plan`
     decides every step's gates once; a run whose plan keeps an output for
     a later step makes its own AccelState and drops it on return.
+
+    With ``shards`` of 2 the rows run as two contiguous row shards, fixed
+    for the run, each with its own AccelState, and each step runs them as
+    `_advance` does.  No row's bits depend on the batch
+    (`oblix.tensor.matmul`'s block rule) and every count is linear in
+    rows, so the output and the counts are those of one shard.
     """
     total = sched.steps
     if not 1 <= first_iter <= last_iter <= total:
         raise ConfigError(
             f"iteration range [{first_iter}, {last_iter}] outside [1, {total}]"
         )
-    plan = accel_mod.run_plan(accel, first_iter, last_iter, latents.shape[0])
+    n = latents.shape[0]
+    if shards not in (1, 2) or shards > n:
+        raise ConfigError(f"{shards} row shards for {n} rows; 1 or 2 run")
+    plan = accel_mod.run_plan(accel, first_iter, last_iter, n)
     keeps = any(step.keep or step.keep_mid for step in plan.values())
-    state = AccelState() if keeps else None
+    cuts = (0, n // 2, n) if shards == 2 else (0, n)
+    parts = [_Shard(lo, hi, AccelState() if keeps else None)
+             for lo, hi in zip(cuts, cuts[1:])]
     counter = active_counter()
     x = latents
-    for i, step in plan.items():
-        with nullcontext() if counter is None else counter.step(i, *step.gates):
-            # no name keeps eps alive through the next step's forward
-            x = ddim_step(x, unet_forward(x, texts, i, w, step, state),
-                          total - i + 1, total - i, sched)
+    with HELPERS.running():
+        for i, step in plan.items():
+            with nullcontext() if counter is None else counter.step(i, *step.gates):
+                x = _advance(x, texts, parts, i, step, w, sched, counter)
     return x
 
 

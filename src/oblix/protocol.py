@@ -101,6 +101,11 @@ MAX_CANDIDATES = 256
 # N=30 over a 50-step schedule 1,500; the cap is 8 forwards of the largest
 # class, about 3.4 s at 0.42 s per N=256 forward, not 256 x 1000 (7 min)
 MAX_ROW_STEPS = 2048
+# a run of at least this many candidates splits into two row shards, the
+# second on the idle core when there is one: one BLAS thread, default
+# model, two shards ran 1.29x (k=10 gated) and 1.69x (ungated) as fast as
+# one at N=16, 1.46x and 1.53x at N=30, and only 0.94-1.05x gated at N=6-8
+SHARD_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -352,6 +357,9 @@ class Server:
 
         Every request can run, so only what needs the server is refused: an
         unknown model id before compute, latents beyond binary16 at hand-off.
+        A run of ``SHARD_ROWS`` candidates or more runs as two row shards
+        (`oblix.denoiser.run_denoise_steps`), with the bits and the counts
+        of one.
         """
         if req.model_id not in self.weights:
             raise ProtocolError(f"unknown model id {req.model_id!r}")
@@ -365,9 +373,10 @@ class Server:
 
         counter = FlopsCounter()
         if k > 0:
+            shards = 2 if len(texts) >= SHARD_ROWS else 1
             with use_flops_counter(counter):
                 latents = run_denoise_steps(latents, texts, req.schedule,
-                                            w, 1, k, req.accel)
+                                            w, 1, k, req.accel, shards=shards)
         try:
             latents = fp16_roundtrip(latents)
         except RangeError as exc:

@@ -87,6 +87,14 @@ class FlopsCounter:
                 key = (self._current.index, self._tag)
                 self.tagged[key] = self.tagged.get(key, 0) + n
 
+    def merge(self, other: FlopsCounter) -> None:
+        """Add what ``other`` counted to the current step and its tag
+        buckets: a row shard counts one step on a counter of its own, and
+        every count is linear in rows, so the shards' sums are the step's."""
+        self.add(other.total)
+        for key, n in other.tagged.items():
+            self.tagged[key] = self.tagged.get(key, 0) + n
+
     @contextmanager
     def step(self, index: int, recompute: bool = True, skip: bool = False,
              reuse: bool = False):
@@ -186,9 +194,15 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None, *,
     either shared, (n, p), or row-stacked, (blocks*n, p): block r of the
     (blocks*m', p) result is block r of ``a`` times ``b`` or its block r.
     The blocks run as one stacked ``np.matmul``, which calls one GEMM per
-    block, so each keeps the bits of its own 2-D product where a flat
-    product of the stack may not.  The count is the same formula on the
-    stacked shapes, m = blocks*m'.
+    block, so each keeps the bits of its own 2-D product.  The count is the
+    same formula on the stacked shapes, m = blocks*m'.
+
+    The package's one rule of batch invariance: an operand whose rows
+    belong to different batch rows enters as blocks of one batch row.  A
+    flat product of such a stack gives a row other bits than its own
+    product under some OpenBLAS kernels (Haswell and Zen at every height,
+    SkylakeX for some shapes), so no product spans two batch rows, and a
+    row's bits never depend on the batch it runs in.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")

@@ -1,5 +1,7 @@
 """The bitwise oracle and the attention and cache spies the tests share."""
 
+import ctypes
+
 import oblix.accel
 import oblix.denoiser
 from oblix.accel import AccelState
@@ -8,6 +10,26 @@ from oblix.accel import AccelState
 def same_bits(a, b) -> bool:
     """True when two arrays have one shape and identical bytes."""
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def blas_kernel() -> str | None:
+    """The name of the kernel numpy's OpenBLAS runs (``SkylakeX``,
+    ``Haswell``, ...), asked of the loaded library, or None where it
+    cannot be asked."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_",
+                     "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 class WriteLog(dict):

@@ -158,10 +158,10 @@ def test_criterion_05_accel_off_equivalence(monkeypatch):
         seen, gate_free = [], [False]
         real = oblix.protocol.run_denoise_steps
 
-        def spy(latents, texts, sched, w, first, last, accel=None):
+        def spy(latents, texts, sched, w, first, last, accel=None, **kw):
             seen.append(accel)
             return real(latents, texts, sched, w, first, last,
-                        None if gate_free[0] else accel)
+                        None if gate_free[0] else accel, **kw)
 
         monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
         made = spy_states(monkeypatch)

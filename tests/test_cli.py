@@ -105,6 +105,35 @@ def test_serving_and_the_device_finish_load_no_openssl(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+# `oblix serve` up to its first request, in a fresh interpreter: prints the
+# threads then running and whether the row-shard helpers' pool module was
+# loaded by it
+SERVE_UNTIL_FIRST_REQUEST = """
+import sys, threading
+loaded = "concurrent.futures" in sys.modules
+from oblix.cli import load_run_config
+from oblix.protocol import Daemon, Server
+rc = load_run_config(sys.argv[1])
+daemon = Daemon(("127.0.0.1", 0), Server({rc.model_id: rc.cloud_weights}))
+print([t.name for t in threading.enumerate()],
+      not loaded and "concurrent.futures" in sys.modules)
+daemon.server_close()
+"""
+
+
+def test_a_started_daemon_runs_one_thread_and_no_pool(tmp_path):
+    # row shards cost set-up nothing: the helpers' pool is imported (3.6 ms)
+    # and its thread started at the first grant, not at start-up
+    src = str(pathlib.Path(oblix.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SERVE_UNTIL_FIRST_REQUEST,
+         _readme_sample(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "['MainThread'] False"
+
+
 def test_a_config_of_only_weight_seeds_takes_every_dataclass_default(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[model]\ncloud_seed = 1\ndevice_seed = 2\n")

@@ -1,6 +1,12 @@
+import dataclasses
 import hashlib
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,10 +28,11 @@ from oblix.protocol import run_device_steps
 from oblix.schedule import NoiseSchedule
 from oblix.tensor import FlopsCounter, Rng, StepCost, fnv1a64, use_flops_counter
 
-from bitwise import Ledger, same_bits, spy_states
+from bitwise import Ledger, blas_kernel, same_bits, spy_states
 
 CFG = ModelConfig(res=8, width=16, d_text=16, token_capacity=8)
 W = ModelWeights.build(CFG, 7)
+DEFAULT_W = ModelWeights.build(ModelConfig(), 1001)
 
 
 # --- text embedding -----------------------------------------------------------
@@ -180,22 +187,18 @@ def test_unet_validates_batch():
         unet_forward(batch, _texts(["a", "b"]), 1, W)
 
 
-def _flat_mix(mix, h, n):
-    """The batch's left-mixing as one flat token-major product, the row
-    blocks of h side by side as one (S, n*width) operand."""
-    s, d = mix.shape[0], h.shape[1]
-    flat = np.matmul(mix, h.reshape(n, s, d).transpose(1, 0, 2)
-                     .reshape(s, n * d))
-    return flat.reshape(s, n, d).transpose(1, 0, 2).reshape(n * s, d)
-
-
 @pytest.mark.parametrize("n", [1, 2, 31, 256])
-def test_per_row_mix_has_the_bits_of_the_flat_token_major_product(n):
+def test_per_row_mix_has_the_bits_of_each_rows_solo_product(n):
+    # a flat token-major product of the batch, (S, S) @ (S, n*width), gave
+    # these bits on an AVX-512 OpenBLAS kernel but not under Haswell's, so
+    # each row's own product is the reference
     w = ModelWeights.build(ModelConfig(), 1001)
     h = np.tanh(Rng(n).gaussian((n * w.cfg.tokens, w.cfg.width)))
     for name in ("mix_down", "mix_up"):
         got = oblix.denoiser._mix(w[name], h, n)
-        assert same_bits(got, _flat_mix(w[name], h, n)), name
+        solo = np.concatenate([w[name] @ block
+                               for block in h.reshape(n, w.cfg.tokens, -1)])
+        assert same_bits(got, solo), name
         assert not got.flags.writeable
 
 
@@ -216,12 +219,22 @@ def test_skip_feeds_cached_mid_features_bitwise():
     assert not same_bits(skipped, full)
 
 
-def test_golden_snapshot_no_accel():
-    # pinned after the attention/equation oracles above passed
+def _golden_forward():
     w = ModelWeights.build(ModelConfig(), 1001)
     batch = np.stack([Rng(42).gaussian((4, 16, 16))])
-    out = unet_forward(batch, [embed_prompt("golden reference prompt",
-                                            w.cfg)], 1, w)
+    return unet_forward(batch, [embed_prompt("golden reference prompt",
+                                             w.cfg)], 1, w)
+
+
+def test_golden_snapshot_no_accel():
+    # pinned after the attention/equation oracles above passed; a golden is
+    # one BLAS kernel's bits, since kernels sum a product in other orders:
+    # this one is SkylakeX's, at any thread count tried, and the kernel
+    # oracle below checks Haswell's at one thread
+    kernel = blas_kernel()
+    if kernel != "SkylakeX":
+        pytest.skip(f"the golden is the SkylakeX kernel's, not {kernel}'s")
+    out = _golden_forward()
     digest = hashlib.sha256(out.tobytes()).hexdigest()
     assert out.shape == (1, 4, 16, 16)
     assert digest == GOLDEN_SHA256
@@ -231,6 +244,180 @@ def test_golden_snapshot_no_accel():
 
 GOLDEN_SHA256 = "1b0ef2d7397821a1aec8091ce67ddcea5868c6b507fb89e9755bba94ce1220b8"
 GOLDEN_HEAD = [0.8328762054443359, 0.3854965567588806, 0.7217596769332886]
+# the Haswell kernel at one BLAS thread; with two it gives other bits again
+GOLDEN_SHA256_HASWELL = \
+    "c3a694fc414d73ba0d92230b76ba0935d2a23a31cbea2da1cd811845c87bc1fe"
+
+
+# Batch invariance under the Haswell kernel, which an AVX2-only CPU runs:
+# it gives a flat (N*256, 32) @ (32, 32) product other bits than its row
+# blocks at every N >= 2, so every row-stacked product must be a block
+# product for these checks to hold.  Prints one line per failed check,
+# SKIP if the kernel did not change, else the golden's digest.
+KERNEL_ORACLE = """
+import dataclasses, hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from bitwise import blas_kernel, same_bits
+from test_denoiser import PAPER_DEFAULT, _golden_forward
+from oblix.accel import AccelConfig
+from oblix.denoiser import (ModelConfig, ModelWeights, embed_prompt,
+                            run_denoise_steps, unet_forward)
+from oblix.schedule import NoiseSchedule
+from oblix.tensor import FlopsCounter, Rng, use_flops_counter
+
+h = Rng(1).gaussian((2 * 256, 32))
+b = Rng(2).gaussian((32, 32))
+if same_bits(h @ b, np.matmul(h.reshape(2, 256, 32), b).reshape(512, 32)):
+    sys.exit(f"SKIP the {blas_kernel()} kernel gives a flat product the bits "
+             "of its row blocks, so OPENBLAS_CORETYPE took no effect")
+w = ModelWeights.build(ModelConfig(), 1001)
+texts = [embed_prompt(f"candidate {i} of a calm forest", w.cfg)
+         for i in range(31)]
+rows = [Rng(60 + i).gaussian((4, 16, 16)) for i in range(31)]
+failed = []
+def check(ok, name):
+    if not ok:
+        failed.append(name)
+out = unet_forward(np.stack(rows[:1] * 2), texts[:1] * 2, 3, w)
+check(same_bits(out[0], out[1]), "duplicated rows")
+perm = [2, 0, 1]
+out = unet_forward(np.stack(rows[:3]), texts[:3], 2, w)
+out_p = unet_forward(np.stack([rows[i] for i in perm]),
+                     [texts[i] for i in perm], 2, w)
+check(all(same_bits(out_p[a], out[b]) for a, b in enumerate(perm)),
+      "permutation")
+for n in (2, 31):
+    out = unet_forward(np.stack(rows[:n]), texts[:n], 4, w)
+    check(all(same_bits(out[i], unet_forward(rows[i][None], texts[i:i + 1],
+                                             4, w)[0]) for i in range(n)),
+          f"solo rows at N={n}")
+sched = NoiseSchedule(25)
+reuse = AccelConfig(switch_point=3, cache_point=2, reuse=True, pivot_index=2)
+x = np.stack([rows[0]] * 5)
+out = run_denoise_steps(x, texts[:5], sched, w, 1, 3, reuse)
+pair = dataclasses.replace(reuse, pivot_index=0)
+check(all(same_bits(out[i], run_denoise_steps(
+    x[:2], [texts[2], texts[i]], sched, w, 1, 3, pair)[1]) for i in range(5)),
+    "pivot reuse")
+runs = []
+for shards in (1, 2):
+    counter = FlopsCounter()
+    with use_flops_counter(counter):
+        out = run_denoise_steps(np.stack(rows[:16]), texts[:16], sched, w,
+                                1, 10, PAPER_DEFAULT, shards=shards)
+    runs.append((out.tobytes(), counter.total, counter.steps, counter.tagged))
+check(runs[0] == runs[1], "2 shards against 1 at N=16")
+for name in failed:
+    print(name)
+print(hashlib.sha256(_golden_forward().tobytes()).hexdigest())
+"""
+
+
+def test_rows_keep_their_bits_under_the_haswell_kernel():
+    tests = pathlib.Path(__file__).parent
+    src = str(pathlib.Path(oblix.denoiser.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", KERNEL_ORACLE, str(tests)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Haswell",
+             "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    if done.stderr.startswith("SKIP "):
+        pytest.skip(done.stderr.strip()[5:])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [GOLDEN_SHA256_HASWELL]
+
+
+PAPER_DEFAULT = AccelConfig(switch_point=10, cache_point=4, skip_point=6,
+                            reuse=True, refresh_period=5)
+
+
+def _shard_run(x, texts, last, accel, shards):
+    """Output and counts of one run of the default model."""
+    counter = FlopsCounter()
+    with use_flops_counter(counter):
+        out = run_denoise_steps(x, texts, NoiseSchedule(25), DEFAULT_W, 1,
+                                last, accel, shards=shards)
+    return out.tobytes(), counter.total, counter.steps, counter.tagged
+
+
+@pytest.mark.parametrize("n,gated,pivot,helper", [
+    (6, False, None, True), (6, False, None, False),
+    (6, True, 0, True), (6, True, 5, True), (6, True, 4, False),
+    (30, False, None, True), (30, True, 0, True), (30, True, 17, False),
+    (256, False, None, True), (256, True, 200, True),
+])
+def test_row_shards_give_the_bits_and_counts_of_one(n, gated, pivot, helper,
+                                                    monkeypatch):
+    # N=6 is below the server's threshold; the argument forces two shards.
+    # With a helper the second shard runs on another thread, without one
+    # after the first on this thread, or, in a run that keeps no caches,
+    # the step runs whole; the shard that holds the pivot hands each
+    # site's map to the other
+    granted, forwards = [], []
+    start, forward = oblix.denoiser.HELPERS.start, oblix.denoiser.unet_forward
+
+    def spy(fn, *args):
+        future = start(fn, *args) if helper else None
+        granted.append(future is not None)
+        return future
+
+    def rows(latents, *args):
+        forwards.append(latents.shape[0])
+        return forward(latents, *args)
+
+    monkeypatch.setattr(oblix.denoiser.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    monkeypatch.setattr(oblix.denoiser.HELPERS, "start", spy)
+    monkeypatch.setattr(oblix.denoiser, "unet_forward", rows)
+    cfg = DEFAULT_W.cfg
+    texts = [embed_prompt(f"candidate {i} of a calm forest", cfg)
+             for i in range(n)]
+    x = np.stack([Rng(3).gaussian((cfg.channels, cfg.res, cfg.res))] * n)
+    accel = dataclasses.replace(PAPER_DEFAULT, pivot_index=pivot) \
+        if gated else None
+    last = 10 if gated else 2
+    one = _shard_run(x, texts, last, accel, 1)
+    assert granted == [] and forwards == [n] * last
+    forwards.clear()
+    assert _shard_run(x, texts, last, accel, 2) == one
+    assert granted == [helper] * last
+    halves = [n // 2, n - n // 2] if helper or gated else [n]
+    assert sorted(forwards) == sorted(halves * last)
+    assert oblix.denoiser.HELPERS.busy == 0
+
+
+def test_more_runs_than_cores_keep_their_bits_and_free_every_core():
+    # six sharded runs at once with a short switch interval, so threads
+    # interleave inside the helpers' admission: each keeps the bits of one
+    # shard, and afterwards no run or helper is counted, which a lost
+    # update of either count would break
+    accel = AccelConfig(switch_point=3, cache_point=2, reuse=True,
+                        pivot_index=4)
+    texts = [embed_prompt(f"candidate {i}", CFG) for i in range(6)]
+    x = np.stack([Rng(5).gaussian((CFG.channels, CFG.res, CFG.res))] * 6)
+    sched = NoiseSchedule(8)
+    want = run_denoise_steps(x, texts, sched, W, 1, 3, accel)
+    outs = []
+
+    def one():
+        outs.append(run_denoise_steps(x, texts, sched, W, 1, 3, accel,
+                                      shards=2))
+
+    threads = [threading.Thread(target=one, daemon=True) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(outs) == 6 and all(same_bits(out, want) for out in outs)
+    helpers = oblix.denoiser.HELPERS
+    assert (helpers.runs, helpers.busy) == (0, 0)
 
 
 # --- sampler loop ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import socket
@@ -50,6 +51,7 @@ from oblix.schedule import (
     SPACINGS,
     NoiseSchedule,
 )
+from oblix.security import check_indistinguishability
 from oblix.tensor import (
     FlopsCounter,
     Rng,
@@ -611,9 +613,9 @@ def _spy_on_run_accel(monkeypatch):
     seen = []
     real = oblix.protocol.run_denoise_steps
 
-    def spy(latents, texts, sched, w, first, last, accel=None):
+    def spy(latents, texts, sched, w, first, last, accel=None, **kw):
         seen.append(accel)
-        return real(latents, texts, sched, w, first, last, accel)
+        return real(latents, texts, sched, w, first, last, accel, **kw)
 
     monkeypatch.setattr(oblix.protocol, "run_denoise_steps", spy)
     return seen
@@ -1163,3 +1165,162 @@ def test_encode_refuses_counts_above_caps():
         _request(candidates=("x",) * (MAX_CANDIDATES + 1))
     with pytest.raises(ConfigError, match="schedule steps exceed the cap"):
         _request(schedule=NoiseSchedule(MAX_SCHEDULE_STEPS + 1))
+
+
+# --- row shards -------------------------------------------------------------------
+
+PAPER_GATES = dict(switch_point=10, cache_point=4, skip_point=6, reuse=True,
+                   refresh_period=5, steps=25)
+SHARD_PROMPTS = tuple(f"candidate {i} of a calm forest" for i in range(30))
+
+
+def _spy_grants(monkeypatch) -> list:
+    """Log (runs under way, granted) of each helper request, the runs as
+    the helpers' lock saw them, on a process of two usable cores."""
+    helpers, grants, seen = oblix.denoiser.HELPERS, [], threading.local()
+    start = helpers.start
+
+    def cores(pid):  # read under the helpers' lock
+        seen.runs = helpers.runs
+        return {0, 1}
+
+    def spy(fn, *args):
+        future = start(fn, *args)
+        grants.append((seen.runs, future is not None))
+        return future
+
+    monkeypatch.setattr(oblix.denoiser.os, "sched_getaffinity", cores)
+    monkeypatch.setattr(helpers, "start", spy)
+    return grants
+
+
+def _spiked_prompts(row):
+    """SHARD_PROMPTS with a token added to ``row`` whose embedding's first
+    entry is far the largest of any prompt's, and a ``down.cross.wv`` that
+    overflows that entry's values only."""
+    others = max(float(np.abs(embed_prompt(p, CFG)[:, 0]).max())
+                 for p in SHARD_PROMPTS)
+    spike = next(f"spike{k}" for k in range(100_000)
+                 if abs(embed_prompt(f"spike{k}", CFG)[0, 0]) > 1.5 * others)
+    prompts = list(SHARD_PROMPTS)
+    prompts[row] += " " + spike
+    peak = float(abs(embed_prompt(spike, CFG)[0, 0]))
+    wv = np.zeros_like(W["down.cross.wv"])
+    wv[0, 0] = 2 * float(np.finfo(np.float32).max) / (others + peak)
+    return tuple(prompts), W.replace(**{"down.cross.wv": wv})
+
+
+@pytest.mark.parametrize("where", ["pivot shard", "helper shard"])
+def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
+        where, monkeypatch):
+    # the weights are finite, as ModelWeights requires, but a value they
+    # make is not: in the pivot's map at reuse step 1, which only the shard
+    # holding the pivot makes, or in the values of one row of the other
+    # shard; either way the request raises what an unsharded run raises,
+    # and the shard waiting for a map the pivot's shard never made is freed
+    if where == "pivot shard":
+        prompts = SHARD_PROMPTS
+        bad = W.replace(**{"down.self.wq": np.full_like(W["down.self.wq"],
+                                                        3e38)})
+    else:
+        prompts, bad = _spiked_prompts(20)
+    server = Server({"toy": W, "bad": bad})
+    req = _request(candidates=prompts, model_id="bad", pivot_index=3,
+                   **PAPER_GATES)
+    grants = _spy_grants(monkeypatch)
+    base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
+    raised = []
+
+    def serve(shards):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if shards == 2:
+                    server.handle_request(req)
+                else:
+                    run_denoise_steps(np.stack([base] * 30),
+                                      [embed_prompt(p, CFG) for p in prompts],
+                                      req.schedule, bad, 1, 10, req.accel)
+        except Exception as exc:
+            raised.append(type(exc))
+
+    for shards in (1, 2):
+        thread = threading.Thread(target=serve, args=(shards,), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert raised == [InternalError, InternalError]
+    assert grants == [(1, True)]
+    helpers = oblix.denoiser.HELPERS
+    assert (helpers.runs, helpers.busy) == (0, 0)
+    # the next request on the same server keeps every row's bits: those of
+    # its run beside the pivot alone (row 0 here)
+    good = _request(candidates=SHARD_PROMPTS, **PAPER_GATES)
+    resp = server.handle_request(good)
+    assert grants[1:] == [(1, True)] * 10
+    for i in (0, 14, 15, 29):
+        rows = sorted({0, i})
+        solo = run_denoise_steps(
+            np.stack([base] * len(rows)),
+            [embed_prompt(SHARD_PROMPTS[r], CFG) for r in rows],
+            good.schedule, W, 1, 10, good.accel)
+        assert same_bits(resp.latents[i], fp16_roundtrip(solo)[-1]), i
+
+
+def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
+    # two N=30 requests at one daemon on two cores: while both run, each
+    # runs its shards one after the other, since a helper would take the
+    # other's core; each keeps its solo bits, and the row partition depends
+    # on N alone, so it shows the server nothing the candidate order hides
+    grants = _spy_grants(monkeypatch)
+    helpers = oblix.denoiser.HELPERS
+    together, running = [threading.Barrier(2, timeout=30)], helpers.running
+
+    @contextlib.contextmanager
+    def both_running():
+        with running():
+            if together:
+                together[0].wait()  # each run starts once both are counted
+            yield
+
+    cuts, advance = set(), oblix.denoiser._advance
+
+    def spy(x, texts, shards, *args):
+        cuts.add(tuple((sh.lo, sh.hi) for sh in shards))
+        return advance(x, texts, shards, *args)
+
+    monkeypatch.setattr(helpers, "running", both_running)
+    monkeypatch.setattr(oblix.denoiser, "_advance", spy)
+    cfg = _session(k=10, steps=25, cache_point=4, skip_point=6, reuse=True)
+    prompt = "portrait of a young african man"
+    frames = [encode_frame(_request(candidates=SHARD_PROMPTS, seed=5,
+                                    **PAPER_GATES)),
+              encode_frame(build_request(prompt, cfg, LEX,
+                                         order_real_first=True)[0])]
+    replies = {}
+
+    def run(addr):
+        def one(i):
+            transport = SocketTransport(addr[0], addr[1])
+            try:
+                replies[i] = transport.roundtrip(frames[i])
+            finally:
+                transport.close()
+
+        threads = [threading.Thread(target=one, args=(i,), daemon=True)
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    _with_daemon(run)
+    together.clear()
+    assert any(runs == 2 for runs, _ in grants)
+    assert [g for g in grants if g[0] == 2] == [(2, False)] * len(
+        [g for g in grants if g[0] == 2])
+    assert cuts == {((0, 15), (15, 30))}
+    for i, frame in enumerate(frames):
+        assert replies[i] == _server().handle_frame(frame), i
+    assert not check_indistinguishability(prompt, LEX, 5, cfg,
+                                          order_real_first=True).passed

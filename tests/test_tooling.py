@@ -18,6 +18,7 @@ import oblix.tensor
 from oblix.cli import load_run_config
 from oblix.oblivious import default_lexicon
 from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
+from oblix.schedule import NoiseSchedule
 from oblix.tensor import Rng
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -193,3 +194,32 @@ def test_tracer_sees_every_product_of_an_n30_forward(monkeypatch):
     # the scale of each (row, site) score product
     fused = n * s * (10 * d + c) + n * 3 * s * (s + t)
     assert sum(span[6] for span in spans) == sum(counted) - fused
+
+
+def test_no_product_of_a_forward_spans_two_batch_rows(monkeypatch):
+    # tensor.matmul's block rule: every matrix that numpy multiplies in a
+    # server run holds rows of at most one batch row (S tokens or T text
+    # rows), so no BLAS kernel can give a row bits that depend on the batch;
+    # the paper-default gates cover shared maps, cached sites and skips
+    cfg = oblix.denoiser.ModelConfig()
+    w = oblix.denoiser.ModelWeights.build(cfg, 1001)
+    n, s = 30, cfg.tokens
+    texts = [oblix.denoiser.embed_prompt(f"candidate {i} of a calm forest", cfg)
+             for i in range(n)]
+    latents = np.stack([Rng(i).gaussian((cfg.channels, cfg.res, cfg.res))
+                        for i in range(n)])
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    oblix.denoiser.unet_forward(latents, texts, 1, w)
+    accel = oblix.accel.AccelConfig(switch_point=10, cache_point=4,
+                                    skip_point=6, reuse=True)
+    oblix.denoiser.run_denoise_steps(latents, texts, NoiseSchedule(25), w,
+                                     1, 10, accel)
+    assert len(shapes) > 359
+    tall = [(a, b) for a, b in shapes if a[-2] > s or b[-2] > s]
+    assert tall == []
