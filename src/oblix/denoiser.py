@@ -27,7 +27,7 @@ import math
 import os
 import struct
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -311,6 +311,15 @@ def _mix(mix: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     return _checked(out)
 
 
+def _tanh_layer(h: np.ndarray, w: ModelWeights, name: str,
+                n: int) -> np.ndarray:
+    """``tanh(h @ w_<name> + b_<name>)``, the tanh in place on the fresh
+    product."""
+    out = matmul(h, w[f"w_{name}"], w[f"b_{name}"], blocks=n,
+                 out=np.empty(h.shape, dtype=np.float32))
+    return tanh_map(out, out=out)
+
+
 def _attn_block(h: np.ndarray, kv: np.ndarray, w: ModelWeights, site: str,
                 n: int, step: StepPlan, state: AccelState | None) -> np.ndarray:
     """One attention site plus its output projection and residual.
@@ -392,12 +401,11 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     if step.gates.skip:
         mid = state.load_mid(step.keep_mid)
     else:
-        h = tanh_map(matmul(_mix(w["mix_down"], base, n), w["w_down"],
-                            w["b_down"], blocks=n))
+        h = _tanh_layer(_mix(w["mix_down"], base, n), w, "down", n)
         h = _attn_block(h, h, w, "down.self", n, step, state)
         h = _attn_block(h, text, w, "down.cross", n, step, state)
 
-        h = tanh_map(matmul(h, w["w_mid"], w["b_mid"], blocks=n))
+        h = _tanh_layer(h, w, "mid", n)
         h = _attn_block(h, h, w, "mid.self", n, step, state)
         mid = _attn_block(h, text, w, "mid.cross", n, step, state)
         if step.keep_mid:
@@ -408,8 +416,7 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
     # rebound at each op, so the old hidden state dies before the next
     # product: cached outputs and mid features may be alive beside it
     h = _mix(w["mix_up"], h, n)
-    h = matmul(h, w["w_up"], w["b_up"], blocks=n)
-    h = tanh_map(h)
+    h = _tanh_layer(h, w, "up", n)
     h = _attn_block(h, h, w, "up.self", n, step, state)
     h = _attn_block(h, text, w, "up.cross", n, step, state)
 
@@ -419,51 +426,63 @@ def unet_forward(latents: np.ndarray, texts: list[np.ndarray], t: int,
 
 
 class ShardHelpers:
-    """Process-wide admission of the helper threads that run row shards.
+    """The process's compute threads: one pool of the usable cores, made
+    (and its module imported) at the first task, never before.
 
-    Cores belong to the process, so one object counts for every server in
-    it: the runs of `run_denoise_steps` under way and the helpers at work.
-    A grant succeeds only while the two together are fewer than the usable
-    cores, so a helper never takes a core that another run's thread needs,
-    and no run ever waits for a grant: without one it runs the step on its
-    own thread (`_advance`).  The thread pool is imported and its first
-    thread started at the first grant, never before.
+    Each server request runs on it as one task (`run`), and so does the
+    second row shard of a wide run when a core is granted (`start`).  A
+    request counts as a run from submission to end; a grant succeeds only
+    while runs plus busy helpers are fewer than the pool's threads.  So a
+    granted shard finds an idle thread, nothing is granted while a request
+    waits in the queue or on a pool of one, and no run waits for a grant
+    (`_advance`).  Each thread's malloc arena holds a whole forward, so
+    memory is bounded by the cores, not by the connections.
     """
 
-    def __init__(self):
+    def __init__(self, threads: int | None = None):
         self._lock = threading.Lock()
+        self.threads = threads
         self.runs = 0
         self.busy = 0
         self._pool = None
 
-    @contextmanager
-    def running(self):
-        """Count a run for as long as the block lasts."""
+    def _submit(self, fn, *args):
+        """``fn(*args)`` on a pool thread, in a copy of the caller's context
+        (numpy's error state, say), as a future; called under the lock."""
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self.threads = self.threads or len(os.sched_getaffinity(0))
+            self._pool = ThreadPoolExecutor(self.threads,
+                                            thread_name_prefix="oblix")
+        return self._pool.submit(contextvars.copy_context().run, fn, *args)
+
+    def run(self, fn, *args):
+        """``fn(*args)`` as a run on a pool thread: its value, or its
+        exception, raised here with its class unchanged."""
+        def counted():
+            try:
+                return fn(*args)
+            finally:
+                with self._lock:
+                    self.runs -= 1
+
         with self._lock:
+            future = self._submit(counted)
             self.runs += 1
         try:
-            yield
+            return future.result()
         finally:
-            with self._lock:
-                self.runs -= 1
+            del future  # its exception's traceback holds this frame
 
     def start(self, fn, *args):
-        """``fn(*args)`` on a helper thread, in a copy of the caller's
-        context (numpy's error state, say), as a future, when a core is
-        idle, else None; hand every future it returns to `finish`."""
+        """``fn(*args)`` on an idle pool thread as a future, when a core is
+        granted, else None; hand every future it returns to `finish`.  A
+        caller off the pool, which no request is, is not counted."""
         with self._lock:
-            cores = len(os.sched_getaffinity(0))
-            if self.runs + self.busy >= cores:
+            # before the pool is made nothing runs, so the grant is given
+            if self._pool is not None and self.runs + self.busy >= self.threads:
                 return None
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-                # no more threads than helpers can be granted, each with
-                # its own malloc arena: a submit just after a helper ends
-                # would otherwise find no idle thread and start another
-                self._pool = ThreadPoolExecutor(
-                    max(1, cores - 1), thread_name_prefix="oblix-shard")
-            future = self._pool.submit(contextvars.copy_context().run, fn,
-                                       *args)
+            future = self._submit(fn, *args)
             self.busy += 1
         return future
 
@@ -497,8 +516,8 @@ def _advance(x: np.ndarray, texts: list[np.ndarray], shards: list[_Shard],
     Each shard counts on a counter of its own, merged into ``counter``
     once all have ended.  The shard that holds the pivot of a reuse step
     runs first, on this thread, and hands each site's map to the other;
-    the other runs on a helper thread when `HELPERS` grants one.  Without
-    a grant, a run that keeps no caches runs the step whole here, and one
+    the other runs on a pool thread when `HELPERS` grants one.  Without a
+    grant, a run that keeps no caches runs the step whole here, and one
     that keeps them runs its shards here one after the other.  The first
     failure in that order is raised once the helper has ended.
     """
@@ -581,10 +600,9 @@ def run_denoise_steps(latents: np.ndarray, texts: list[np.ndarray],
              for lo, hi in zip(cuts, cuts[1:])]
     counter = active_counter()
     x = latents
-    with HELPERS.running():
-        for i, step in plan.items():
-            with nullcontext() if counter is None else counter.step(i, *step.gates):
-                x = _advance(x, texts, parts, i, step, w, sched, counter)
+    for i, step in plan.items():
+        with nullcontext() if counter is None else counter.step(i, *step.gates):
+            x = _advance(x, texts, parts, i, step, w, sched, counter)
     return x
 
 

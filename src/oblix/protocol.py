@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import denoiser as denoiser_mod
 from .accel import AccelConfig, check_run, run_plan
 from .denoiser import ModelWeights, decode_latent, embed_prompt, run_denoise_steps
 from .errors import ConfigError, InputError, ProtocolError, RangeError
@@ -389,6 +390,14 @@ class Server:
         )
 
     def handle_frame(self, raw: bytes) -> bytes:
+        """The response frame to a request frame.  Decode, `handle_request`
+        and encode run as one task on one thread of the process's compute
+        pool (`oblix.denoiser.HELPERS`), and the caller waits for its result
+        or its exception, so every transport computes on the same threads.
+        """
+        return denoiser_mod.HELPERS.run(self._serve_frame, raw)
+
+    def _serve_frame(self, raw: bytes) -> bytes:
         msg = decode_frame(raw)
         if not isinstance(msg, GenerateRequest):
             raise ProtocolError("server accepts request frames only", offset=4)
@@ -486,6 +495,9 @@ def _recv_exact(sock: socket.socket, n: int,
 
 
 class _DaemonHandler(socketserver.BaseRequestHandler):
+    """One connection's thread, which only reads frames and sends replies:
+    each reply is made on the compute pool (`Server.handle_frame`)."""
+
     def handle(self):
         while True:
             try:

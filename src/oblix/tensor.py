@@ -152,6 +152,11 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# up to this many values the isfinite mask checks faster than a min and a
+# max (2.8 against 5.8 us at 8,192; even at 65,536), which make no temporary
+MASK_CHECK_MAX = 1 << 16
+
+
 def _checked(a: np.ndarray, *, freeze: bool = True) -> np.ndarray:
     """Return a computed array read-only, refusing a non-finite value.
 
@@ -159,10 +164,16 @@ def _checked(a: np.ndarray, *, freeze: bool = True) -> np.ndarray:
     arithmetic makes is checked once, where it is made; views, reshapes
     and stacking of checked arrays need no second look.  With ``freeze``
     false the array stays writeable, for a buffer that a primitive then
-    overwrites in place (``softmax_rows(..., out=)``).
+    overwrites in place (``softmax_rows(..., out=)``).  Above
+    ``MASK_CHECK_MAX`` values no mask is made: NaN propagates through a min
+    and a max reduction, and +-inf shows in one of them.
     """
-    # the ufunc reduce itself: ndarray.all adds a Python-level wrapper call
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    if a.size > MASK_CHECK_MAX:
+        finite = (np.isfinite(np.minimum.reduce(a, axis=None))
+                  and np.isfinite(np.maximum.reduce(a, axis=None)))
+    else:  # the ufunc reduce itself: ndarray.all adds a Python-level call
+        finite = np.logical_and.reduce(np.isfinite(a), axis=None)
+    if not finite:
         raise InternalError(f"computed {a.shape} array holds non-finite values")
     return readonly(a) if freeze else a
 
@@ -295,9 +306,12 @@ def scale(a: np.ndarray, s: float) -> np.ndarray:
     return _checked(a * np.float32(s))
 
 
-def tanh_map(a: np.ndarray) -> np.ndarray:
+def tanh_map(a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise tanh; ``out`` as for `add` (``a`` itself, say).  tanh
+    takes each finite value to a finite one but +-inf to +-1, so the
+    operand, which may be a product `matmul` left unchecked, is checked."""
     _count(a.size)
-    return _checked(np.tanh(a))
+    return readonly(np.tanh(_checked(a, freeze=False), out=out))
 
 
 # ---------------------------------------------------------------------------

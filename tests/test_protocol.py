@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import socket
@@ -14,7 +13,13 @@ from hypothesis import strategies as st
 
 import oblix.protocol
 from oblix.accel import MAP_CHUNK_BYTES, AccelConfig, never
-from oblix.denoiser import ModelConfig, ModelWeights, embed_prompt, run_denoise_steps
+from oblix.denoiser import (
+    ModelConfig,
+    ModelWeights,
+    ShardHelpers,
+    embed_prompt,
+    run_denoise_steps,
+)
 from oblix.errors import (
     ConfigError,
     InputError,
@@ -1174,23 +1179,44 @@ PAPER_GATES = dict(switch_point=10, cache_point=4, skip_point=6, reuse=True,
 SHARD_PROMPTS = tuple(f"candidate {i} of a calm forest" for i in range(30))
 
 
-def _spy_grants(monkeypatch) -> list:
-    """Log (runs under way, granted) of each helper request, the runs as
-    the helpers' lock saw them, on a process of two usable cores."""
-    helpers, grants, seen = oblix.denoiser.HELPERS, [], threading.local()
-    start = helpers.start
+@pytest.fixture
+def pool(monkeypatch):
+    """Make a fresh compute pool of so many threads the process's own for
+    the test; its threads end with the test."""
+    made = []
 
-    def cores(pid):  # read under the helpers' lock
-        seen.runs = helpers.runs
-        return {0, 1}
+    def install(threads: int) -> ShardHelpers:
+        made.append(ShardHelpers(threads))
+        monkeypatch.setattr(oblix.denoiser, "HELPERS", made[-1])
+        return made[-1]
+
+    yield install
+    for helpers in made:
+        if helpers._pool is not None:
+            helpers._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _spy_grants(helpers: ShardHelpers) -> list:
+    """Log (runs under way, granted) of each helper request to ``helpers``,
+    the runs as its lock saw them."""
+    grants, seen, lock = [], threading.local(), helpers._lock
+
+    class Seen:
+        def __enter__(self):
+            lock.acquire()
+            seen.runs = helpers.runs
+
+        def __exit__(self, *exc):
+            lock.release()
+
+    start = helpers.start
 
     def spy(fn, *args):
         future = start(fn, *args)
         grants.append((seen.runs, future is not None))
         return future
 
-    monkeypatch.setattr(oblix.denoiser.os, "sched_getaffinity", cores)
-    monkeypatch.setattr(helpers, "start", spy)
+    helpers._lock, helpers.start = Seen(), spy
     return grants
 
 
@@ -1211,8 +1237,8 @@ def _spiked_prompts(row):
 
 
 @pytest.mark.parametrize("where", ["pivot shard", "helper shard"])
-def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
-        where, monkeypatch):
+def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(where,
+                                                                   pool):
     # the weights are finite, as ModelWeights requires, but a value they
     # make is not: in the pivot's map at reuse step 1, which only the shard
     # holding the pivot makes, or in the values of one row of the other
@@ -1227,7 +1253,8 @@ def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
     server = Server({"toy": W, "bad": bad})
     req = _request(candidates=prompts, model_id="bad", pivot_index=3,
                    **PAPER_GATES)
-    grants = _spy_grants(monkeypatch)
+    helpers = pool(2)
+    grants = _spy_grants(helpers)
     base = Rng(req.seed).gaussian((CFG.channels, CFG.res, CFG.res))
     raised = []
 
@@ -1235,7 +1262,7 @@ def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 if shards == 2:
-                    server.handle_request(req)
+                    server.handle_frame(encode_frame(req))
                 else:
                     run_denoise_steps(np.stack([base] * 30),
                                       [embed_prompt(p, CFG) for p in prompts],
@@ -1250,12 +1277,11 @@ def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
         assert not thread.is_alive()
     assert raised == [InternalError, InternalError]
     assert grants == [(1, True)]
-    helpers = oblix.denoiser.HELPERS
     assert (helpers.runs, helpers.busy) == (0, 0)
     # the next request on the same server keeps every row's bits: those of
     # its run beside the pivot alone (row 0 here)
     good = _request(candidates=SHARD_PROMPTS, **PAPER_GATES)
-    resp = server.handle_request(good)
+    resp = decode_frame(server.handle_frame(encode_frame(good)))
     assert grants[1:] == [(1, True)] * 10
     for i in (0, 14, 15, 29):
         rows = sorted({0, i})
@@ -1266,21 +1292,18 @@ def test_a_shard_that_fails_fails_the_request_and_frees_the_helper(
         assert same_bits(resp.latents[i], fp16_roundtrip(solo)[-1]), i
 
 
-def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
+def test_two_wide_requests_on_two_cores_get_no_helper(pool, monkeypatch):
     # two N=30 requests at one daemon on two cores: while both run, each
     # runs its shards one after the other, since a helper would take the
     # other's core; each keeps its solo bits, and the row partition depends
     # on N alone, so it shows the server nothing the candidate order hides
-    grants = _spy_grants(monkeypatch)
-    helpers = oblix.denoiser.HELPERS
-    together, running = [threading.Barrier(2, timeout=30)], helpers.running
+    grants = _spy_grants(pool(2))
+    together, handle = [threading.Barrier(2, timeout=30)], Server.handle_request
 
-    @contextlib.contextmanager
-    def both_running():
-        with running():
-            if together:
-                together[0].wait()  # each run starts once both are counted
-            yield
+    def both_running(self, req):
+        if together:
+            together[0].wait()  # each run starts once both are on the pool
+        return handle(self, req)
 
     cuts, advance = set(), oblix.denoiser._advance
 
@@ -1288,7 +1311,7 @@ def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
         cuts.add(tuple((sh.lo, sh.hi) for sh in shards))
         return advance(x, texts, shards, *args)
 
-    monkeypatch.setattr(helpers, "running", both_running)
+    monkeypatch.setattr(Server, "handle_request", both_running)
     monkeypatch.setattr(oblix.denoiser, "_advance", spy)
     cfg = _session(k=10, steps=25, cache_point=4, skip_point=6, reuse=True)
     prompt = "portrait of a young african man"
@@ -1296,7 +1319,22 @@ def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
                                     **PAPER_GATES)),
               encode_frame(build_request(prompt, cfg, LEX,
                                          order_real_first=True)[0])]
-    replies = {}
+    replies = _concurrent_replies(frames)
+    together.clear()
+    assert any(runs == 2 for runs, _ in grants)
+    assert [g for g in grants if g[0] == 2] == [(2, False)] * len(
+        [g for g in grants if g[0] == 2])
+    assert cuts == {((0, 15), (15, 30))}
+    for i, frame in enumerate(frames):
+        assert replies[i] == _server().handle_frame(frame), i
+    assert not check_indistinguishability(prompt, LEX, 5, cfg,
+                                          order_real_first=True).passed
+
+
+def _concurrent_replies(frames) -> list:
+    """The replies of a loopback daemon to ``frames``, each sent at once on
+    a connection of its own."""
+    replies = [None] * len(frames)
 
     def run(addr):
         def one(i):
@@ -1307,7 +1345,7 @@ def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
                 transport.close()
 
         threads = [threading.Thread(target=one, args=(i,), daemon=True)
-                   for i in range(2)]
+                   for i in range(len(frames))]
         for t in threads:
             t.start()
         for t in threads:
@@ -1315,12 +1353,91 @@ def test_two_wide_requests_on_two_cores_get_no_helper(monkeypatch):
         assert not any(t.is_alive() for t in threads)
 
     _with_daemon(run)
-    together.clear()
-    assert any(runs == 2 for runs, _ in grants)
-    assert [g for g in grants if g[0] == 2] == [(2, False)] * len(
-        [g for g in grants if g[0] == 2])
-    assert cuts == {((0, 15), (15, 30))}
-    for i, frame in enumerate(frames):
-        assert replies[i] == _server().handle_frame(frame), i
-    assert not check_indistinguishability(prompt, LEX, 5, cfg,
-                                          order_real_first=True).passed
+    return replies
+
+
+def test_three_wide_requests_compute_on_two_pool_threads(pool, monkeypatch):
+    # three N=30 requests at once at one daemon whose pool has two threads:
+    # every forward runs on one of those two, none on a connection's
+    # handler thread, and each reply keeps the bits of its request alone
+    pool(2)
+    computing, forward = set(), oblix.denoiser.unet_forward
+
+    def noted(*args):
+        computing.add(threading.get_ident())
+        return forward(*args)
+
+    handlers, handle = set(), oblix.protocol._DaemonHandler.handle
+
+    def connection(self):
+        handlers.add(threading.get_ident())
+        return handle(self)
+
+    monkeypatch.setattr(oblix.denoiser, "unet_forward", noted)
+    monkeypatch.setattr(oblix.protocol._DaemonHandler, "handle", connection)
+    frames = [encode_frame(_request(candidates=SHARD_PROMPTS, seed=seed,
+                                    **PAPER_GATES)) for seed in (5, 6, 7)]
+    replies = _concurrent_replies(frames)
+    assert len(handlers) == 3
+    assert 1 <= len(computing) <= 2 and not computing & handlers
+    for reply, frame in zip(replies, frames):
+        assert reply == _server().handle_frame(frame)
+
+
+def test_a_request_held_at_pool_entry_blocks_grants_until_it_leaves(
+        pool, monkeypatch):
+    # request B has entered the pool and is held before it decodes, so it
+    # counts as a run: request A, on the pool's other thread, gets no helper
+    # for its first three steps; once B has left, A's steps are granted
+    # again, and A keeps the bits of its run alone
+    helpers = pool(2)
+    grants = _spy_grants(helpers)
+    small = encode_frame(_request(candidates=("one", "two")))
+    wide = encode_frame(_request(candidates=SHARD_PROMPTS, **PAPER_GATES))
+    entered, release, decode = (threading.Event(), threading.Event(),
+                                oblix.protocol.decode_frame)
+
+    def held(raw):
+        if raw == small:
+            entered.set()
+            release.wait(30)
+        return decode(raw)
+
+    replies = {}
+    b = threading.Thread(
+        target=lambda: replies.update(b=_server().handle_frame(small)),
+        daemon=True)
+    spied = helpers.start
+
+    def let_b_go(fn, *args):
+        if len(grants) == 3:
+            release.set()
+            b.join(timeout=30)
+        return spied(fn, *args)
+
+    monkeypatch.setattr(oblix.protocol, "decode_frame", held)
+    helpers.start = let_b_go
+    b.start()
+    assert entered.wait(10)
+    a = _server().handle_frame(wide)
+    assert not b.is_alive()
+    assert grants == [(2, False)] * 3 + [(1, True)] * 7
+    assert (helpers.runs, helpers.busy) == (0, 0)
+    assert a == _server().handle_frame(wide)
+    assert replies["b"] == _server().handle_frame(small)
+
+
+def test_a_pool_of_one_serves_a_wide_request_without_a_helper(pool):
+    frame = encode_frame(_request(candidates=SHARD_PROMPTS, **PAPER_GATES))
+    pool(2)
+    sharded = _server().handle_frame(frame)
+    grants = _spy_grants(pool(1))
+    replies = []
+    thread = threading.Thread(
+        target=lambda: replies.append(_server().handle_frame(frame)),
+        daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert grants == [(1, False)] * 10
+    assert replies == [sharded]

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from oblix.errors import InternalError, RangeError, ShapeError
 from oblix.tensor import (
+    MASK_CHECK_MAX,
     FlopsCounter,
     Rng,
+    _checked,
     add,
     add_rowvec,
     decode_f16,
@@ -421,6 +423,32 @@ def test_tensor_rejects_non_finite():
             continue
         passed.append(name)
     assert passed == []
+
+
+@pytest.mark.parametrize("size", [MASK_CHECK_MAX, MASK_CHECK_MAX + 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_check_finds_a_non_finite_value_anywhere(size, bad):
+    # a mask up to MASK_CHECK_MAX values, a min and a max above it: either
+    # way one NaN, +inf or -inf at the first, a middle or the last value is
+    # refused, and a finite array is returned read-only
+    a = Rng(2).gaussian((size,)) * np.float32(3e37)
+    assert _checked(a.copy()).flags.writeable is False
+    for at in (0, size // 2, size - 1):
+        b = a.copy()
+        b[at] = bad
+        with pytest.raises(InternalError, match="non-finite"):
+            _checked(b)
+
+
+def test_tanh_refuses_an_infinite_operand_it_would_map_to_one():
+    with pytest.raises(InternalError):
+        tanh_map(T([[0.5, np.inf]]))
+    with pytest.raises(InternalError):
+        tanh_map(T([[-np.inf, 0.5]]))
+    x = T([[0.5, -1.0], [2.0, 0.25]])
+    buf = x.copy()
+    assert tanh_map(buf, out=buf) is buf
+    assert same_bits(buf, tanh_map(x))
 
 
 def test_tensor_is_immutable():

@@ -17,7 +17,15 @@ import oblix.security
 import oblix.tensor
 from oblix.cli import load_run_config
 from oblix.oblivious import default_lexicon
-from oblix.protocol import GenerateRequest, GenerateResponse, SessionConfig
+from oblix.protocol import (
+    Daemon,
+    GenerateRequest,
+    GenerateResponse,
+    Server,
+    SessionConfig,
+    SocketTransport,
+    client_run_session,
+)
 from oblix.schedule import NoiseSchedule
 from oblix.tensor import Rng
 
@@ -114,6 +122,33 @@ def test_run_denoise_steps_positions_the_tracer_reads():
 def test_message_fields_the_tracer_reads():
     assert {"candidates", "seed"} <= set(GenerateRequest.__dataclass_fields__)
     assert "flops_total" in GenerateResponse.__dataclass_fields__
+
+
+def test_the_tracer_joins_server_spans_to_their_session():
+    # a daemon decodes, handles and encodes each request on one thread of
+    # its compute pool, and the decoded request names the session there,
+    # so the server's spans join the client session that caused them
+    tracing = _tracing()
+    cfg = SessionConfig(seed=7, accel=oblix.accel.AccelConfig(
+        switch_point=3, cache_point=oblix.accel.never(8),
+        skip_point=oblix.accel.never(8)), cloud_schedule=NoiseSchedule(8))
+    w = oblix.denoiser.ModelWeights.build(oblix.denoiser.ModelConfig(), 1001)
+    daemon = Daemon(("127.0.0.1", 0), Server({cfg.model_id: w}))
+    daemon.serve_in_background()
+    transport = SocketTransport(*daemon.server_address)
+    tracer = tracing.Tracer()
+    try:
+        with tracing.patched(tracer), tracer.op("s7"):
+            client_run_session("portrait of a young man", cfg, transport, w,
+                               default_lexicon())
+    finally:
+        transport.close()
+        daemon.shutdown()
+        daemon.server_close()
+    names = ("protocol.handle_request", "denoiser.server_steps",
+             "protocol.encode_response")
+    assert {name: [span[3] for span in tracer.spans if span[2] == name]
+            for name in names} == {name: ["s7"] for name in names}
 
 
 def test_tracer_records_each_members_expansion():
